@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
 """Run every shipped example config and summarize the outputs.
 
+Prints the sha256 of every output file, so golden hashes of the shipped
+configs can be recorded before a change and compared after it.
+
 Usage: python scripts/run_examples.py [OUTPUT_ROOT]
 """
+import hashlib
 import json
 import subprocess
 import sys
@@ -31,6 +35,9 @@ def main():
                         str(CONFIGS / name), "--out", str(out)], check=True)
         meta = json.loads((out / "metadata.json").read_text())
         print(f"   config {meta['config_sha256'][:12]}..., seed {meta['seed']}")
+        for path in sorted(out.iterdir()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"   {digest}  {out.name}/{path.name}")
 
 
 if __name__ == "__main__":

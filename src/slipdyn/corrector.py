@@ -22,7 +22,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import lu_factor, lu_solve
 
 from .geometry import Geometry
-from .interaction import QuadratureConfig, interaction_sum
+from .interaction import QuadratureConfig, _boundary_grid, interaction_sum
 from .kernels import Material, K_many, apply_C
 from .measures import CellMeasure, DiscreteMeasure, DislocationConfig
 
@@ -68,18 +68,8 @@ def as_weighted_atoms(measure, q: QuadratureConfig):
     if isinstance(measure, DiscreteMeasure):
         return measure.points, measure.weights
     if isinstance(measure, CellMeasure):
-        g = q.density_gauss
-        gx, gw = leggauss(g)
-        offs = 0.5 + 0.5 * gx
-        gw = gw / 2.0
-        pts, ws = [], []
-        for k in range(measure.n_cells):
-            r = measure.cell_rect(k)
-            h = measure.spacing
-            X, Y = np.meshgrid(r.x0 + offs * h, r.y0 + offs * h, indexing="ij")
-            pts.append(np.stack([X.ravel(), Y.ravel()], axis=1))
-            ws.append(np.outer(gw, gw).ravel() * measure.masses[k])
-        return np.concatenate(pts), np.concatenate(ws)
+        nodes, w = measure.gauss_nodes(q.density_gauss)
+        return nodes.reshape(-1, 2), (w[None, :] * measure.masses[:, None]).ravel()
     raise TypeError(f"unsupported measure type {type(measure)!r}")
 
 
@@ -189,28 +179,16 @@ class CorrectorSolver:
 
     # -- boundary linear form ---------------------------------------------
     def _boundary_layout(self, n_per_edge: int):
-        if n_per_edge in self._bnd_cache:
-            return self._bnd_cache[n_per_edge]
-        o = self.geom.omega
-        gx, gw = leggauss(n_per_edge)
-        pts, ws, nus = [], [], []
-        corners = o.corners()
-        normals = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        for k in range(4):
-            a, b = corners[k], corners[(k + 1) % 4]
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            L = float(np.hypot(*(b - a)))
-            pts.append(mid[None, :] + gx[:, None] * half[None, :])
-            ws.append(gw * L / 2)
-            nus.append(np.tile(normals[k], (n_per_edge, 1)))
-        pts = np.concatenate(pts)
-        vals, _, _ = self._scalar_basis(pts, want_grad=False)
-        layout = (pts, np.concatenate(ws), np.concatenate(nus), vals)
-        self._bnd_cache[n_per_edge] = layout
-        return layout
+        """Shared boundary Gauss grid plus the basis values on it, per count."""
+        if n_per_edge not in self._bnd_cache:
+            grid = _boundary_grid(self.geom.omega, n_per_edge, self.q.cheb_degree)
+            vals, _, _ = self._scalar_basis(grid["gauss_pts"], want_grad=False)
+            self._bnd_cache[n_per_edge] = (grid, vals)
+        return self._bnd_cache[n_per_edge]
 
     def _linear_form_at(self, atoms, weights, n_per_edge):
-        pts, ws, nus, vals = self._boundary_layout(n_per_edge)
+        grid, vals = self._boundary_layout(n_per_edge)
+        pts, ws, nus = grid["gauss_pts"], grid["gauss_w"], grid["gauss_nu"]
         T = np.zeros((len(pts), 2))
         for zi, wi in zip(atoms, weights):
             T += wi * np.einsum("qij,qj->qi", apply_C(K_many(pts, zi, self.mat), self.mat), nus)

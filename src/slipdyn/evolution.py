@@ -19,9 +19,9 @@ import numpy as np
 from .corrector import RitzBasis, get_solver
 from .geometry import Geometry
 from .interaction import (QuadratureConfig, interaction_cross_matrix,
-                          pairwise_interaction_matrix)
+                          interaction_of_points)
 from .kernels import Material
-from .measures import DislocationConfig
+from .measures import DiscreteMeasure, DislocationConfig
 from .transport import slip_distance
 
 __all__ = ["LoadingProgram", "SolverConfig", "EnergyContext", "ForceRecord",
@@ -31,6 +31,19 @@ __all__ = ["LoadingProgram", "SolverConfig", "EnergyContext", "ForceRecord",
            "energy_balance_residual", "flow_rule_steps", "flow_rule_residual"]
 
 EDGE_TOL = 1e-10
+
+
+def _log_forces(rows: np.ndarray, pts: np.ndarray, log_coef: float) -> np.ndarray:
+    """Horizontal free-space log force on each row point from all of ``pts``, over n.
+
+    Self pairs (zero distance) contribute nothing, so a single row and the
+    full matrix sum the same terms in the same order.
+    """
+    dx = rows[:, None, 0] - pts[None, :, 0]
+    dy = rows[:, None, 1] - pts[None, :, 1]
+    d2 = dx * dx + dy * dy
+    rep = np.divide(log_coef * dx, d2, out=np.zeros_like(d2), where=d2 > 0)
+    return rep.sum(axis=1) / len(pts)
 
 
 @dataclass(frozen=True)
@@ -114,22 +127,11 @@ class EnergyContext:
 
     # -- energies ----------------------------------------------------------
     def interaction_of_points(self, pts: np.ndarray) -> float:
-        n = len(pts)
-        if n == 1:
-            return 0.0
-        if self.mode == "freespace":
-            d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-            np.fill_diagonal(d2, 1.0)
-            s = -self.mat.log_coef * 0.5 * np.log(d2)
-            np.fill_diagonal(s, 0.0)
-            return float(s.sum()) / (2 * n * n)
-        M = pairwise_interaction_matrix(pts, self.geom, self.mat, self.quad)
-        return float(M.sum()) / (2 * n * n)
+        return interaction_of_points(pts, self.mode, self.geom, self.mat, self.quad)
 
     def corrector_energy_of_points(self, pts: np.ndarray) -> float:
         if self.mode != "bounded":
             return 0.0
-        from .measures import DiscreteMeasure
         solver = get_solver(self.geom, self.mat, self.basis, self.quad)
         return solver.solve(DiscreteMeasure.equal_weights(pts)).energy
 
@@ -146,18 +148,10 @@ class EnergyContext:
     # -- per-dislocation horizontal forces ----------------------------------
     def interaction_forces(self, pts: np.ndarray) -> np.ndarray:
         """-n d/dz_i of the interaction energy, horizontal components."""
-        n = len(pts)
-        if n == 1:
-            return np.zeros(1)
         if self.mode == "bounded":
             return np.array([self.interaction_force_single(pts, i)
-                             for i in range(n)])
-        dx = pts[:, None, 0] - pts[None, :, 0]
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        np.fill_diagonal(d2, 1.0)
-        rep = self.mat.log_coef * dx / d2
-        np.fill_diagonal(rep, 0.0)
-        return rep.sum(axis=1) / n
+                             for i in range(len(pts))])
+        return _log_forces(pts, pts, self.mat.log_coef)
 
     def _row_sum(self, pts: np.ndarray, i: int, delta: float) -> float:
         """Sum over j != i of the boundary part of V(z_i + delta e1, z_j)."""
@@ -174,7 +168,6 @@ class EnergyContext:
         """Corrector contribution by central differences; one-sided at the box edges."""
         if self.mode != "bounded":
             return 0.0
-        from .measures import DiscreteMeasure
         solver = get_solver(self.geom, self.mat, self.basis, self.quad)
         box = self.geom.r_box
         n = len(pts)
@@ -197,10 +190,7 @@ class EnergyContext:
         n = len(pts)
         if n == 1:
             return 0.0
-        others = np.delete(pts, i, axis=0)
-        dx = pts[i, 0] - others[:, 0]
-        d2 = np.sum((pts[i] - others) ** 2, axis=-1)
-        f = float(np.sum(self.mat.log_coef * dx / d2)) / n
+        f = float(_log_forces(pts[i:i + 1], pts, self.mat.log_coef)[0])
         if self.mode == "bounded":
             delta = 1e-6 * self.geom.r_box.diam
             f += -(self._row_sum(pts, i, delta)
@@ -442,8 +432,7 @@ def run_quasistatic(init: DislocationConfig, times, load: LoadingProgram,
                           forces=forces)
 
 
-def energy_balance_series(trace: EvolutionTrace, load: LoadingProgram,
-                          ctx: EnergyContext) -> np.ndarray:
+def energy_balance_series(trace: EvolutionTrace, load: LoadingProgram) -> np.ndarray:
     """Per-time deviation from the energy balance (trapezoid work integral)."""
     times = trace.times
     m = len(times)
@@ -460,14 +449,12 @@ def energy_balance_series(trace: EvolutionTrace, load: LoadingProgram,
     return np.abs(lhs - rhs)
 
 
-def energy_balance_residual(trace: EvolutionTrace, load: LoadingProgram,
-                            ctx: EnergyContext) -> float:
+def energy_balance_residual(trace: EvolutionTrace, load: LoadingProgram) -> float:
     """Worst deviation from the energy balance along the trace."""
-    return float(np.max(energy_balance_series(trace, load, ctx)))
+    return float(np.max(energy_balance_series(trace, load)))
 
 
-def flow_rule_steps(trace: EvolutionTrace, load: LoadingProgram,
-                    ctx: EnergyContext, motion_tol: float = 1e-9) -> np.ndarray:
+def flow_rule_steps(trace: EvolutionTrace, motion_tol: float = 1e-9) -> np.ndarray:
     """Per-step complementarity defect: moving dislocations must see unit force.
 
     Forces are taken at the arrival state; at the box edges the outward force
@@ -495,7 +482,6 @@ def flow_rule_steps(trace: EvolutionTrace, load: LoadingProgram,
     return out
 
 
-def flow_rule_residual(trace: EvolutionTrace, load: LoadingProgram,
-                       ctx: EnergyContext, motion_tol: float = 1e-9) -> float:
+def flow_rule_residual(trace: EvolutionTrace, motion_tol: float = 1e-9) -> float:
     """Worst per-step complementarity defect along the trace."""
-    return float(np.max(flow_rule_steps(trace, load, ctx, motion_tol)))
+    return float(np.max(flow_rule_steps(trace, motion_tol)))

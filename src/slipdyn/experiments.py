@@ -46,7 +46,7 @@ def resolve_outdir(cfg: ExperimentConfig, override: str | None) -> Path:
 
 def _fmt(x) -> str:
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))
     return str(x)
 
 
@@ -87,8 +87,8 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: Path, seed: int,
     rng = np.random.default_rng(seed)
     trace = run_quasistatic(init, times, cfg.loading, cfg.solver, ctx,
                             pre_relax=bool(sec["pre_relax"]), rng=rng)
-    balance = energy_balance_series(trace, cfg.loading, ctx)
-    flow = flow_rule_steps(trace, cfg.loading, ctx)
+    balance = energy_balance_series(trace, cfg.loading)
+    flow = flow_rule_steps(trace)
     diss = trace.dissipation
     rows = []
     for k, t in enumerate(trace.times):

@@ -12,8 +12,12 @@ Two evaluation routes are implemented:
   the cells containing them;
 * a boundary reduction (divergence theorem against a cut displacement branch)
   that turns V into 1-D integrals over the domain boundary plus a closed-form
-  cut contribution.  It evaluates whole pair matrices at once and is used for
-  configuration sums; agreement of the two routes is enforced in the tests.
+  cut contribution.  ``interaction_cross_matrix`` evaluates whole pair
+  matrices at once and is the route every energy and force uses;
+  ``v_pair_boundary`` is its single-pair view.
+
+``v_pair`` shares no code with the boundary reduction and is kept as the
+independent oracle; agreement of the two routes is enforced in the tests.
 """
 from __future__ import annotations
 
@@ -26,12 +30,13 @@ from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial.legendre import leggauss
 
 from .geometry import Geometry, Rect
-from .kernels import (MIN_SEPARATION, Material, K_many, apply_C, displacement_v)
+from .kernels import (MIN_SEPARATION, Material, K_many, apply_C, displacement_v,
+                      eval_K)
 from .measures import CellMeasure, DislocationConfig
 
 __all__ = [
     "QuadratureConfig", "v_freespace_leading", "v_pair", "v_pair_boundary",
-    "interaction_cross_matrix", "pairwise_interaction_matrix",
+    "interaction_cross_matrix", "interaction_of_points",
     "interaction_sum", "continuum_interaction", "continuum_interaction_freespace",
 ]
 
@@ -158,7 +163,6 @@ def _cluster_integral(bbox, p, other, mat, which):
     b = min(py - y0, y1 - py)
     if a <= 0 or b <= 0:
         raise ValueError("singular point on the cluster boundary")
-    from .kernels import eval_K
     # smooth factor frozen at the singular point: K(p; other source)
     k_const = eval_K(p, other, mat)
 
@@ -255,21 +259,13 @@ def v_pair(y, z, geom: Geometry, mat: Material, q: QuadratureConfig) -> float:
 # boundary-reduction route
 # ---------------------------------------------------------------------------
 
-def _edges_ccw(rect: Rect):
-    """Counterclockwise edge list: (start, end, outward normal, length)."""
-    c = rect.corners()
-    normals = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-    out = []
-    for k in range(4):
-        a, b = c[k], c[(k + 1) % 4]
-        out.append((a, b, normals[k], float(np.hypot(*(b - a)))))
-    return out
+#: outward normals of the counterclockwise edges, starting at the lower-left corner
+_NORMALS = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
 
 
 @lru_cache(maxsize=16)
-def _boundary_grid(rect_key, n_per_edge, cheb_degree):
+def _boundary_grid(rect: Rect, n_per_edge, cheb_degree):
     """Cached Gauss and Chebyshev sampling layouts along the rectangle boundary."""
-    rect = Rect(*rect_key)
     gx, gw = leggauss(n_per_edge)
     deg = cheb_degree
     tcheb = np.cos(math.pi * (2 * np.arange(deg + 1) + 1) / (2 * (deg + 1)))  # first kind
@@ -281,7 +277,10 @@ def _boundary_grid(rect_key, n_per_edge, cheb_degree):
     g_pts, g_w, g_nu, g_tau, g_s = [], [], [], [], []
     c_pts, c_s0, c_len = [], [], []
     s_acc = 0.0
-    for a, b, nu, length in _edges_ccw(rect):
+    corners = rect.corners()
+    for k, nu in enumerate(_NORMALS):
+        a, b = corners[k], corners[(k + 1) % 4]
+        length = float(np.hypot(*(b - a)))
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
         tau = (b - a) / length
@@ -296,7 +295,6 @@ def _boundary_grid(rect_key, n_per_edge, cheb_degree):
         c_len.append(length)
         s_acc += length
     return {
-        "rect": rect,
         "gauss_pts": np.concatenate(g_pts),
         "gauss_w": np.concatenate(g_w),
         "gauss_nu": np.concatenate(g_nu),
@@ -346,8 +344,7 @@ def _tractions_and_potentials(points, geom, mat, q):
       P[i, q]   cumulative integral of T1 along the boundary (zero mean drift),
       cheb      per-edge Chebyshev antiderivatives for point evaluation of P.
     """
-    grid = _boundary_grid((geom.omega.x0, geom.omega.y0, geom.omega.x1, geom.omega.y1),
-                          q.boundary_points, q.cheb_degree)
+    grid = _boundary_grid(geom.omega, q.boundary_points, q.cheb_degree)
     pts_g = grid["gauss_pts"]
     nu_g = grid["gauss_nu"]
     n = len(points)
@@ -365,7 +362,7 @@ def _tractions_and_potentials(points, geom, mat, q):
         vals = np.empty((n, deg + 1))
         for i, zi in enumerate(points):
             tr = np.einsum("qij,j->qi", apply_C(K_many(cheb_pts[e], zi, mat), mat),
-                           _edges_ccw(grid["rect"])[e][2])
+                           _NORMALS[e])
             vals[i] = tr[:, 0]
         c = F @ vals.T                              # (deg+1, n)
         ci = _cheb.chebint(c, m=1, axis=0) * (grid["edge_len"][e] / 2)
@@ -460,76 +457,32 @@ def interaction_cross_matrix(ys, zs, geom: Geometry, mat: Material,
     return M
 
 
-def pairwise_interaction_matrix(points, geom: Geometry, mat: Material,
-                                q: QuadratureConfig) -> np.ndarray:
-    """Matrix of V(z_i, z_j) over all ordered pairs (diagonal set to zero)."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if len(pts) < 2:
-        return np.zeros((len(pts), len(pts)))
-    return interaction_cross_matrix(pts, pts, geom, mat, q)
+def v_pair_boundary(y, z, geom: Geometry, mat: Material,
+                    q: QuadratureConfig) -> float:
+    """Single-pair V(y, z) by the boundary reduction; +inf on the diagonal.
 
-
-def v_pair_boundary(y, z, geom: Geometry, mat: Material, q: QuadratureConfig,
-                    cut_from=None) -> float:
-    """Single-pair V via the boundary reduction.
-
-    ``cut_from`` freezes the cut ray at the one through ``cut_from`` and z;
-    used by smooth finite differencing in the force assembly.  With a frozen
-    cut the contribution along the ray is integrated numerically.
+    This is the (0, 0) entry of ``interaction_cross_matrix``.
     """
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
-    sep = float(np.hypot(*(y - z)))
-    if sep < MIN_SEPARATION:
+    if float(np.hypot(*(y - z))) < MIN_SEPARATION:
         return math.inf
-    omega = geom.omega
-    coef = mat.log_coef
-    anchor = y if cut_from is None else np.asarray(cut_from, dtype=float)
-    d = (z - anchor) / np.hypot(*(z - anchor))
-    t_exit, s_exit, e_exit = _ray_exit_lengths(z[None, :], d[None, :], omega)
-
-    if cut_from is None:
-        cut = coef * math.log((sep + float(t_exit[0])) / sep)
-    else:
-        # numeric cut integral: (C K(x; y) m) . e1 along the frozen ray
-        gx, gw = leggauss(64)
-        ts = 0.5 * float(t_exit[0]) * (gx + 1)
-        ws = 0.5 * float(t_exit[0]) * gw
-        xs = z[None, :] + ts[:, None] * d[None, :]
-        m = np.array([-d[1], d[0]])
-        tr = np.einsum("qij,j->qi", apply_C(K_many(xs, y, mat), mat), m)
-        cut = float(tr[:, 0] @ ws)
-    grid, Tv, P, coeffs, p_start = _tractions_and_potentials(y[None, :], geom, mat, q)
-    xg = grid["gauss_pts"]
-    wg = grid["gauss_w"]
-    tau = grid["gauss_tau"]
-    u = xg - z
-    vvals = displacement_v(u, mat)
-    r2 = u[:, 0] ** 2 + u[:, 1] ** 2
-    theta_p = (u[:, 0] * tau[:, 1] - u[:, 1] * tau[:, 0]) / r2
-
-    total = float(np.einsum("qi,qi,q->", Tv[0], vvals, wg))
-    total += -(1.0 / (2 * math.pi)) * float((P[0] * wg) @ theta_p)
-    total += float(_eval_P(coeffs, p_start, grid, 0, s_exit, e_exit)[0])
-    total += cut
-    return total
+    return float(interaction_cross_matrix(y, z, geom, mat, q)[0, 0])
 
 
 # ---------------------------------------------------------------------------
 # interaction energies
 # ---------------------------------------------------------------------------
 
-def interaction_sum(cfg: DislocationConfig, mode: str, geom: Geometry | None,
-                    mat: Material, q: QuadratureConfig) -> float:
-    """Configuration interaction energy (1 / 2 n^2) sum_{i != j} V(z_i, z_j).
+def interaction_of_points(pts, mode: str, geom: Geometry | None, mat: Material,
+                          q: QuadratureConfig) -> float:
+    """(1 / 2 n^2) sum_{i != j} V(z_i, z_j) over raw points, summed in the given order.
 
     ``mode`` is 'bounded' (V on the domain) or 'freespace' (leading log only).
-    Points are summed in canonical (plane, horizontal) order so the result is
-    reproducible under permutations of the input.
+    Coincident points are rejected.
     """
-    cfg = cfg.canonical_order()
-    pts = cfg.points
-    n = cfg.n
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    n = len(pts)
     if n == 1:
         return 0.0
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
@@ -545,8 +498,18 @@ def interaction_sum(cfg: DislocationConfig, mode: str, geom: Geometry | None,
         raise ValueError(f"unknown interaction mode {mode!r}")
     if geom is None:
         raise ValueError("bounded mode requires a geometry")
-    M = pairwise_interaction_matrix(pts, geom, mat, q)
+    M = interaction_cross_matrix(pts, pts, geom, mat, q)
     return float(M.sum()) / (2.0 * n * n)
+
+
+def interaction_sum(cfg: DislocationConfig, mode: str, geom: Geometry | None,
+                    mat: Material, q: QuadratureConfig) -> float:
+    """Configuration interaction energy, ``interaction_of_points`` of its points.
+
+    Points are summed in canonical (plane, horizontal) order so the result is
+    reproducible under permutations of the input.
+    """
+    return interaction_of_points(cfg.canonical_order().points, mode, geom, mat, q)
 
 
 @lru_cache(maxsize=None)
@@ -575,35 +538,60 @@ def _cell_log_moment(di: int, dj: int) -> float:
     return val
 
 
-def continuum_interaction_freespace(density: CellMeasure, mat: Material,
-                                    q: QuadratureConfig) -> float:
-    """(1/2) double integral of the leading log potential against a cell density."""
+def _node_distances(pa, pb):
+    d = pa[:, None, :] - pb[None, :, :]
+    return np.hypot(d[..., 0], d[..., 1])
+
+
+def _cell_pair_energy(density: CellMeasure, nodes, w, mat: Material,
+                      node_potential) -> float:
+    """(1/2) sum over cell pairs of m_a m_b times the node-quadrature mean of V.
+
+    ``node_potential(a, b)`` is V between the Gauss nodes of cells a and b
+    (its diagonal is ignored when a == b).  Same-cell and touching pairs split
+    V into its leading logarithm, integrated in closed form via cached
+    unit-cell log moments, plus the smooth remainder averaged at the nodes.
+    """
     h = density.spacing
     idx = density.indices
     masses = density.masses
     coef = mat.log_coef
-    g = q.density_gauss
-    gx, gw = leggauss(g)
-    gw = gw / 2.0
-    offs = 0.5 + 0.5 * gx
-    rel = np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1).reshape(-1, 2) * h
-    wts = np.outer(gw, gw).ravel()
     total = 0.0
-    for a in range(len(masses)):
-        ra = density.cell_rect(a)
-        pa = np.array([ra.x0, ra.y0]) + rel
-        for b in range(len(masses)):
+    for a in range(density.n_cells):
+        for b in range(density.n_cells):
             dij = idx[b] - idx[a]
+            block = node_potential(a, b)
             if max(abs(dij[0]), abs(dij[1])) <= 1:
-                val = -coef * (math.log(h) + _cell_log_moment(int(dij[0]), int(dij[1])))
+                r = _node_distances(nodes[a], nodes[b])
+                if a == b:
+                    np.fill_diagonal(r, 1.0)
+                W_block = block + coef * np.log(r)
+                if a == b:
+                    np.fill_diagonal(W_block, 0.0)
+                    denom = 1.0 - float(np.outer(w, w).trace())
+                    w_mean = float(w @ W_block @ w) / denom
+                else:
+                    w_mean = float(w @ W_block @ w)
+                log_part = -coef * (math.log(h) + _cell_log_moment(int(dij[0]), int(dij[1])))
+                total += masses[a] * masses[b] * (log_part + w_mean)
             else:
-                rb = density.cell_rect(b)
-                pb = np.array([rb.x0, rb.y0]) + rel
-                d = pa[:, None, :] - pb[None, :, :]
-                r = np.hypot(d[..., 0], d[..., 1])
-                val = -coef * float(wts @ np.log(r) @ wts)
-            total += masses[a] * masses[b] * val
+                total += masses[a] * masses[b] * float(w @ block @ w)
     return 0.5 * total
+
+
+def continuum_interaction_freespace(density: CellMeasure, mat: Material,
+                                    q: QuadratureConfig) -> float:
+    """(1/2) double integral of the leading log potential against a cell density.
+
+    On touching pairs the log remainder cancels, leaving the closed form.
+    """
+    nodes, w = density.gauss_nodes(q.density_gauss)
+
+    def log_potential(a, b):
+        with np.errstate(divide="ignore"):
+            return -mat.log_coef * np.log(_node_distances(nodes[a], nodes[b]))
+
+    return _cell_pair_energy(density, nodes, w, mat, log_potential)
 
 
 def continuum_interaction(density: CellMeasure, geom: Geometry, mat: Material,
@@ -617,53 +605,10 @@ def continuum_interaction(density: CellMeasure, geom: Geometry, mat: Material,
     if not isinstance(density, CellMeasure):
         raise TypeError("continuum_interaction expects a cell density; use "
                         "interaction_sum for atomic measures")
-    h = density.spacing
-    m = density.n_cells
-    masses = density.masses
-    idx = density.indices
-    coef = mat.log_coef
-
-    g = q.density_gauss
-    gx, gw = leggauss(g)
-    gw = gw / 2.0                       # weights on [0, 1], sum 1
-    offs = 0.5 + 0.5 * gx               # nodes on [0, 1]
-    nodes = []
-    node_w = []
-    for k in range(m):
-        r = density.cell_rect(k)
-        X, Y = np.meshgrid(r.x0 + offs * h, r.y0 + offs * h, indexing="ij")
-        W = np.outer(gw, gw).ravel()
-        nodes.append(np.stack([X.ravel(), Y.ravel()], axis=1))
-        node_w.append(W)
-    nodes_all = np.concatenate(nodes)
-    Vmat = pairwise_interaction_matrix(nodes_all, geom, mat, q)
-
-    g2 = g * g
-    total = 0.0
-    for a in range(m):
-        wa = node_w[a]
-        sa = slice(a * g2, (a + 1) * g2)
-        for b in range(m):
-            wb = node_w[b]
-            sb = slice(b * g2, (b + 1) * g2)
-            dij = idx[b] - idx[a]
-            block = Vmat[sa, sb]
-            if max(abs(dij[0]), abs(dij[1])) <= 1:
-                # split off the exact log part on touching cells
-                pa, pb = nodes[a], nodes[b]
-                d = pa[:, None, :] - pb[None, :, :]
-                r = np.hypot(d[..., 0], d[..., 1])
-                if a == b:
-                    np.fill_diagonal(r, 1.0)
-                W_block = block + coef * np.log(r)
-                if a == b:
-                    np.fill_diagonal(W_block, 0.0)
-                    denom = 1.0 - float(np.outer(wa, wb).trace())
-                    w_mean = float(wa @ W_block @ wb) / denom
-                else:
-                    w_mean = float(wa @ W_block @ wb)
-                log_part = -coef * (math.log(h) + _cell_log_moment(int(dij[0]), int(dij[1])))
-                total += masses[a] * masses[b] * (log_part + w_mean)
-            else:
-                total += masses[a] * masses[b] * float(wa @ block @ wb)
-    return 0.5 * total
+    nodes, w = density.gauss_nodes(q.density_gauss)
+    flat = nodes.reshape(-1, 2)
+    Vmat = interaction_cross_matrix(flat, flat, geom, mat, q)
+    g2 = len(w)
+    return _cell_pair_energy(
+        density, nodes, w, mat,
+        lambda a, b: Vmat[a * g2:(a + 1) * g2, b * g2:(b + 1) * g2])

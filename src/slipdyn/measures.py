@@ -2,9 +2,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .geometry import Rect
 
@@ -162,6 +163,16 @@ class CellMeasure:
         y0 = self.origin[1] + j * h
         return Rect(x0, y0, x0 + h, y0 + h)
 
+    def gauss_nodes(self, order: int):
+        """Tensor Gauss nodes of every cell, shape (M, order^2, 2), and the
+        per-cell node weights, shape (order^2,), which sum to one."""
+        gx, gw = leggauss(order)
+        gw = gw / 2.0
+        oh = (0.5 + 0.5 * gx) * self.spacing
+        rel = np.stack(np.meshgrid(oh, oh, indexing="ij"), axis=-1).reshape(-1, 2)
+        corners = np.asarray(self.origin) + self.indices * self.spacing
+        return corners[:, None, :] + rel[None, :, :], np.outer(gw, gw).ravel()
+
     def cell_centers(self) -> np.ndarray:
         h = self.spacing
         return np.stack([self.origin[0] + (self.indices[:, 0] + 0.5) * h,
@@ -200,13 +211,10 @@ class DislocationConfig:
     schedule: ScalingSchedule
     box: Rect
     plane_tol: float = PLANE_TOL
-    _skip_checks: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=float).reshape(-1, 2))
         object.__setattr__(self, "points", pts)
-        if self._skip_checks:
-            return
         n = len(pts)
         if n == 0:
             raise ValueError("configuration must contain at least one dislocation")

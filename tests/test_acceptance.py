@@ -151,10 +151,10 @@ def test_A5_single_dislocation_ramp(geom, mat, small_schedule):
     pos = trace.positions()[:, 0, 0]
     static = bool(np.all(pos[times <= 1.0 + 1e-12] == 0.5))
     jump = pos[int(np.argmax(times > 1.0))] == geom.r_box.x1
-    r200 = energy_balance_residual(trace, load, ctx)
+    r200 = energy_balance_residual(trace, load)
     trace400 = run_quasistatic(cfg, np.linspace(0, 2, 401), load,
                                SolverConfig(), ctx)
-    r400 = energy_balance_residual(trace400, load, ctx)
+    r400 = energy_balance_residual(trace400, load)
     elapsed = time.perf_counter() - t0
     ok = static and jump and r200 <= 0.05 and r400 <= 0.6 * r200 and elapsed < 5.0
     report("A5", ok, f"static below threshold: {static}, jump to edge: {jump}, "

@@ -1,11 +1,14 @@
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from slipdyn.cli import main
 from slipdyn.config import ConfigError, load_config
+from slipdyn.experiments import _write_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -190,3 +193,10 @@ def test_metadata_carries_config_hash(tmp_path):
     assert meta["config_sha256"] == cfg.sha
     header = (out / "kernel_check.csv").read_text().splitlines()[0]
     assert cfg.sha in header
+
+
+def test_csv_numpy_floats_read_back(tmp_path):
+    path = tmp_path / "t.csv"
+    _write_csv(path, ["x"], [{"x": np.float64(8.2e-15)}], SimpleNamespace(sha="0"))
+    cell = path.read_text().splitlines()[-1]
+    assert float(cell) == 8.2e-15

@@ -39,6 +39,17 @@ def test_pair_force_magnitude(fctx, geom, small_schedule, mat):
     assert f.values == pytest.approx([-expected, expected], rel=1e-12)
 
 
+def test_single_force_equals_all_rows(fctx):
+    # the sweep decides moves with single forces and checks stability with all
+    # rows; the two must agree bit for bit
+    rng = np.random.default_rng(16)
+    pts = np.column_stack([rng.uniform(0.3, 0.7, 16),
+                           np.repeat([0.3, 0.45, 0.6, 0.75], 4)])
+    forces = fctx.interaction_forces(pts)
+    for i in range(16):
+        assert fctx.interaction_force_single(pts, i) == forces[i]
+
+
 def test_force_matches_energy_gradient(fctx, geom, small_schedule, mat):
     # oracle: central finite differences of n * (total energy with load)
     rng = np.random.default_rng(17)
@@ -131,10 +142,10 @@ def test_energy_balance_and_refinement(fctx, geom, small_schedule):
     load = ramp_load()
     r200 = energy_balance_residual(
         run_quasistatic(cfg, np.linspace(0, 2, 201), load, SolverConfig(), fctx),
-        load, fctx)
+        load)
     r400 = energy_balance_residual(
         run_quasistatic(cfg, np.linspace(0, 2, 401), load, SolverConfig(), fctx),
-        load, fctx)
+        load)
     assert r200 <= 0.05
     assert r400 <= 0.6 * r200
 
@@ -143,12 +154,12 @@ def test_flow_rule_residuals(fctx, geom, small_schedule):
     cfg = DislocationConfig([[0.5, 0.5]], small_schedule, geom.r_box)
     load = ramp_load()
     trace = run_quasistatic(cfg, np.linspace(0, 2, 201), load, SolverConfig(), fctx)
-    assert flow_rule_residual(trace, load, fctx) <= 1e-10
+    assert flow_rule_residual(trace) <= 1e-10
     cfg2 = DislocationConfig([[0.475, 0.5], [0.525, 0.5]], small_schedule,
                              geom.r_box)
     trace2 = run_quasistatic(cfg2, np.linspace(0, 1, 5), zero_load(),
                              SolverConfig(), fctx, pre_relax=True)
-    assert flow_rule_residual(trace2, zero_load(), fctx) <= 1e-3
+    assert flow_rule_residual(trace2) <= 1e-3
 
 
 def test_stability_residual_values(fctx, geom, small_schedule):

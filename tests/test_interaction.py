@@ -5,8 +5,9 @@ import pytest
 
 from slipdyn.interaction import (QuadratureConfig, continuum_interaction,
                                  continuum_interaction_freespace,
-                                 interaction_cross_matrix, interaction_sum,
-                                 v_freespace_leading, v_pair, v_pair_boundary)
+                                 interaction_cross_matrix, interaction_of_points,
+                                 interaction_sum, v_freespace_leading, v_pair,
+                                 v_pair_boundary)
 from slipdyn.measures import CellMeasure, DislocationConfig
 
 #: fixed instance Omega = (0,1)^2, y = (0.4, 0.5), z = (0.6, 0.5), lam = mu = 1,
@@ -64,14 +65,6 @@ def test_boundary_route_matches_quadrature(geom, mat, quad):
         assert abs(M[0, 0] - vb) < 1e-12
 
 
-def test_boundary_route_frozen_cut(geom, mat, quad):
-    y = np.array([0.31, 0.62])
-    z = np.array([0.57, 0.44])
-    v0 = v_pair_boundary(y, z, geom, mat, quad)
-    vf = v_pair_boundary(y, z, geom, mat, quad, cut_from=y)
-    assert abs(v0 - vf) < 1e-10
-
-
 def test_log_asymptotics_structure(geom, mat, quad):
     # the short-range regular part stabilizes, so the log ratio converges to
     # the material coefficient
@@ -124,13 +117,11 @@ def test_interaction_sum_permutation_invariant(geom, mat, quad, small_schedule):
             interaction_sum(cfg_p, mode, g, mat, quad)
 
 
-def test_coincident_pair_rejected(geom, mat, quad, small_schedule):
-    cfg = DislocationConfig([[0.4, 0.5], [0.6, 0.5]], small_schedule, geom.r_box)
-    bad = cfg.points.copy()
-    bad[1] = bad[0]
-    shadow = DislocationConfig(bad, small_schedule, geom.r_box, _skip_checks=True)
-    with pytest.raises(ValueError):
-        interaction_sum(shadow, "freespace", None, mat, quad)
+def test_coincident_pair_rejected(geom, mat, quad):
+    bad = np.array([[0.4, 0.5], [0.6, 0.5], [0.4, 0.5]])
+    for mode in ("freespace", "bounded"):
+        with pytest.raises(ValueError, match="coincident"):
+            interaction_of_points(bad, mode, geom, mat, quad)
 
 
 def test_upper_envelope_invariant(geom, mat, quad):
@@ -211,6 +202,17 @@ def test_continuum_finite_on_fixed_instance(geom, mat, quad):
     assert math.isfinite(v)
     vf = continuum_interaction_freespace(cm, mat, quad)
     assert math.isfinite(vf)
+
+
+@pytest.mark.parametrize("spacing, indices, expected", [
+    (0.1, [[0, 0], [2, 0], [0, 2], [2, 2]], 0.20129179633994368),
+    (0.05, [[i, j] for i in range(8) for j in range(8)], 0.1826438204642429),
+])
+def test_continuum_freespace_pinned(mat, quad, spacing, indices, expected):
+    cm = CellMeasure(origin=(0.3, 0.3), spacing=spacing, indices=indices,
+                     masses=np.full(len(indices), 1.0 / len(indices)))
+    v = continuum_interaction_freespace(cm, mat, quad)
+    assert abs(v - expected) <= 1e-13 * abs(expected)
 
 
 def test_routes_agree_on_nonsquare_domain():
