@@ -11,6 +11,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .corrector import RitzBasis
 from .geometry import Disk, Geometry, Rect
 from .interaction import QuadratureConfig
@@ -52,7 +54,6 @@ def _sigma_callable(spec: dict):
         rate = float(spec["rate"])
         return (lambda t: rate * t), (lambda t: rate)
     if kind == "piecewise_linear":
-        import numpy as np
         ts = np.asarray(spec["times"], dtype=float)
         vs = np.asarray(spec["values"], dtype=float)
         if len(ts) != len(vs) or len(ts) < 2:

@@ -265,7 +265,14 @@ _NORMALS = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
 
 @lru_cache(maxsize=16)
 def _boundary_grid(rect: Rect, n_per_edge, cheb_degree):
-    """Cached Gauss and Chebyshev sampling layouts along the rectangle boundary."""
+    """Cached boundary sampling layouts and per-edge Chebyshev operators.
+
+    Edges run counterclockwise from the lower-left corner, each with t in
+    [-1, 1] from its start to its end.  ``cheb_int`` maps samples at an edge's
+    Chebyshev points to the Chebyshev coefficients (in t) of the antiderivative
+    that is 0 at the edge start; ``gauss_vander`` evaluates such coefficients
+    at the edge's Gauss nodes.
+    """
     gx, gw = leggauss(n_per_edge)
     deg = cheb_degree
     tcheb = np.cos(math.pi * (2 * np.arange(deg + 1) + 1) / (2 * (deg + 1)))  # first kind
@@ -274,45 +281,38 @@ def _boundary_grid(rect: Rect, n_per_edge, cheb_degree):
     F = np.cos(np.outer(jj, np.arccos(tcheb))) * (2.0 / (deg + 1))
     F[0] *= 0.5
 
-    g_pts, g_w, g_nu, g_tau, g_s = [], [], [], [], []
-    c_pts, c_s0, c_len = [], [], []
-    s_acc = 0.0
+    g_pts, g_w, g_nu, g_tau, c_pts, c_len = [], [], [], [], [], []
     corners = rect.corners()
     for k, nu in enumerate(_NORMALS):
         a, b = corners[k], corners[(k + 1) % 4]
         length = float(np.hypot(*(b - a)))
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        tau = (b - a) / length
-        pts = mid[None, :] + gx[:, None] * half[None, :]
-        g_pts.append(pts)
+        g_pts.append(mid[None, :] + gx[:, None] * half[None, :])
         g_w.append(gw * length / 2)
         g_nu.append(np.tile(nu, (n_per_edge, 1)))
-        g_tau.append(np.tile(tau, (n_per_edge, 1)))
-        g_s.append(s_acc + (gx + 1) * length / 2)
+        g_tau.append(np.tile((b - a) / length, (n_per_edge, 1)))
         c_pts.append(mid[None, :] + tcheb[:, None] * half[None, :])
-        c_s0.append(s_acc)
         c_len.append(length)
-        s_acc += length
     return {
         "gauss_pts": np.concatenate(g_pts),
         "gauss_w": np.concatenate(g_w),
         "gauss_nu": np.concatenate(g_nu),
         "gauss_tau": np.concatenate(g_tau),
-        "gauss_s": np.concatenate(g_s),
-        "cheb_pts": np.stack(c_pts),       # (4, deg+1, 2)
-        "cheb_fit": F,                      # (deg+1, deg+1)
-        "edge_s0": np.array(c_s0),
+        "cheb_pts": np.concatenate(c_pts),                 # (4 (deg+1), 2)
+        "cheb_nu": np.repeat(_NORMALS, deg + 1, axis=0),
+        "cheb_int": _cheb.chebint(F, lbnd=-1, axis=0),     # (deg+2, deg+1)
+        "gauss_vander": _cheb.chebvander(gx, deg + 1),     # (n_per_edge, deg+2)
         "edge_len": np.array(c_len),
-        "perimeter": s_acc,
     }
 
 
 def _ray_exit_lengths(starts, dirs, rect: Rect):
-    """Exit parameter of rays from interior points, plus exit boundary coordinate.
+    """Exit parameter of rays from interior points, plus where they exit.
 
-    Returns (t_exit, s_coord, edge_index) for each ray; the boundary coordinate
-    runs counterclockwise from the lower-left corner.
+    Returns (t_exit, t_edge, edge_index) for each ray; ``t_edge`` is the exit
+    point's Chebyshev variable in [-1, 1] on edge ``edge_index`` (edges as in
+    ``_boundary_grid``).
     """
     px, py = starts[..., 0], starts[..., 1]
     dx, dy = dirs[..., 0], dirs[..., 1]
@@ -324,79 +324,47 @@ def _ray_exit_lengths(starts, dirs, rect: Rect):
     t = np.minimum(tx, ty)
     ex = px + t * dx
     ey = py + t * dy
-    W, H = rect.width, rect.height
     on_x = tx <= ty
     edge = np.where(on_x, np.where(dx > 0, 1, 3), np.where(dy > 0, 2, 0))
-    s = np.empty_like(ex)
-    s[edge == 0] = ex[edge == 0] - rect.x0
-    s[edge == 1] = W + (ey[edge == 1] - rect.y0)
-    s[edge == 2] = W + H + (rect.x1 - ex[edge == 2])
-    s[edge == 3] = 2 * W + H + (rect.y1 - ey[edge == 3])
-    return t, s, edge
+    along = np.choose(edge, [(ex - rect.x0) / rect.width, (ey - rect.y0) / rect.height,
+                             (rect.x1 - ex) / rect.width, (rect.y1 - ey) / rect.height])
+    return t, 2 * along - 1, edge
 
 
 def _tractions_and_potentials(points, geom, mat, q):
-    """Boundary tractions of every source and their cumulative horizontal work.
+    """Boundary tractions of every source and the potential of their horizontal part.
 
-    For sources z_i this returns, on the shared boundary grid:
-      T1[i, q]  horizontal traction component (C K(x; z_i) nu) . e1,
-      Tv[i, q, c] full traction vector,
-      P[i, q]   cumulative integral of T1 along the boundary (zero mean drift),
-      cheb      per-edge Chebyshev antiderivatives for point evaluation of P.
+    For sources z_i this returns the boundary grid and, on it:
+      Tv[i, q, c]     traction vector C K(x_q; z_i) nu at the Gauss points,
+      P[i, q]         P_i(x_q), the integral of the horizontal traction along
+                      the boundary from the lower-left corner,
+      coeffs[e, :, i] Chebyshev coefficients in t of P_i - p_start[e, i] on
+                      edge e, where p_start[e, i] is P_i at the edge start.
+    The horizontal traction is sampled at the Chebyshev points; the cached
+    ``cheb_int`` and ``gauss_vander`` operators of the grid turn the samples
+    into coefficients and the coefficients into P at the Gauss points.
     """
     grid = _boundary_grid(geom.omega, q.boundary_points, q.cheb_degree)
-    pts_g = grid["gauss_pts"]
-    nu_g = grid["gauss_nu"]
+    pts_g, nu_g = grid["gauss_pts"], grid["gauss_nu"]
+    pts_c, nu_c = grid["cheb_pts"], grid["cheb_nu"]
     n = len(points)
     ng = len(pts_g)
     Tv = np.empty((n, ng, 2))
+    T1 = np.empty((n, len(pts_c)))
     for i, zi in enumerate(points):
         Tv[i] = np.einsum("qij,qj->qi", apply_C(K_many(pts_g, zi, mat), mat), nu_g)
+        T1[i] = np.einsum("qj,qj->q", apply_C(K_many(pts_c, zi, mat), mat)[:, 0], nu_c)
 
-    deg = q.cheb_degree
-    cheb_pts = grid["cheb_pts"]
-    F = grid["cheb_fit"]
-    coeffs = np.empty((4, deg + 2, n))
-    p_start = np.zeros((5, n))
-    for e in range(4):
-        vals = np.empty((n, deg + 1))
-        for i, zi in enumerate(points):
-            tr = np.einsum("qij,j->qi", apply_C(K_many(cheb_pts[e], zi, mat), mat),
-                           _NORMALS[e])
-            vals[i] = tr[:, 0]
-        c = F @ vals.T                              # (deg+1, n)
-        ci = _cheb.chebint(c, m=1, axis=0) * (grid["edge_len"][e] / 2)
-        ci_at = lambda t: _cheb.chebval(t, ci, tensor=False)
-        lo = ci_at(-1.0)
-        coeffs[e] = ci - 0.0
-        coeffs[e][0] -= lo                          # antiderivative zero at edge start
-        p_start[e + 1] = p_start[e] + (ci_at(1.0) - lo)
-    # evaluate P on the Gauss grid
+    half = grid["edge_len"][:, None, None] / 2
+    coeffs = np.einsum("kp,iep->eki", grid["cheb_int"], T1.reshape(n, 4, -1)) * half
+    # T_k(1) = 1: the change of P_i over edge e is the sum of its coefficients
+    p_start = np.zeros((4, n))
+    np.cumsum(coeffs[:3].sum(axis=1), axis=0, out=p_start[1:])
     P = np.empty((n, ng))
-    s = grid["gauss_s"]
-    s0 = grid["edge_s0"]
-    elen = grid["edge_len"]
-    done = np.zeros(ng, dtype=bool)
+    npe = q.boundary_points
     for e in range(4):
-        sel = (~done) & (s <= s0[e] + elen[e] + 1e-12)
-        tloc = 2 * (s[sel] - s0[e]) / elen[e] - 1
-        P[:, sel] = _cheb.chebval(tloc, coeffs[e]) + p_start[e][:, None]
-        done |= sel
+        P[:, e * npe:(e + 1) * npe] = (grid["gauss_vander"] @ coeffs[e] + p_start[e]).T
     return grid, Tv, P, coeffs, p_start
-
-
-def _eval_P(coeffs, p_start, grid, i, s_vals, edges):
-    """Evaluate the cumulative traction potential of source i at boundary coords."""
-    out = np.empty(len(s_vals))
-    s0 = grid["edge_s0"]
-    elen = grid["edge_len"]
-    for e in range(4):
-        sel = edges == e
-        if not np.any(sel):
-            continue
-        tloc = 2 * (s_vals[sel] - s0[e]) / elen[e] - 1
-        out[sel] = _cheb.chebval(tloc, coeffs[e][:, i]) + p_start[e][i]
-    return out
 
 
 def interaction_cross_matrix(ys, zs, geom: Geometry, mat: Material,
@@ -418,22 +386,6 @@ def interaction_cross_matrix(ys, zs, geom: Geometry, mat: Material,
     wg = grid["gauss_w"]
     ng = len(xg)
 
-    # pair separations and cut geometry: for V(y_i, z_j) the cut leaves z_j
-    # along the direction z_j - y_i
-    diff = zs[None, :, :] - ys[:, None, :]            # [i, j] = z_j - y_i
-    sep = np.hypot(diff[..., 0], diff[..., 1])
-    coincident = sep < MIN_SEPARATION
-    sep = np.where(coincident, 1.0, sep)
-    dirs = diff / sep[..., None]
-    dirs[coincident] = (1.0, 0.0)                     # dummy rays for coincident pairs
-    starts = np.broadcast_to(zs[None, :, :], dirs.shape)
-    t_exit, s_exit, e_exit = _ray_exit_lengths(starts.reshape(-1, 2),
-                                               dirs.reshape(-1, 2), omega)
-    t_exit = t_exit.reshape(n, m)
-    s_exit = s_exit.reshape(n, m)
-    e_exit = e_exit.reshape(n, m)
-    cut = coef * np.log((sep + t_exit) / sep)
-
     # smooth boundary terms
     vvals = np.empty((ng, 2, m))
     theta_p = np.empty((ng, m))
@@ -448,12 +400,19 @@ def interaction_cross_matrix(ys, zs, geom: Geometry, mat: Material,
     M = A.reshape(n, 2 * ng) @ vvals.reshape(ng * 2, m)
     M += -(1.0 / (2 * math.pi)) * (P * wg[None, :]) @ theta_p
 
-    # branch correction: + P_i at the cut exit of pair (i, j)
+    # cut geometry, per row: for V(y_i, z_j) the cut leaves z_j along z_j - y_i;
+    # add its closed-form contribution and the branch correction P_i at its exit
     for i in range(n):
-        M[i, :] += _eval_P(coeffs, p_start, grid, i, s_exit[i], e_exit[i])
-
-    M += cut
-    M[coincident] = 0.0
+        diff = zs - ys[i]
+        sep = np.hypot(diff[:, 0], diff[:, 1])
+        coincident = sep < MIN_SEPARATION
+        sep[coincident] = 1.0
+        dirs = diff / sep[:, None]
+        dirs[coincident] = (1.0, 0.0)                 # dummy rays for coincident pairs
+        t_exit, t_edge, e = _ray_exit_lengths(zs, dirs, omega)
+        M[i] += _cheb.chebval(t_edge, coeffs[e, :, i].T, tensor=False) + p_start[e, i]
+        M[i] += coef * np.log((sep + t_exit) / sep)
+        M[i, coincident] = 0.0
     return M
 
 

@@ -359,20 +359,15 @@ def snap_modification(cfg: DislocationConfig, eta: float) -> DislocationConfig:
 def _monotone_assignment(xs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Injective nondecreasing map of sorted xs onto grid nodes, minimal L1 cost."""
     m, g = len(xs), len(nodes)
-    INF = math.inf
     cost = np.abs(xs[:, None] - nodes[None, :])
-    D = np.full((m + 1, g + 1), INF)
+    D = np.full((m + 1, g + 1), math.inf)
     D[0, :] = 0.0
     choice = np.zeros((m + 1, g + 1), dtype=bool)
     for i in range(1, m + 1):
-        for j in range(1, g + 1):
-            skip = D[i, j - 1]
-            take = D[i - 1, j - 1] + cost[i - 1, j - 1]
-            if take <= skip:
-                D[i, j] = take
-                choice[i, j] = True
-            else:
-                D[i, j] = skip
+        # D[i, j] = min(D[i, j - 1], take[j - 1]): a running minimum of take
+        take = D[i - 1, :-1] + cost[i - 1]
+        D[i, 1:] = np.minimum.accumulate(take)
+        choice[i, 1:] = take <= D[i, :-1]
     assign = np.empty(m, dtype=int)
     i, j = m, g
     while i > 0:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
-from .measures import PLANE_TOL, DiscreteMeasure
+from .measures import PLANE_TOL, DiscreteMeasure, group_by_plane
 
 __all__ = ["TransportPlan", "plane_w1", "slip_distance", "slip_plan",
            "eps_relaxed_distance", "w1_distance", "horizontal_marginal_w1",
@@ -65,6 +65,11 @@ def _merged_quantiles(xs, wx, ys, wy):
     return xs, ys, cx, cy, levels, ox, oy
 
 
+def _masses_differ(ma: float, mb: float) -> bool:
+    """Mass tolerance shared by plane matching and ``plane_w1``."""
+    return abs(ma - mb) > 1e-12 * max(1.0, ma)
+
+
 def plane_w1(xs, wx, ys, wy) -> float:
     """Exact 1-D Wasserstein-1 between weighted point lists of equal mass.
 
@@ -73,7 +78,7 @@ def plane_w1(xs, wx, ys, wy) -> float:
     """
     wx = np.asarray(wx, dtype=float)
     wy = np.asarray(wy, dtype=float)
-    if abs(wx.sum() - wy.sum()) > 1e-12 * max(1.0, wx.sum()):
+    if _masses_differ(wx.sum(), wy.sum()):
         raise ValueError("plane masses differ")
     xs, ys, cx, cy, levels, _, _ = _merged_quantiles(xs, wx, ys, wy)
     total = 0.0
@@ -101,9 +106,7 @@ def _match_planes(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float):
     for (ya, ia), (yb, ib) in zip(pa, pb):
         if abs(ya - yb) > tol:
             return None
-        ma = float(mu.weights[ia].sum())
-        mb = float(nu.weights[ib].sum())
-        if abs(ma - mb) > max(tol, 1e-12):
+        if _masses_differ(mu.weights[ia].sum(), nu.weights[ib].sum()):
             return None
         matched.append((ia, ib))
     return matched
@@ -191,8 +194,6 @@ def dual_lower_bound(mu: DiscreteMeasure, nu: DiscreteMeasure, phi,
     The per-plane Lipschitz requirement is checked on all atom pairs sharing a
     plane; violation raises.  The value never exceeds the slip distance.
     """
-    from .measures import group_by_plane
-
     pts = np.concatenate([mu.points, nu.points])
     for _, idx in group_by_plane(pts, tol):
         if len(idx) < 2:

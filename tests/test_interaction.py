@@ -246,3 +246,75 @@ def test_quadrature_config_validation():
         QuadratureConfig(base_cells=2)
     with pytest.raises(ValueError):
         QuadratureConfig(tol=-1.0)
+
+# V(y_i, z_j) of interaction_cross_matrix on fixed families, pinned so that a
+# rewrite of the boundary route must reproduce it to rounding (1e-14), far
+# tighter than the 2e-5 v_pair oracle.  The 3x5 and 4x4 rays leave through all
+# four edges, some along the axes; the 4x4 diagonal pairs coincide.
+CROSS_FAMILIES = {
+    "1x1": ([(0.4, 0.5)], [(0.6, 0.5)]),
+    "3x5": ([(0.5, 0.5), (0.35, 0.62), (0.66, 0.31)],
+            [(0.7, 0.45), (0.42, 0.8), (0.2, 0.4), (0.55, 0.15), (0.6, 0.6)]),
+    "4x4": ([(0.5, 0.3), (0.7, 0.5), (0.5, 0.7), (0.3, 0.5)],
+            [(0.5, 0.3), (0.7, 0.5), (0.5, 0.7), (0.3, 0.5)]),
+}
+PINNED_CROSS = {
+    ("square", "1x1"): [
+        [0.26013438032290526],
+    ],
+    ("square", "3x5"): [
+        [0.23862381145913983, -0.006468919598494466, 0.14709044438683616,
+         -0.034860527262059376, 0.2253575363057881],
+        [0.10222930944644779, 0.07414685630625611, 0.06511820381687661,
+         -0.04395778266681128, 0.21179988208056363],
+        [0.1193582813831354, -0.03991825599376145, 0.09389070029101021,
+         0.10181627558478445, 0.0005370536699828565],
+    ],
+    ("square", "4x4"): [
+        [0.0, 0.09277654557998083, -0.04524329987618708,
+         0.09277654557998105],
+        [0.09277654557998118, 0.0, 0.09277654557998125,
+         0.1303754155606976],
+        [-0.04524329987618669, 0.0927765455799814, 0.0,
+         0.09277654557998144],
+        [0.09277654557998122, 0.1303754155606976, 0.0927765455799812,
+         0.0],
+    ],
+    ("wide", "1x1"): [
+        [0.23790618718765183],
+    ],
+    ("wide", "3x5"): [
+        [0.229045960053713, 0.06681846387378836, 0.1408582537926034,
+         0.012323430133342417, 0.31515953757959486],
+        [0.10983657487564352, 0.18232729837054307, 0.15065116526458444,
+         0.004651430032483181, 0.18872650557464138],
+        [0.23840338311600323, 0.007587798590868652, 0.07156472221070974,
+         0.20148030503820366, 0.069510666674475],
+    ],
+    ("wide", "4x4"): [
+        [0.0, 0.15873433086227906, -0.01549382291779522,
+         0.15873433086227906],
+        [0.15873433086227917, 0.0, 0.15873433086227928,
+         0.10472932563370263],
+        [-0.015493822917794886, 0.1587343308622794, 0.0,
+         0.15873433086227925],
+        [0.15873433086227892, 0.10472932563370238, 0.15873433086227895,
+         0.0],
+    ],
+}
+
+
+@pytest.mark.parametrize("domain, family", sorted(PINNED_CROSS))
+def test_cross_matrix_pinned(domain, family, geom, mat, quad):
+    from slipdyn.geometry import Disk, Geometry, Rect
+    from slipdyn.kernels import Material
+    ys, zs = (np.array(p) for p in CROSS_FAMILIES[family])
+    if domain == "wide":    # the 2:1 domain of test_routes_agree_on_nonsquare_domain
+        geom = Geometry(omega=Rect(0.0, 0.0, 2.0, 1.0),
+                        r_box=Rect(0.3, 0.25, 1.7, 0.75),
+                        ball=Disk(0.08, 0.5, 0.04))
+        mat = Material(0.7, 1.3)
+        ys[:, 0] *= 2
+        zs[:, 0] *= 2
+    M = interaction_cross_matrix(ys, zs, geom, mat, quad)
+    assert np.max(np.abs(M - np.array(PINNED_CROSS[domain, family]))) <= 1e-14

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from slipdyn.geometry import Rect
 from slipdyn.measures import (CellMeasure, DiscreteMeasure, DislocationConfig,
                               ScalingSchedule)
 from slipdyn.recovery import (ClassParams, LineDensity, UniformDensity,
-                              class_membership, discretize_grid,
+                              _monotone_assignment, class_membership, discretize_grid,
                               grid_approximation, slipclass_discretize,
                               snap_modification)
 from slipdyn.transport import slip_distance, w1_distance
@@ -188,6 +189,24 @@ def test_snap_properties_random(geom):
             xs = np.sort(snapped.points[idx, 0])
             if len(xs) > 1:
                 assert np.min(np.diff(xs)) >= eta / m - 1e-12                    # (d)
+
+
+def test_monotone_assignment_bruteforce():
+    # the snap dynamic program is optimal over all increasing node choices;
+    # integer and half-integer positions on an integer grid make ties common
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        g = int(rng.integers(1, 8))
+        m = int(rng.integers(1, g + 1))
+        xs = np.sort(rng.integers(-2, 2 * g + 2, m) / 2.0)
+        nodes = np.arange(g, dtype=float)
+        assign = _monotone_assignment(xs, nodes)
+        assert np.all(np.diff(assign) > 0) and 0 <= assign[0] and assign[-1] < g
+        best = min(sum(abs(x - nodes[c]) for x, c in zip(xs, comb))
+                   for comb in itertools.combinations(range(g), m))
+        assert abs(sum(abs(xs - nodes[assign])) - best) <= 1e-12
+    # among equal-cost choices the later node wins
+    assert _monotone_assignment(np.array([0.5]), np.array([0.0, 1.0])).tolist() == [1]
 
 
 def test_snap_on_grid_unchanged(geom):

@@ -42,6 +42,17 @@ def test_identity_and_marginal_mismatch():
         slip_plan(a, b)
 
 
+def test_plane_mass_mismatch_below_plane_tol():
+    # plane masses differ by 1e-10: below the plane position tolerance, above
+    # plane_w1's mass tolerance, so the vertical marginals differ
+    mu = DiscreteMeasure([[0.0, 0.0], [0.5, 0.0], [0.0, 1.0]],
+                         [0.25 + 1e-10, 0.25, 0.5 - 1e-10])
+    nu = DiscreteMeasure([[0.2, 0.0], [0.2, 1.0]], [0.5, 0.5])
+    assert slip_distance(mu, nu) == math.inf
+    with pytest.raises(ValueError, match="vertical marginals differ"):
+        slip_plan(mu, nu)
+
+
 def test_plane_w1_cases():
     w = np.array([0.5, 0.5])
     assert plane_w1([0.0, 2.0], w, [0.0, 2.0], w) == 0.0
