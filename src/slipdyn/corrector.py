@@ -23,7 +23,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .geometry import Geometry
 from .interaction import QuadratureConfig, _boundary_grid, interaction_sum
-from .kernels import Material, K_many, apply_C
+from .kernels import Material, K_many, apply_C, dK1_offsets
 from .measures import CellMeasure, DiscreteMeasure, DislocationConfig
 
 __all__ = ["RitzBasis", "CorrectorSolution", "CorrectorSolver",
@@ -236,11 +236,21 @@ class CorrectorSolver:
         return CorrectorSolution(coefficients=u, energy=energy,
                                  boundary_term=float(b @ u), gauge_residual=gauge)
 
-    def displacement(self, solution: CorrectorSolution, xs) -> np.ndarray:
-        vals, _, _ = self._scalar_basis(np.asarray(xs, dtype=float), want_grad=False)
-        N = self.n_scalar
-        return np.stack([vals @ solution.coefficients[:N],
-                         vals @ solution.coefficients[N:]], axis=1)
+    def horizontal_forces(self, measure, rows) -> np.ndarray:
+        """Horizontal forces -(1/w_i) dE/dz_i1 on the atoms ``rows``, from one solve.
+
+        Envelope theorem: dE/dz = (db/dz) . u at the minimizer u, and
+        dK(x; z)/dz_1 = -dK1(x - z), so each force is the boundary work of the
+        traction C dK1(x - z_i) nu against the corrector displacement.
+        """
+        u = self.solve(measure).coefficients
+        atoms, _ = as_weighted_atoms(measure, self.q)
+        grid, vals = self._boundary_layout(self._stable_count)
+        pts, mat = grid["gauss_pts"], self.mat
+        wv = grid["gauss_w"][:, None] * (vals @ u.reshape(2, -1).T)
+        return np.array([np.einsum("qij,qj,qi->",
+                                   apply_C(dK1_offsets(pts - atoms[i], mat), mat),
+                                   grid["gauss_nu"], wv) for i in rows])
 
 
 _SOLVERS: dict = {}

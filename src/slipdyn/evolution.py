@@ -164,27 +164,22 @@ class EnergyContext:
         log_part = -self.mat.log_coef * 0.5 * np.log(d2)
         return float(row.sum() - log_part.sum())
 
+    def _corrector_rows(self, pts: np.ndarray, rows) -> np.ndarray:
+        solver = get_solver(self.geom, self.mat, self.basis, self.quad)
+        return solver.horizontal_forces(DiscreteMeasure.equal_weights(pts), rows)
+
     def corrector_force_single(self, pts: np.ndarray, i: int) -> float:
-        """Corrector contribution by central differences; one-sided at the box edges."""
+        """Corrector contribution to the force on row i alone (one solve)."""
         if self.mode != "bounded":
             return 0.0
-        solver = get_solver(self.geom, self.mat, self.basis, self.quad)
-        box = self.geom.r_box
-        n = len(pts)
-        delta = 1e-5 * box.diam
-        hi = min(delta, box.x1 - pts[i, 0])
-        lo = min(delta, pts[i, 0] - box.x0)
-        if hi + lo <= 0:
-            return 0.0
-        ep = pts.copy(); ep[i, 0] += hi
-        em = pts.copy(); em[i, 0] -= lo
-        e_p = solver.solve(DiscreteMeasure.equal_weights(ep)).energy
-        e_m = solver.solve(DiscreteMeasure.equal_weights(em)).energy
-        return -n * (e_p - e_m) / (hi + lo)
+        return float(self._corrector_rows(pts, [i])[0])
 
     def corrector_forces(self, pts: np.ndarray) -> np.ndarray:
-        return np.array([self.corrector_force_single(pts, i)
-                         for i in range(len(pts))])
+        """-n d/dz_i of the corrector energy, horizontal components, from one
+        solve (envelope theorem; see ``CorrectorSolver.horizontal_forces``)."""
+        if self.mode != "bounded":
+            return np.zeros(len(pts))
+        return self._corrector_rows(pts, range(len(pts)))
 
     def interaction_force_single(self, pts: np.ndarray, i: int) -> float:
         n = len(pts)
@@ -262,7 +257,8 @@ def stability_excess(cfg: DislocationConfig, record: ForceRecord) -> float:
 
 
 def _land_position(pts, i, direction, barrier, t, load, ctx, solver_cfg):
-    """March toward the barrier while the force magnitude exceeds 1; bisect the landing."""
+    """March toward the barrier while the force magnitude exceeds 1; bisect the
+    landing and return its end below the threshold, so the landing passes it."""
     x0 = pts[i, 0]
     grid = np.linspace(x0, barrier, solver_cfg.line_grid + 1)[1:]
 
@@ -289,7 +285,7 @@ def _land_position(pts, i, direction, barrier, t, load, ctx, solver_cfg):
             hi = mid
         if abs(hi - lo) < 1e-13 * max(1.0, abs(hi)):
             break
-    return 0.5 * (lo + hi)
+    return hi
 
 
 def _sweep_to_stability(pts, t, load, ctx, solver_cfg, box, r_n, planes):

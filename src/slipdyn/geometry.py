@@ -36,10 +36,6 @@ class Rect:
     def area(self) -> float:
         return self.width * self.height
 
-    @property
-    def center(self) -> np.ndarray:
-        return np.array([0.5 * (self.x0 + self.x1), 0.5 * (self.y0 + self.y1)])
-
     def contains(self, p, tol: float = 0.0) -> bool:
         x, y = float(p[0]), float(p[1])
         return (self.x0 - tol <= x <= self.x1 + tol

@@ -91,11 +91,9 @@ class DiscreteMeasure:
             raise ValueError("weights must be positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"total mass must be 1, got {w.sum()!r}")
-        if len(pts) > 1:
-            d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-            np.fill_diagonal(d2, np.inf)
-            if d2.min() == 0.0:
-                raise ValueError("atoms must be distinct")
+        srt = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+        if np.any(np.all(srt[1:] == srt[:-1], axis=1)):
+            raise ValueError("atoms must be distinct")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
 
@@ -115,9 +113,6 @@ class DiscreteMeasure:
     def vertical_marginal(self, tol: float = PLANE_TOL):
         """List of (plane_y, mass) sorted by plane_y."""
         return [(y, float(self.weights[idx].sum())) for y, idx in self.planes(tol)]
-
-    def translated(self, dx: float, dy: float = 0.0) -> "DiscreteMeasure":
-        return DiscreteMeasure(self.points + np.array([dx, dy]), self.weights.copy())
 
 
 @dataclass(frozen=True)
@@ -172,11 +167,6 @@ class CellMeasure:
         rel = np.stack(np.meshgrid(oh, oh, indexing="ij"), axis=-1).reshape(-1, 2)
         corners = np.asarray(self.origin) + self.indices * self.spacing
         return corners[:, None, :] + rel[None, :, :], np.outer(gw, gw).ravel()
-
-    def cell_centers(self) -> np.ndarray:
-        h = self.spacing
-        return np.stack([self.origin[0] + (self.indices[:, 0] + 0.5) * h,
-                         self.origin[1] + (self.indices[:, 1] + 0.5) * h], axis=1)
 
     def densities(self) -> np.ndarray:
         return self.masses / self.spacing**2
@@ -237,10 +227,6 @@ class DislocationConfig:
     @property
     def r_n(self) -> float:
         return self.schedule.r(self.n)
-
-    @property
-    def eps_n(self) -> float:
-        return self.schedule.eps(self.n)
 
     def planes(self):
         return group_by_plane(self.points, self.plane_tol)

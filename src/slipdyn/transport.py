@@ -153,13 +153,9 @@ def _transport_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: np.ndarray) ->
     m, n = mu.n_atoms, nu.n_atoms
     if m > LP_ATOM_CAP or n > LP_ATOM_CAP:
         raise ValueError(f"exact LP capped at {LP_ATOM_CAP} atoms per side")
-    rows, cols, data = [], [], []
-    for i in range(m):
-        for j in range(n):
-            k = i * n + j
-            rows.append(i); cols.append(k); data.append(1.0)
-            rows.append(m + j); cols.append(k); data.append(1.0)
-    A = coo_matrix((data, (rows, cols)), shape=(m + n, m * n))
+    k = np.arange(m * n)
+    rows = np.concatenate([k // n, m + k % n])
+    A = coo_matrix((np.ones(2 * m * n), (rows, np.tile(k, 2))), shape=(m + n, m * n))
     rhs = np.concatenate([mu.weights, nu.weights])
     res = linprog(cost.ravel(), A_eq=A, b_eq=rhs, bounds=(0, None), method="highs")
     if not res.success:

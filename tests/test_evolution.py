@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from slipdyn.kernels import Material
 from slipdyn.measures import DislocationConfig, ScalingSchedule
 from slipdyn.evolution import (EnergyContext, LoadingProgram, SolverConfig,
-                               driving_force, energy_balance_residual,
-                               flow_rule_residual, incremental_step,
-                               run_quasistatic, stability_residual)
+                               _force_single, _land_position, driving_force,
+                               energy_balance_residual, flow_rule_residual,
+                               incremental_step, run_quasistatic,
+                               stability_residual)
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +95,72 @@ def test_bounded_force_matches_energy_gradient(geom, mat, quad, basis):
               - np.mean(load.potential(0.4, em)))
         fd = -n * (Ep - Em) / (2 * delta)
         assert abs(fd - f.values[i]) <= 1e-5
+
+
+@pytest.mark.parametrize("domain", ["unit", "wide"])
+def test_corrector_force_matches_energy_differences(domain, geom, wide_geom, mat,
+                                                    quad, basis):
+    # oracle: finite differences of the corrector energy; inward second-order
+    # one-sided differences for atoms on the box edges, where a central
+    # difference would step outside the boundary margin
+    g, m = (geom, mat) if domain == "unit" else (wide_geom, Material(0.7, 1.3))
+    ctx = EnergyContext(mode="bounded", mat=m, geom=g, quad=quad, basis=basis)
+    box = g.r_box
+    rng = np.random.default_rng(23)
+    h = 1e-5 * box.diam
+    for n in (1, 3, 5):
+        pts = np.column_stack([rng.uniform(box.x0 + 0.1, box.x1 - 0.1, n),
+                               rng.uniform(box.y0, box.y1, n)])
+        if n > 1:
+            pts[0, 0], pts[-1, 0] = box.x0, box.x1
+        forces = ctx.corrector_forces(pts)
+
+        def energy(i, dx):
+            moved = pts.copy()
+            moved[i, 0] += dx
+            return ctx.corrector_energy_of_points(moved)
+
+        for i in range(n):
+            assert ctx.corrector_force_single(pts, i) == forces[i]
+            x = pts[i, 0]
+            if x == box.x0 or x == box.x1:
+                s = 1.0 if x == box.x0 else -1.0
+                grad = s * (-3 * energy(i, 0.0) + 4 * energy(i, s * h)
+                            - energy(i, 2 * s * h)) / (2 * h)
+            else:
+                grad = (energy(i, h) - energy(i, -h)) / (2 * h)
+            assert abs(-n * grad - forces[i]) <= 1e-6 * abs(forces[i])
+
+
+def test_landing_passes_its_own_threshold(fctx, geom):
+    # a dislocation landed short of its barrier must see a force magnitude
+    # within the sweep's threshold 1 + 1e-12, or the next sweep lands it again
+    box = geom.r_box
+    landed = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        pts = np.column_stack([np.sort(rng.uniform(0.35, 0.65, 2)), [0.5, 0.5]])
+        sigma = float(rng.uniform(-1.5, 1.5))
+        load = LoadingProgram.uniform_shear(lambda t, s=sigma: s, 1.0)
+        for i in range(2):
+            f = _force_single(pts, i, 0.0, load, fctx)
+            if abs(f) <= 1.0 + 1e-12:
+                continue
+            d = 1.0 if f > 0 else -1.0
+            if (i == 1) == (d > 0):
+                barrier = box.x1 if d > 0 else box.x0
+            else:
+                barrier = pts[1 - i, 0] - d * 0.05
+            if (barrier - pts[i, 0]) * d <= 0:
+                continue
+            trial = pts.copy()
+            trial[i, 0] = _land_position(pts, i, d, barrier, 0.0, load, fctx,
+                                         SolverConfig())
+            if trial[i, 0] == barrier:
+                continue
+            landed += 1
+            assert abs(_force_single(trial, i, 0.0, load, fctx)) <= 1.0 + 1e-12
+    assert landed >= 100
 
 
 def test_step_below_threshold_is_static(fctx, geom, small_schedule):

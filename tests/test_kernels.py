@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slipdyn.kernels import (CoreRadius, Material, K_many, apply_C, circulation,
-                             displacement_v, displacement_w, divergence_residual,
-                             eval_K, eval_Kn, grad_v, grad_w)
+                             dK1_offsets, displacement_v, displacement_w,
+                             divergence_residual, eval_K, eval_Kn, grad_v,
+                             grad_w, K_offsets)
 
 
 def fd_jacobian(f, u, h=1e-6):
@@ -42,6 +43,10 @@ def test_gradients_match_finite_differences(mat):
         fw = fd_jacobian(lambda q: displacement_w(q, mat), u)
         assert np.max(np.abs(gv - fv)) <= 1e-6 * max(1.0, np.max(np.abs(gv)))
         assert np.max(np.abs(gw - fw)) <= 1e-6 * max(1.0, np.max(np.abs(gw)))
+        dk = dK1_offsets(u, mat)
+        e1 = np.array([1e-6, 0.0])
+        fk = (K_offsets(u + e1, mat) - K_offsets(u - e1, mat)) / 2e-6
+        assert np.max(np.abs(dk - fk)) <= 1e-6 * max(1.0, np.max(np.abs(dk)))
 
 
 def test_K_entries_against_displacement_oracle(mat):

@@ -47,6 +47,8 @@ def test_discrete_measure_invariants():
         DiscreteMeasure([[0, 0], [1, 1]], [0.5, 0.6])
     with pytest.raises(ValueError):
         DiscreteMeasure([[0, 0], [0, 0]], [0.5, 0.5])
+    with pytest.raises(ValueError):
+        DiscreteMeasure.equal_weights([[0, 0], [1, 1], [0, 0]])
     m = DiscreteMeasure.equal_weights([[0.1, 0.5], [0.9, 0.5], [0.3, 0.2]])
     vm = m.vertical_marginal()
     assert vm[0][0] == 0.2 and math.isclose(vm[0][1], 1 / 3)
