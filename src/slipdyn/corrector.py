@@ -10,24 +10,31 @@ trial space is a tensor Legendre polynomial space per displacement component;
 the two gauge conditions (vector mean, scalar mean rotation) enter through
 Lagrange multipliers.  At the minimum I(v) = (1/2) b . v, with b the boundary
 linear form, which the solver returns as the corrector energy (always <= 0).
+
+The boundary integral runs on the Gauss grid of the interaction route
+(``interaction._boundary_grid`` at ``quadrature.boundary_points`` per edge),
+fixed when the solver is built, so no solve depends on an earlier one.  At
+construction the grid must resolve the tractions of the admitted sources
+closest to the boundary to ``quadrature.tol``; otherwise it raises.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as _leg
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import lu_factor, lu_solve
 
-from .geometry import Geometry
-from .interaction import QuadratureConfig, _boundary_grid, interaction_sum
+from .geometry import Geometry, Rect
+from .interaction import QuadratureConfig, _boundary_grid
 from .kernels import Material, K_many, apply_C, dK1_offsets
 from .measures import CellMeasure, DiscreteMeasure, DislocationConfig
 
 __all__ = ["RitzBasis", "CorrectorSolution", "CorrectorSolver",
-           "get_solver", "solve_corrector", "total_energy"]
+           "get_solver", "solve_corrector"]
 
 
 @dataclass(frozen=True)
@@ -76,8 +83,9 @@ def as_weighted_atoms(measure, q: QuadratureConfig):
 class CorrectorSolver:
     """Assembled stiffness + gauge constraints for one (geometry, material, basis).
 
-    The factorized saddle-point system is reused across measures; only the
-    boundary linear form is reassembled per call.
+    The factorized saddle-point system and the basis values on the boundary
+    grid are reused across measures; only the boundary linear form is
+    reassembled per call.
     """
 
     def __init__(self, geom: Geometry, mat: Material, basis: RitzBasis,
@@ -97,8 +105,9 @@ class CorrectorSolver:
         kkt[:self.n_dof, self.n_dof:] = self.C.T
         kkt[self.n_dof:, :self.n_dof] = self.C
         self._lu = lu_factor(kkt)
-        self._bnd_cache: dict[int, tuple] = {}
-        self._stable_count: int | None = None
+        self._grid = _boundary_grid(geom.omega, q.boundary_points, q.cheb_degree)
+        self._vals, _, _ = self._scalar_basis(self._grid["gauss_pts"], want_grad=False)
+        self._check_resolution()
 
     # -- geometry mapping -------------------------------------------------
     def _to_ref(self, xs):
@@ -178,16 +187,8 @@ class CorrectorSolver:
         self.C = C
 
     # -- boundary linear form ---------------------------------------------
-    def _boundary_layout(self, n_per_edge: int):
-        """Shared boundary Gauss grid plus the basis values on it, per count."""
-        if n_per_edge not in self._bnd_cache:
-            grid = _boundary_grid(self.geom.omega, n_per_edge, self.q.cheb_degree)
-            vals, _, _ = self._scalar_basis(grid["gauss_pts"], want_grad=False)
-            self._bnd_cache[n_per_edge] = (grid, vals)
-        return self._bnd_cache[n_per_edge]
-
-    def _linear_form_at(self, atoms, weights, n_per_edge):
-        grid, vals = self._boundary_layout(n_per_edge)
+    def _traction_work(self, grid, vals, atoms, weights):
+        """Boundary work of the weighted atoms' tractions against the basis."""
         pts, ws, nus = grid["gauss_pts"], grid["gauss_w"], grid["gauss_nu"]
         T = np.zeros((len(pts), 2))
         for zi, wi in zip(atoms, weights):
@@ -198,30 +199,46 @@ class CorrectorSolver:
         b[N:] = (T[:, 1] * ws) @ vals
         return b
 
+    def _linear_form_at(self, atoms, weights):
+        return self._traction_work(self._grid, self._vals, atoms, weights)
+
+    def _check_resolution(self):
+        """Reject a boundary grid that does not resolve the admitted tractions.
+
+        The sources closest to the boundary are the corners of Omega shrunk by
+        ``ell``.  Their linear forms must agree to the configured tolerance
+        with those of the same Gauss rule on both halves of every edge (twice
+        the points per edge; a fresh rule of twice the order would need
+        ``leggauss`` at that order, the slowest part of building a grid).
+        """
+        o, ell, grid = self.geom.omega, self.geom.ell, self._grid
+        edge = np.repeat(np.arange(4), self.q.boundary_points)
+        corners, pts = o.corners(), grid["gauss_pts"]
+        fine = {"gauss_pts": np.concatenate([(pts + corners[edge]) / 2,
+                                             (pts + corners[(edge + 1) % 4]) / 2]),
+                "gauss_w": np.tile(grid["gauss_w"] / 2, 2),
+                "gauss_nu": np.tile(grid["gauss_nu"], (2, 1))}
+        fine_vals, _, _ = self._scalar_basis(fine["gauss_pts"], want_grad=False)
+        for c in Rect(o.x0 + ell, o.y0 + ell, o.x1 - ell, o.y1 - ell).corners():
+            b = self._linear_form_at([c], [1.0])
+            b2 = self._traction_work(fine, fine_vals, [c], [1.0])
+            if np.max(np.abs(b2 - b)) > self.q.tol * max(1.0, np.max(np.abs(b2))):
+                raise ValueError(
+                    f"quadrature.boundary_points = {self.q.boundary_points} does not "
+                    f"resolve the corrector's boundary form to tol = {self.q.tol}")
+
     def linear_form(self, measure) -> np.ndarray:
         """Boundary work of the measure's traction against the basis.
 
-        The per-edge quadrature count is doubled until the form is stable to
-        the configured tolerance; the stable count is remembered, so repeated
-        solves (force probing, evolutions) assemble only once.
+        The quadrature is the Gauss grid of the interaction route,
+        ``quadrature.boundary_points`` per edge, checked at construction.
         """
         atoms, weights = as_weighted_atoms(measure, self.q)
         o = self.geom.omega
         for p in atoms:
             if o.boundary_distance(p) < self.geom.ell - 1e-9:
                 raise ValueError("measure support violates the boundary margin")
-        if self._stable_count is not None:
-            return self._linear_form_at(atoms, weights, self._stable_count)
-        n0 = max(64, self.q.boundary_points)
-        b = self._linear_form_at(atoms, weights, n0)
-        for _ in range(3):
-            b2 = self._linear_form_at(atoms, weights, 2 * n0)
-            if np.max(np.abs(b2 - b)) <= self.q.tol * max(1.0, np.max(np.abs(b2))):
-                self._stable_count = 2 * n0
-                return b2
-            b, n0 = b2, 2 * n0
-        self._stable_count = n0
-        return b
+        return self._linear_form_at(atoms, weights)
 
     def solve(self, measure) -> CorrectorSolution:
         b = self.linear_form(measure)
@@ -245,23 +262,18 @@ class CorrectorSolver:
         """
         u = self.solve(measure).coefficients
         atoms, _ = as_weighted_atoms(measure, self.q)
-        grid, vals = self._boundary_layout(self._stable_count)
-        pts, mat = grid["gauss_pts"], self.mat
-        wv = grid["gauss_w"][:, None] * (vals @ u.reshape(2, -1).T)
+        grid, mat = self._grid, self.mat
+        pts = grid["gauss_pts"]
+        wv = grid["gauss_w"][:, None] * (self._vals @ u.reshape(2, -1).T)
         return np.array([np.einsum("qij,qj,qi->",
                                    apply_C(dK1_offsets(pts - atoms[i], mat), mat),
                                    grid["gauss_nu"], wv) for i in rows])
 
 
-_SOLVERS: dict = {}
-
-
+@lru_cache(maxsize=None)
 def get_solver(geom: Geometry, mat: Material, basis: RitzBasis,
                q: QuadratureConfig) -> CorrectorSolver:
-    key = (geom, mat, basis, q)
-    if key not in _SOLVERS:
-        _SOLVERS[key] = CorrectorSolver(geom, mat, basis, q)
-    return _SOLVERS[key]
+    return CorrectorSolver(geom, mat, basis, q)
 
 
 def solve_corrector(measure, geom: Geometry, mat: Material, basis: RitzBasis,
@@ -269,14 +281,3 @@ def solve_corrector(measure, geom: Geometry, mat: Material, basis: RitzBasis,
     """Minimize the corrector functional for the given measure."""
     return get_solver(geom, mat, basis, q).solve(measure)
 
-
-def total_energy(cfg: DislocationConfig, mode: str, geom: Geometry | None,
-                 mat: Material, basis: RitzBasis | None,
-                 q: QuadratureConfig) -> float:
-    """Interaction energy plus, in bounded mode, the corrector minimum."""
-    e = interaction_sum(cfg, mode, geom, mat, q)
-    if mode == "bounded":
-        if basis is None or geom is None:
-            raise ValueError("bounded mode requires geometry and a Ritz basis")
-        e += solve_corrector(cfg, geom, mat, basis, q).energy
-    return e

@@ -26,7 +26,7 @@ from .interaction import (continuum_interaction, continuum_interaction_freespace
                           interaction_sum)
 from .kernels import (CoreRadius, apply_C, circulation, divergence_residual,
                       eval_K, eval_Kn)
-from .measures import DiscreteMeasure, DislocationConfig
+from .measures import DiscreteMeasure, DislocationConfig, group_by_plane
 from .recovery import (ClassParams, UniformDensity, grid_approximation,
                        discretize_grid, snap_modification)
 from .transport import (dual_lower_bound, eps_relaxed_distance,
@@ -200,15 +200,17 @@ def cmd_distance(cfg: ExperimentConfig, outdir: Path, seed: int,
                       ("neg_x1", lambda p: -min(max(p[0], lo), hi))):
         rows.append({"quantity": "dual_bound", "parameter": name,
                      "value": float(dual_lower_bound(mu, nu, phi))})
-    planes = sorted({round(float(y), 12) for y in
-                     np.concatenate([mu.points[:, 1], nu.points[:, 1]])})
+    # per-plane affine test functions, keyed by transport's plane grouping
+    atoms = np.concatenate([mu.points, nu.points])
+    planes = group_by_plane(atoms)
+    plane_of = {float(y): k for k, (_, idx) in enumerate(planes) for y in atoms[idx, 1]}
     for k in range(3):
-        slopes = {y: rng.uniform(-1, 1) for y in planes}
-        offs = {y: rng.uniform(-1, 1) for y in planes}
+        slopes = [rng.uniform(-1, 1) for _ in planes]
+        offs = [rng.uniform(-1, 1) for _ in planes]
 
         def phi(p, slopes=slopes, offs=offs):
-            y = round(float(p[1]), 12)
-            return slopes[y] * p[0] + offs[y]
+            i = plane_of[float(p[1])]
+            return slopes[i] * p[0] + offs[i]
 
         rows.append({"quantity": "dual_bound", "parameter": f"random_{k}",
                      "value": float(dual_lower_bound(mu, nu, phi))})

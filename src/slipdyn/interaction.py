@@ -32,10 +32,10 @@ from numpy.polynomial.legendre import leggauss
 from .geometry import Geometry, Rect
 from .kernels import (MIN_SEPARATION, Material, K_many, apply_C, displacement_v,
                       eval_K)
-from .measures import CellMeasure, DislocationConfig
+from .measures import CellMeasure, DislocationConfig, min_distance
 
 __all__ = [
-    "QuadratureConfig", "v_freespace_leading", "v_pair", "v_pair_boundary",
+    "QuadratureConfig", "v_pair", "v_pair_boundary",
     "interaction_cross_matrix", "interaction_of_points",
     "interaction_sum", "continuum_interaction", "continuum_interaction_freespace",
 ]
@@ -47,25 +47,15 @@ class QuadratureConfig:
 
     base_cells: int = 24
     singular_refine_depth: int = 7
-    tol: float = 1e-6
+    tol: float = 1e-6              # corrector's boundary-grid resolution check
     cell_gauss: int = 3            # per-axis points on regular cells
-    boundary_points: int = 128     # Gauss points per domain edge (boundary route)
+    boundary_points: int = 128     # Gauss points per domain edge (route and corrector)
     cheb_degree: int = 96          # boundary antiderivative degree per edge
     density_gauss: int = 4         # per-axis points per cell in continuum energies
 
     def __post_init__(self):
         if self.base_cells < 4 or self.singular_refine_depth < 0 or self.tol <= 0:
             raise ValueError("invalid quadrature configuration")
-
-
-def v_freespace_leading(y, z, mat: Material) -> float:
-    """Leading free-space interaction, -log_coef * log|y - z|."""
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    s = float(np.hypot(*(y - z)))
-    if s < MIN_SEPARATION:
-        raise ValueError("coincident dislocations")
-    return -mat.log_coef * math.log(s)
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +434,10 @@ def interaction_of_points(pts, mode: str, geom: Geometry | None, mat: Material,
     n = len(pts)
     if n == 1:
         return 0.0
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    np.fill_diagonal(d2, np.inf)
-    if d2.min() < MIN_SEPARATION**2:
+    if min_distance(pts) < MIN_SEPARATION:
         raise ValueError("coincident dislocations in configuration")
     if mode == "freespace":
+        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
         np.fill_diagonal(d2, 1.0)
         logsum = -mat.log_coef * 0.5 * np.log(d2)
         np.fill_diagonal(logsum, 0.0)
@@ -471,30 +460,28 @@ def interaction_sum(cfg: DislocationConfig, mode: str, geom: Geometry | None,
     return interaction_of_points(cfg.canonical_order().points, mode, geom, mat, q)
 
 
-@lru_cache(maxsize=None)
+def _log_antiderivative(x: float, y: float) -> float:
+    """Phi with d^2/dx^2 d^2/dy^2 Phi = log|(x, y)|, even in x and y, Phi(0, 0) = 0."""
+    x, y = abs(x), abs(y)
+    if x == 0.0 and y == 0.0:
+        return 0.0
+    x2, y2 = x * x, y * y
+    return ((-(x2 * x2 - 6.0 * x2 * y2 + y2 * y2) * math.log(x2 + y2) - 25.0 * x2 * y2) / 48.0
+            + (x2 * x * y * math.atan2(y, x) + x * y2 * y * math.atan2(x, y)) / 6.0)
+
+
 def _cell_log_moment(di: int, dj: int) -> float:
     """E[log|y - z|] for uniform y, z on unit cells offset by (di, dj).
 
+    The offset y - z has the tent density tri(u1 - di) tri(u2 - dj), whose
+    second derivatives are the stencil (1, -2, 1) at the kinks, so the mean is
+    the stencil's double second difference of ``_log_antiderivative``.
     Only the touching offsets are needed; distant pairs are handled by plain
     quadrature of the smooth integrand.
     """
-    from scipy.integrate import dblquad
-
-    di, dj = abs(di), abs(dj)
-
-    def tri(t, delta):
-        return max(0.0, 1.0 - abs(t - delta))
-
-    def integrand(u2, u1):
-        r2 = u1 * u1 + u2 * u2
-        if r2 == 0.0:
-            return 0.0
-        return tri(u1, di) * tri(u2, dj) * 0.5 * math.log(r2)
-
-    val, _ = dblquad(integrand, di - 1.0, di + 1.0,
-                     lambda u1: dj - 1.0, lambda u1: dj + 1.0,
-                     epsabs=1e-11, epsrel=1e-11)
-    return val
+    c = (1.0, -2.0, 1.0)
+    return sum(c[a + 1] * c[b + 1] * _log_antiderivative(di + a, dj + b)
+               for a in (-1, 0, 1) for b in (-1, 0, 1))
 
 
 def _node_distances(pa, pb):
@@ -508,7 +495,7 @@ def _cell_pair_energy(density: CellMeasure, nodes, w, mat: Material,
 
     ``node_potential(a, b)`` is V between the Gauss nodes of cells a and b
     (its diagonal is ignored when a == b).  Same-cell and touching pairs split
-    V into its leading logarithm, integrated in closed form via cached
+    V into its leading logarithm, integrated in closed form via the
     unit-cell log moments, plus the smooth remainder averaged at the nodes.
     """
     h = density.spacing
@@ -559,7 +546,7 @@ def continuum_interaction(density: CellMeasure, geom: Geometry, mat: Material,
 
     Distant cell pairs use tensor Gauss quadrature of V; same-cell and touching
     pairs split V into its leading logarithm, integrated in closed form via
-    cached unit-cell log moments, plus the smooth remainder.
+    the unit-cell log moments, plus the smooth remainder.
     """
     if not isinstance(density, CellMeasure):
         raise TypeError("continuum_interaction expects a cell density; use "

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.spatial import cKDTree
 
 from .geometry import Rect
 
@@ -40,12 +41,13 @@ class ScalingSchedule:
     def r(self, n: int) -> float:
         return self.r_coef * float(n) ** (-self.r_exp)
 
-    def check_sample(self, ns=(10, 100, 1000, 10_000)) -> bool:
-        """Sanity-check the decay conditions on a finite sample of n."""
-        ratios = [self.eps(n) / self.r(n) ** 3 for n in ns]
-        products = [n * self.r(n) for n in ns]
-        return all(a > b for a, b in zip(ratios, ratios[1:])) and all(
-            a > b for a, b in zip(products, products[1:]))
+
+def min_distance(points) -> float:
+    """Smallest distance between two of the points (+inf for fewer than two)."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if len(pts) < 2:
+        return math.inf
+    return float(cKDTree(pts).query(pts, k=2)[0][:, 1].min())
 
 
 def group_by_plane(points: np.ndarray, tol: float = PLANE_TOL):
@@ -110,10 +112,6 @@ class DiscreteMeasure:
     def planes(self, tol: float = PLANE_TOL):
         return group_by_plane(self.points, tol)
 
-    def vertical_marginal(self, tol: float = PLANE_TOL):
-        """List of (plane_y, mass) sorted by plane_y."""
-        return [(y, float(self.weights[idx].sum())) for y, idx in self.planes(tol)]
-
 
 @dataclass(frozen=True)
 class CellMeasure:
@@ -171,22 +169,6 @@ class CellMeasure:
     def densities(self) -> np.ndarray:
         return self.masses / self.spacing**2
 
-    def support_rect(self) -> Rect:
-        h = self.spacing
-        i0, j0 = self.indices.min(axis=0)
-        i1, j1 = self.indices.max(axis=0)
-        return Rect(self.origin[0] + i0 * h, self.origin[1] + j0 * h,
-                    self.origin[0] + (i1 + 1) * h, self.origin[1] + (j1 + 1) * h)
-
-    def scaled_mass(self, alpha: float) -> "CellMeasure":
-        """Rescaled copy with total mass alpha (bypasses the mass-1 invariant check)."""
-        out = object.__new__(CellMeasure)
-        object.__setattr__(out, "origin", self.origin)
-        object.__setattr__(out, "spacing", self.spacing)
-        object.__setattr__(out, "indices", self.indices.copy())
-        object.__setattr__(out, "masses", self.masses * alpha)
-        return out
-
 
 @dataclass(frozen=True)
 class DislocationConfig:
@@ -213,9 +195,7 @@ class DislocationConfig:
                 raise ValueError(f"dislocation {p} outside the confinement box")
         if n > 1:
             r_n = self.schedule.r(n)
-            d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-            np.fill_diagonal(d2, np.inf)
-            dmin = math.sqrt(d2.min())
+            dmin = min_distance(pts)
             if dmin < r_n * (1 - 1e-9):
                 raise ValueError(
                     f"pairwise separation {dmin:.3e} below the schedule minimum {r_n:.3e}")
@@ -231,18 +211,11 @@ class DislocationConfig:
     def planes(self):
         return group_by_plane(self.points, self.plane_tol)
 
-    def plane_counts(self):
-        return [(y, len(idx)) for y, idx in self.planes()]
-
     def measure(self) -> DiscreteMeasure:
         return DiscreteMeasure.equal_weights(self.points)
 
     def min_separation(self) -> float:
-        if self.n < 2:
-            return math.inf
-        d2 = np.sum((self.points[:, None, :] - self.points[None, :, :]) ** 2, axis=-1)
-        np.fill_diagonal(d2, np.inf)
-        return math.sqrt(d2.min())
+        return min_distance(self.points)
 
     def with_points(self, points: np.ndarray) -> "DislocationConfig":
         return DislocationConfig(points, self.schedule, self.box, self.plane_tol)

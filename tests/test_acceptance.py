@@ -251,7 +251,7 @@ def test_A9_constructor_contracts(geom, wide_geom, schedule):
                             int(rng.integers(1, 5)))
         eta = float(rng.uniform(0.02, 0.3))
         snapped = snap_modification(cfg, eta)
-        m = max(c for _, c in cfg.plane_counts())
+        m = max(len(idx) for _, idx in cfg.planes())
         snap_ok &= [y for y, _ in snapped.planes()] == [y for y, _ in cfg.planes()]
         snap_ok &= slip_distance(cfg.measure(), snapped.measure()) <= eta + 1e-12
         snap_ok &= all(geom.r_box.contains(p, tol=1e-12) for p in snapped.points)

@@ -110,6 +110,26 @@ def test_distance_infinite_report(tmp_path):
     assert "slip_distance,,inf" in text
 
 
+def test_distance_planes_within_plane_tol(tmp_path):
+    # nu's plane lies 1e-10 above mu's: one slip plane for transport, so the
+    # random per-plane test functions must be 1-Lipschitz across both
+    p = write_config(tmp_path, {
+        "experiment": "distance",
+        "distance": {"mu": [[0.2, 0.5, 0.5], [0.6, 0.5, 0.5]],
+                     "nu": [[0.5, 0.5 + 1e-10, 0.5], [0.9, 0.5 + 1e-10, 0.5]]},
+    })
+    runner = CliRunner()
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["distance", str(p), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    rows = [r.split(",") for r in
+            (out / "distance.csv").read_text().strip().splitlines()[2:]]
+    vals = {(r[0], r[1]): float(r[2]) for r in rows}
+    assert vals[("slip_distance", "")] == pytest.approx(0.3)
+    for k in range(3):
+        assert vals[("dual_bound", f"random_{k}")] <= 0.3 + 1e-12
+
+
 def test_simulate_determinism(tmp_path):
     runner = CliRunner()
     a = tmp_path / "a"

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from slipdyn.corrector import (RitzBasis, get_solver, solve_corrector,
-                               total_energy)
+from slipdyn.corrector import (CorrectorSolver, RitzBasis, get_solver,
+                               solve_corrector)
+from slipdyn.evolution import EnergyContext
+from slipdyn.interaction import QuadratureConfig, _boundary_grid
 from slipdyn.kernels import apply_C
 from slipdyn.measures import CellMeasure, DiscreteMeasure, DislocationConfig
 
@@ -13,7 +15,7 @@ def test_zero_boundary_data_gives_zero_field(geom, mat, quad, basis):
     # signed harness: equal and opposite weights cancel the tractions exactly
     solver = get_solver(geom, mat, basis, quad)
     pts = np.array([[0.45, 0.5], [0.45, 0.5]])
-    b = solver._linear_form_at(pts, np.array([0.5, -0.5]), 128)
+    b = solver._linear_form_at(pts, np.array([0.5, -0.5]))
     assert np.max(np.abs(b)) < 1e-14
     rhs = np.zeros(solver.n_dof + 3)
     from scipy.linalg import lu_solve
@@ -93,12 +95,41 @@ def test_cell_measure_corrector(geom, mat, quad, basis):
 
 def test_total_energy_modes(geom, mat, quad, basis, small_schedule):
     cfg1 = DislocationConfig([[0.5, 0.5]], small_schedule, geom.r_box)
-    assert total_energy(cfg1, "freespace", None, mat, None, quad) == 0.0
-    e = total_energy(cfg1, "bounded", geom, mat, basis, quad)
+    assert EnergyContext("freespace", mat).renormalized_energy(cfg1) == 0.0
+    e = EnergyContext("bounded", mat, geom, quad, basis).renormalized_energy(cfg1)
     corr = solve_corrector(DiscreteMeasure([[0.5, 0.5]], [1.0]), geom, mat,
                            basis, quad).energy
     assert e == corr
     assert e <= 0.0
+
+
+def test_solver_shares_the_interaction_grid(geom, mat, quad, basis):
+    solver = get_solver(geom, mat, basis, quad)
+    assert solver._grid is _boundary_grid(geom.omega, quad.boundary_points,
+                                          quad.cheb_degree)
+    assert get_solver(geom, mat, basis, quad) is solver
+
+
+def test_solve_independent_of_earlier_solves(geom, mat, quad, basis):
+    a = DiscreteMeasure.equal_weights([[0.3, 0.4], [0.6, 0.55], [0.7, 0.3]])
+    b = CellMeasure(origin=(0.3, 0.3), spacing=0.1,
+                    indices=[[0, 0], [2, 2]], masses=[0.5, 0.5])
+    fresh = CorrectorSolver(geom, mat, basis, quad).solve(a)
+    used = CorrectorSolver(geom, mat, basis, quad)
+    used.solve(b)
+    again = used.solve(a)
+    assert again.energy == fresh.energy
+    assert np.array_equal(again.coefficients, fresh.coefficients)
+    fresh_forces = CorrectorSolver(geom, mat, basis, quad).horizontal_forces(a, [0, 2])
+    assert np.array_equal(used.horizontal_forces(a, [0, 2]), fresh_forces)
+
+
+def test_boundary_resolution_checked_at_construction(geom, wide_geom, mat, basis):
+    # 16 points per edge resolve the corner sources' forms only to 4.7e-5
+    with pytest.raises(ValueError, match="quadrature.boundary_points"):
+        CorrectorSolver(geom, mat, basis, QuadratureConfig(boundary_points=16))
+    for g in (geom, wide_geom):
+        CorrectorSolver(g, mat, basis, QuadratureConfig())
 
 
 def test_corrector_discrete_to_continuum_convergence(geom, mat, quad, basis,
@@ -122,6 +153,7 @@ def test_corrector_discrete_to_continuum_convergence(geom, mat, quad, basis,
 def test_total_energy_uniform_lower_bound(geom, mat, quad, basis, small_schedule):
     # uniform lower bound on the renormalized energy over admissible configs;
     # the constant is pinned by a coarse seeded sweep (observed min -0.125)
+    ctx = EnergyContext("bounded", mat, geom, quad, basis)
     rng = np.random.default_rng(12)
     worst = math.inf
     count = 0
@@ -133,6 +165,6 @@ def test_total_energy_uniform_lower_bound(geom, mat, quad, basis, small_schedule
         except ValueError:
             continue
         count += 1
-        worst = min(worst, total_energy(cfg, "bounded", geom, mat, basis, quad))
+        worst = min(worst, ctx.renormalized_energy(cfg))
     print(f"min total energy over sample: {worst:.6f}")
     assert worst >= -0.5

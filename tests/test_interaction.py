@@ -6,8 +6,7 @@ import pytest
 from slipdyn.interaction import (QuadratureConfig, continuum_interaction,
                                  continuum_interaction_freespace,
                                  interaction_cross_matrix, interaction_of_points,
-                                 interaction_sum, v_freespace_leading, v_pair,
-                                 v_pair_boundary)
+                                 interaction_sum, v_pair, v_pair_boundary)
 from slipdyn.measures import CellMeasure, DislocationConfig
 
 #: fixed instance Omega = (0,1)^2, y = (0.4, 0.5), z = (0.6, 0.5), lam = mu = 1,
@@ -15,16 +14,18 @@ from slipdyn.measures import CellMeasure, DislocationConfig
 FIXED_INSTANCE_ORACLE = 0.2601344
 
 
-def test_freespace_leading(mat):
-    assert v_freespace_leading([0.0, 0.0], [1.0, 0.0], mat) == 0.0
-    v = v_freespace_leading([0.0, 0.0], [math.exp(-1.0), 0.0], mat)
-    assert math.isclose(v, 2 / (3 * math.pi), rel_tol=1e-12)
+def test_freespace_leading(mat, quad):
+    def v(y, z):   # the two-point free-space energy is V(y, z) / 4
+        return 4.0 * interaction_of_points([y, z], "freespace", None, mat, quad)
+
+    assert v([0.0, 0.0], [1.0, 0.0]) == 0.0
+    assert math.isclose(v([0.0, 0.0], [math.exp(-1.0), 0.0]), 2 / (3 * math.pi),
+                        rel_tol=1e-12)
     r = 0.37
-    a = v_freespace_leading([0.0, 0.0], [r, 0.0], mat)
-    b = v_freespace_leading([0.0, 0.0], [1 / r, 0.0], mat)
-    assert math.isclose(a, -b, rel_tol=1e-12)
+    assert math.isclose(v([0.0, 0.0], [r, 0.0]), -v([0.0, 0.0], [1 / r, 0.0]),
+                        rel_tol=1e-12)
     with pytest.raises(ValueError):
-        v_freespace_leading([0.1, 0.1], [0.1, 0.1], mat)
+        v([0.1, 0.1], [0.1, 0.1])
 
 
 def test_v_pair_fixed_instance(geom, mat, quad):
@@ -180,11 +181,21 @@ def test_continuum_two_far_cells(geom, mat, quad):
     assert abs(got - 0.121838) < 5e-4
 
 
+def _scaled_mass(cm, alpha):
+    """Copy of a cell measure with total mass alpha (past the mass-1 check)."""
+    out = object.__new__(CellMeasure)
+    object.__setattr__(out, "origin", cm.origin)
+    object.__setattr__(out, "spacing", cm.spacing)
+    object.__setattr__(out, "indices", cm.indices.copy())
+    object.__setattr__(out, "masses", cm.masses * alpha)
+    return out
+
+
 def test_continuum_bilinearity(geom, mat, quad):
     cm = CellMeasure(origin=(0.0, 0.0), spacing=0.1,
                      indices=[[3, 3], [6, 6]], masses=[0.5, 0.5])
     base = continuum_interaction(cm, geom, mat, quad)
-    scaled = continuum_interaction(cm.scaled_mass(2.0), geom, mat, quad)
+    scaled = continuum_interaction(_scaled_mass(cm, 2.0), geom, mat, quad)
     assert math.isclose(scaled, 4.0 * base, rel_tol=1e-12)
 
 
@@ -192,6 +203,28 @@ def test_continuum_rejects_atoms(geom, mat, quad):
     from slipdyn.measures import DiscreteMeasure
     with pytest.raises(TypeError):
         continuum_interaction(DiscreteMeasure([[0.5, 0.5]], [1.0]), geom, mat, quad)
+
+
+@pytest.mark.parametrize("di, dj", [(0, 0), (1, 0), (0, 1), (1, 1), (-1, 1), (2, 1)])
+def test_cell_log_moment_closed_form(di, dj):
+    # oracle: adaptive quadrature of log|u| against the tent density of y - z
+    from scipy.integrate import dblquad
+
+    from slipdyn.interaction import _cell_log_moment
+
+    def tent(t, delta):
+        return max(0.0, 1.0 - abs(t - delta))
+
+    def integrand(u2, u1):
+        r2 = u1 * u1 + u2 * u2
+        return 0.0 if r2 == 0.0 else tent(u1, di) * tent(u2, dj) * 0.5 * math.log(r2)
+
+    oracle, _ = dblquad(integrand, di - 1.0, di + 1.0, lambda u1: dj - 1.0,
+                        lambda u1: dj + 1.0, epsabs=1e-11, epsrel=1e-11)
+    assert abs(_cell_log_moment(di, dj) - oracle) <= 1e-13
+    if (di, dj) == (0, 0):   # mean log distance in the unit square (Maxwell)
+        maxwell = math.log(2) / 3 + math.pi / 3 - 25 / 12
+        assert abs(_cell_log_moment(0, 0) - maxwell) <= 1e-15
 
 
 def test_continuum_finite_on_fixed_instance(geom, mat, quad):

@@ -180,7 +180,7 @@ def test_snap_properties_random(geom):
         cfg = random_config(rng, geom, sched, n_planes, per_plane)
         eta = float(rng.uniform(0.02, 0.3))
         snapped = snap_modification(cfg, eta)
-        m = max(c for _, c in cfg.plane_counts())
+        m = max(len(idx) for _, idx in cfg.planes())
         assert [y for y, _ in snapped.planes()] == [y for y, _ in cfg.planes()]  # (a)
         d = slip_distance(cfg.measure(), snapped.measure())
         assert d <= eta + 1e-12                                                  # (b)
