@@ -3,8 +3,13 @@
 The confined distance is finite only between measures with identical vertical
 marginals; there it disintegrates into independent 1-D transport problems per
 slip plane, each solved exactly by monotone (quantile) coupling.  The
-eps-relaxed distances use the cost |x1 - y1| + |x2 - y2| / eps and an exact
-linear-programming solver on the atom bipartite graph.
+eps-relaxed distances use the cost |x1 - y1| + |x2 - y2| / eps and, like the
+Euclidean W1, are exact transportation problems on the atom bipartite graph.
+Two exact routes solve them: a pair with equal atom counts and all weights
+equal is an assignment problem (the transport polytope is then the Birkhoff
+polytope, whose vertices are permutations), solved by
+``scipy.optimize.linear_sum_assignment`` at any size; every other pair is a
+HiGHS linear program, capped at ``LP_ATOM_CAP`` atoms per side.
 """
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import coo_matrix
 
 from .measures import PLANE_TOL, DiscreteMeasure, group_by_plane
@@ -21,7 +26,7 @@ __all__ = ["TransportPlan", "plane_w1", "slip_distance", "slip_plan",
            "eps_relaxed_distance", "w1_distance", "horizontal_marginal_w1",
            "dual_lower_bound", "trajectory_dissipation"]
 
-#: atom-count cap per side for the exact LP solver
+#: atom-count cap per side for the LP route (unequal weights or counts)
 LP_ATOM_CAP = 64
 
 
@@ -53,8 +58,13 @@ class TransportPlan:
             raise ValueError("column marginals do not match the target measure")
 
 
-def _merged_quantiles(xs, wx, ys, wy):
-    """Common refinement of the two quantile partitions; exact 1-D W1 support."""
+def _quantile_pieces(xs, wx, ys, wy):
+    """Pieces of the monotone coupling on the merged quantile partition.
+
+    Returns the sorted positions ``xs`` and ``ys``, their sort orders ``ox``
+    and ``oy``, and per piece the mass ``dq`` and the sorted indices ``i`` and
+    ``j`` of the source and target atoms it couples.
+    """
     ox = np.argsort(xs, kind="stable")
     oy = np.argsort(ys, kind="stable")
     xs, wx = np.asarray(xs, dtype=float)[ox], np.asarray(wx, dtype=float)[ox]
@@ -62,7 +72,12 @@ def _merged_quantiles(xs, wx, ys, wy):
     cx = np.cumsum(wx)
     cy = np.cumsum(wy)
     levels = np.union1d(cx, cy)
-    return xs, ys, cx, cy, levels, ox, oy
+    prev = np.concatenate([[0.0], levels[:-1]])
+    dq = levels - prev
+    mid = prev + dq / 2
+    i = np.minimum(np.searchsorted(cx, mid), len(xs) - 1)
+    j = np.minimum(np.searchsorted(cy, mid), len(ys) - 1)
+    return xs, ys, ox, oy, dq, i, j
 
 
 def _masses_differ(ma: float, mb: float) -> bool:
@@ -80,20 +95,10 @@ def plane_w1(xs, wx, ys, wy) -> float:
     wy = np.asarray(wy, dtype=float)
     if _masses_differ(wx.sum(), wy.sum()):
         raise ValueError("plane masses differ")
-    xs, ys, cx, cy, levels, _, _ = _merged_quantiles(xs, wx, ys, wy)
-    total = 0.0
-    prev = 0.0
-    for lev in levels:
-        dq = lev - prev
-        if dq <= 0:
-            continue
-        i = np.searchsorted(cx, prev + dq / 2)
-        j = np.searchsorted(cy, prev + dq / 2)
-        i = min(i, len(xs) - 1)
-        j = min(j, len(ys) - 1)
-        total += dq * abs(xs[i] - ys[j])
-        prev = lev
-    return total
+    xs, ys, _, _, dq, i, j = _quantile_pieces(xs, wx, ys, wy)
+    # cumsum adds left to right from 0.0, as a running total would; np.sum's
+    # pairwise order would move the last bits of every slip distance
+    return float(np.cumsum(np.concatenate([[0.0], dq * np.abs(xs[i] - ys[j])]))[-1])
 
 
 def _match_planes(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float):
@@ -133,23 +138,29 @@ def slip_plan(mu: DiscreteMeasure, nu: DiscreteMeasure,
         raise ValueError("vertical marginals differ; no finite plan exists")
     entries = []
     for ia, ib in matched:
-        xs, ys = mu.points[ia, 0], nu.points[ib, 0]
-        wx, wy = mu.weights[ia], nu.weights[ib]
-        sxs, sys, cx, cy, levels, ox, oy = _merged_quantiles(xs, wx, ys, wy)
-        prev = 0.0
-        for lev in levels:
-            dq = lev - prev
-            if dq <= 0:
-                continue
-            i = min(np.searchsorted(cx, prev + dq / 2), len(sxs) - 1)
-            j = min(np.searchsorted(cy, prev + dq / 2), len(sys) - 1)
-            entries.append((int(ia[ox[i]]), int(ib[oy[j]]), float(dq)))
-            prev = lev
+        _, _, ox, oy, dq, i, j = _quantile_pieces(mu.points[ia, 0], mu.weights[ia],
+                                                  nu.points[ib, 0], nu.weights[ib])
+        entries.extend(zip(ia[ox[i]].tolist(), ib[oy[j]].tolist(), dq.tolist()))
     return TransportPlan(entries=tuple(entries))
 
 
 def _transport_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: np.ndarray) -> float:
-    """Exact transportation problem on the atom bipartite graph (HiGHS)."""
+    """Exact transportation problem on the atom bipartite graph.
+
+    Equal atom counts with all weights bitwise equal: an optimal plan is a
+    permutation scaled by the common weight, found by
+    ``linear_sum_assignment`` with no size cap.  Otherwise: the HiGHS LP,
+    capped at ``LP_ATOM_CAP`` atoms per side.
+    """
+    w = mu.weights[0]
+    if mu.n_atoms == nu.n_atoms and np.all(mu.weights == w) and np.all(nu.weights == w):
+        r, c = linear_sum_assignment(cost)
+        return float(cost[r, c].sum() * w)
+    return _highs_lp(mu, nu, cost)
+
+
+def _highs_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: np.ndarray) -> float:
+    """The transportation problem as a HiGHS LP, for any weights."""
     m, n = mu.n_atoms, nu.n_atoms
     if m > LP_ATOM_CAP or n > LP_ATOM_CAP:
         raise ValueError(f"exact LP capped at {LP_ATOM_CAP} atoms per side")
@@ -165,7 +176,7 @@ def _transport_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: np.ndarray) ->
 
 def eps_relaxed_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float) -> float:
     """Exact transport cost for |x1 - y1| + |x2 - y2| / eps."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     dx = np.abs(mu.points[:, None, 0] - nu.points[None, :, 0])
     dy = np.abs(mu.points[:, None, 1] - nu.points[None, :, 1])
@@ -173,7 +184,7 @@ def eps_relaxed_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float) -
 
 
 def w1_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    """Unconstrained Wasserstein-1 with Euclidean cost (exact LP)."""
+    """Unconstrained Wasserstein-1 with Euclidean cost (exact, see ``_transport_lp``)."""
     d = mu.points[:, None, :] - nu.points[None, :, :]
     return _transport_lp(mu, nu, np.hypot(d[..., 0], d[..., 1]))
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slipdyn import transport
 from slipdyn.measures import DiscreteMeasure
 from slipdyn.transport import (dual_lower_bound, eps_relaxed_distance,
                                horizontal_marginal_w1, plane_w1, slip_distance,
@@ -78,21 +79,56 @@ def test_eps_relaxed_examples():
     a = DiscreteMeasure([[0.0, 0.0]], [1.0])
     b = DiscreteMeasure([[1.0, 1.0]], [1.0])
     assert math.isclose(eps_relaxed_distance(a, b, 0.5), 3.0, rel_tol=1e-9)
-    with pytest.raises(ValueError):
-        eps_relaxed_distance(a, b, 0.0)
+    for eps in (0.0, math.nan):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            eps_relaxed_distance(a, b, eps)
 
 
 def test_eps_relaxed_vs_permutation_bruteforce():
-    rng = np.random.default_rng(2)
-    A = rng.uniform(0, 1, (3, 2))
-    B = rng.uniform(0, 1, (3, 2))
-    ma, mb = DiscreteMeasure.equal_weights(A), DiscreteMeasure.equal_weights(B)
     eps = 0.3
-    best = min(
-        sum(abs(A[i, 0] - B[p[i], 0]) + abs(A[i, 1] - B[p[i], 1]) / eps
-            for i in range(3)) / 3
-        for p in itertools.permutations(range(3)))
-    assert math.isclose(eps_relaxed_distance(ma, mb, eps), best, abs_tol=1e-9)
+    for n in range(1, 7):
+        rng = np.random.default_rng(2)
+        A = rng.uniform(0, 1, (n, 2))
+        B = rng.uniform(0, 1, (n, 2))
+        ma, mb = DiscreteMeasure.equal_weights(A), DiscreteMeasure.equal_weights(B)
+        best = min(
+            sum(abs(A[i, 0] - B[p[i], 0]) + abs(A[i, 1] - B[p[i], 1]) / eps
+                for i in range(n)) / n
+            for p in itertools.permutations(range(n)))
+        assert math.isclose(eps_relaxed_distance(ma, mb, eps), best, abs_tol=1e-9)
+
+
+def _grid_measure(rng, n, ys):
+    """n distinct equal-weight atoms on the grid x in k/64, y in ys."""
+    cells = np.array([[k / 64, y] for y in ys for k in range(65)])
+    return DiscreteMeasure.equal_weights(cells[rng.choice(len(cells), n, replace=False)])
+
+
+def test_assignment_route_matches_highs(monkeypatch):
+    # equal-weight pairs take the assignment route; the HiGHS LP is the oracle.
+    # Grid coordinates make many costs tie, so optimal plans are not unique.
+    rng = np.random.default_rng(11)
+    grid_y = np.arange(9) / 8
+    cases = []
+    for k in range(200):
+        planes = rng.choice(grid_y, int(rng.integers(1, 5)), replace=False)
+        # every fourth pair puts each side on one extra plane of its own
+        extra = rng.choice(np.setdiff1d(grid_y, planes), 2, replace=False) if k % 4 == 0 else ()
+        n = int(np.exp(rng.uniform(0, np.log(65))))     # 1..64, log-uniform
+        mu = _grid_measure(rng, n, [*planes, *extra[:1]])
+        nu = _grid_measure(rng, n, [*planes, *extra[1:]])
+        cases.append((mu, nu))
+    assert {1, 64} <= {mu.n_atoms for mu, _ in cases}
+
+    def values():
+        return [[eps_relaxed_distance(mu, nu, eps) for eps in (1.0, 0.1, 0.01, 0.001)]
+                + [w1_distance(mu, nu)] for mu, nu in cases]
+
+    fast = values()
+    monkeypatch.setattr(transport, "_transport_lp", transport._highs_lp)
+    for got, want in zip(fast, values()):
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 1e-12 * abs(b) or (b == 0 and abs(a) <= 1e-12)
 
 
 def test_eps_ladder_and_domination():
@@ -162,11 +198,79 @@ def test_trajectory_dissipation():
 
 
 def test_atom_cap():
+    # unequal weights: the LP route, which carries the cap
     rng = np.random.default_rng(1)
     pts = np.stack([rng.uniform(0, 1, 70), np.zeros(70)], axis=1)
-    big = DiscreteMeasure.equal_weights(pts)
+    w = rng.uniform(0.5, 1.5, 70)
+    big = DiscreteMeasure(pts, w / w.sum())
     with pytest.raises(ValueError):
         eps_relaxed_distance(big, big, 0.1)
+
+
+def test_equal_weights_above_atom_cap():
+    rng = np.random.default_rng(5)
+    a = random_measure(rng, [0.0, 0.3, 0.55, 0.9], 64)
+    b = random_measure(rng, [0.0, 0.3, 0.55, 0.9], 64)
+    assert a.n_atoms == 256 > transport.LP_ATOM_CAP
+    d = slip_distance(a, b)
+    assert abs(eps_relaxed_distance(a, b, 1e-3) - d) <= 1e-6
+    assert horizontal_marginal_w1(a, b) <= w1_distance(a, b) <= d
+
+
+def _loop_pieces(xs, wx, ys, wy):
+    """The per-level loop plane_w1 and slip_plan ran before vectorization:
+    (total, [(sorted-order source index, target index, mass), ...])."""
+    ox = np.argsort(xs, kind="stable")
+    oy = np.argsort(ys, kind="stable")
+    xs, wx = np.asarray(xs, dtype=float)[ox], np.asarray(wx, dtype=float)[ox]
+    ys, wy = np.asarray(ys, dtype=float)[oy], np.asarray(wy, dtype=float)[oy]
+    cx = np.cumsum(wx)
+    cy = np.cumsum(wy)
+    total = 0.0
+    prev = 0.0
+    pieces = []
+    for lev in np.union1d(cx, cy):
+        dq = lev - prev
+        if dq <= 0:
+            continue
+        i = min(np.searchsorted(cx, prev + dq / 2), len(xs) - 1)
+        j = min(np.searchsorted(cy, prev + dq / 2), len(ys) - 1)
+        total += dq * abs(xs[i] - ys[j])
+        pieces.append((int(ox[i]), int(oy[j]), float(dq)))
+        prev = lev
+    return total, pieces
+
+
+def test_quantile_coupling_matches_loop():
+    # exact equality: the vectorized pieces and the running sum repeat the
+    # loop's arithmetic in the loop's order
+    rng = np.random.default_rng(4)
+    for k in range(1000):
+        planes = rng.choice(np.arange(5) / 4, int(rng.integers(1, 4)), replace=False)
+        sides = []
+        for _ in range(2):
+            pts, w = [], []
+            for y in planes:
+                xs = rng.choice(9, int(rng.integers(1, 10)), replace=False) / 8
+                # tied weights on even k, unequal ones on odd k
+                wy = rng.integers(1, 4, len(xs)) if k % 2 else np.ones(len(xs))
+                pts += [[x, y] for x in xs]
+                w += list(wy / wy.sum() / len(planes))
+            sides.append(DiscreteMeasure(pts, w))
+        mu, nu = sides
+        total = 0.0
+        entries = []
+        for (_, ia), (_, ib) in zip(mu.planes(), nu.planes()):
+            t, pieces = _loop_pieces(mu.points[ia, 0], mu.weights[ia],
+                                     nu.points[ib, 0], nu.weights[ib])
+            assert plane_w1(mu.points[ia, 0], mu.weights[ia],
+                            nu.points[ib, 0], nu.weights[ib]) == t
+            total += t
+            entries += [(int(ia[i]), int(ib[j]), m) for i, j, m in pieces]
+        assert slip_distance(mu, nu) == total
+        assert slip_plan(mu, nu).entries == tuple(entries)
+        t, _ = _loop_pieces(mu.points[:, 0], mu.weights, nu.points[:, 0], nu.weights)
+        assert horizontal_marginal_w1(mu, nu) == t
 
 
 def test_plan_invariants_checked():
