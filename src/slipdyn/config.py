@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +43,14 @@ def _take(section: dict, name: str, allowed: dict):
 
 
 _REQUIRED = object()
+
+
+def _build(cls, section: dict, name: str):
+    """A dataclass from a section keyed by its fields, each value cast to the
+    type of the field's default."""
+    keys = fields(cls)
+    values = _take(section, name, {f.name: f.default for f in keys})
+    return cls(**{f.name: type(f.default)(values[f.name]) for f in keys})
 
 
 def _sigma_callable(spec: dict):
@@ -114,32 +122,10 @@ def load_config(path) -> ExperimentConfig:
                         r_box=Rect(*map(float, g["box"])),
                         ball=Disk(*map(float, g["ball"])))
 
-    s = _take(top["schedule"], "schedule", {
-        "eps_coef": 1.0, "eps_exp": 6.0, "r_coef": 1.0, "r_exp": 1.5})
-    schedule = ScalingSchedule(**{k: float(v) for k, v in s.items()})
-
-    qd = _take(top["quadrature"], "quadrature", {
-        "base_cells": 24, "singular_refine_depth": 7, "tol": 1e-6,
-        "cell_gauss": 3, "boundary_points": 128, "cheb_degree": 96,
-        "density_gauss": 4})
-    quadrature = QuadratureConfig(
-        base_cells=int(qd["base_cells"]),
-        singular_refine_depth=int(qd["singular_refine_depth"]),
-        tol=float(qd["tol"]), cell_gauss=int(qd["cell_gauss"]),
-        boundary_points=int(qd["boundary_points"]),
-        cheb_degree=int(qd["cheb_degree"]),
-        density_gauss=int(qd["density_gauss"]))
-
-    b = _take(top["basis"], "basis", {"degree": 8})
-    basis = RitzBasis(degree=int(b["degree"]))
-
-    sv = _take(top["solver"], "solver", {
-        "sweep_tol": 1e-9, "max_sweeps": 80, "restarts": 0,
-        "line_grid": 48, "mode": "freespace"})
-    solver = SolverConfig(sweep_tol=float(sv["sweep_tol"]),
-                          max_sweeps=int(sv["max_sweeps"]),
-                          restarts=int(sv["restarts"]),
-                          line_grid=int(sv["line_grid"]), mode=sv["mode"])
+    schedule = _build(ScalingSchedule, top["schedule"], "schedule")
+    quadrature = _build(QuadratureConfig, top["quadrature"], "quadrature")
+    basis = _build(RitzBasis, top["basis"], "basis")
+    solver = _build(SolverConfig, top["solver"], "solver")
 
     loading = None
     if top["loading"] is not None:

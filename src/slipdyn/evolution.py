@@ -18,8 +18,9 @@ import numpy as np
 
 from .corrector import RitzBasis, get_solver
 from .geometry import Geometry
-from .interaction import (QuadratureConfig, interaction_cross_matrix,
-                          interaction_of_points)
+# interaction_cross_matrix stays bound here: perfbench/tracing.py patches it
+from .interaction import (QuadratureConfig, interaction_cross_matrix,  # noqa: F401
+                          interaction_dy1_matrix, interaction_of_points)
 from .kernels import Material
 from .measures import DiscreteMeasure, DislocationConfig
 from .transport import slip_distance
@@ -58,13 +59,13 @@ class LoadingProgram:
     kind: str
     time_horizon: float
     sigma: object = None          # t -> scalar           (uniform_shear)
-    sigma_dot: object = None      # t -> scalar, optional
+    sigma_dot: object = None      # t -> scalar           (uniform_shear)
     f: object = None              # (t, pts) -> (N,)      (custom)
     f_dot: object = None
     f_x1: object = None
 
     @classmethod
-    def uniform_shear(cls, sigma, time_horizon, sigma_dot=None):
+    def uniform_shear(cls, sigma, time_horizon, sigma_dot):
         return cls(kind="uniform_shear", time_horizon=time_horizon,
                    sigma=sigma, sigma_dot=sigma_dot)
 
@@ -80,14 +81,7 @@ class LoadingProgram:
 
     def potential_dot(self, t: float, pts: np.ndarray) -> np.ndarray:
         if self.kind == "uniform_shear":
-            if self.sigma_dot is not None:
-                rate = self.sigma_dot(t)
-            else:
-                h = 1e-6 * max(1.0, self.time_horizon)
-                rate = (self.sigma(min(t + h, self.time_horizon))
-                        - self.sigma(max(t - h, 0.0))) / (
-                            min(t + h, self.time_horizon) - max(t - h, 0.0))
-            return rate * pts[:, 0]
+            return self.sigma_dot(t) * pts[:, 0]
         return np.asarray(self.f_dot(t, pts), dtype=float)
 
     def horizontal_gradient(self, t: float, pts: np.ndarray) -> np.ndarray:
@@ -149,20 +143,9 @@ class EnergyContext:
     def interaction_forces(self, pts: np.ndarray) -> np.ndarray:
         """-n d/dz_i of the interaction energy, horizontal components."""
         if self.mode == "bounded":
-            return np.array([self.interaction_force_single(pts, i)
-                             for i in range(len(pts))])
+            rows = interaction_dy1_matrix(pts, pts, self.geom, self.mat, self.quad)
+            return -rows.sum(axis=1) / len(pts)
         return _log_forces(pts, pts, self.mat.log_coef)
-
-    def _row_sum(self, pts: np.ndarray, i: int, delta: float) -> float:
-        """Sum over j != i of the boundary part of V(z_i + delta e1, z_j)."""
-        y = pts[i].copy()
-        y[0] += delta
-        others = np.delete(pts, i, axis=0)
-        row = interaction_cross_matrix(y[None, :], others, self.geom, self.mat,
-                                       self.quad)[0]
-        d2 = np.sum((y - others) ** 2, axis=-1)
-        log_part = -self.mat.log_coef * 0.5 * np.log(d2)
-        return float(row.sum() - log_part.sum())
 
     def _corrector_rows(self, pts: np.ndarray, rows) -> np.ndarray:
         solver = get_solver(self.geom, self.mat, self.basis, self.quad)
@@ -182,15 +165,11 @@ class EnergyContext:
         return self._corrector_rows(pts, range(len(pts)))
 
     def interaction_force_single(self, pts: np.ndarray, i: int) -> float:
-        n = len(pts)
-        if n == 1:
-            return 0.0
-        f = float(_log_forces(pts[i:i + 1], pts, self.mat.log_coef)[0])
+        """Row i of ``interaction_forces``, bit for bit."""
         if self.mode == "bounded":
-            delta = 1e-6 * self.geom.r_box.diam
-            f += -(self._row_sum(pts, i, delta)
-                   - self._row_sum(pts, i, -delta)) / (2 * delta) / n
-        return f
+            row = interaction_dy1_matrix(pts[i], pts, self.geom, self.mat, self.quad)[0]
+            return float(-row.sum() / len(pts))
+        return float(_log_forces(pts[i:i + 1], pts, self.mat.log_coef)[0])
 
 
 @dataclass(frozen=True)

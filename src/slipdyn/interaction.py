@@ -13,8 +13,8 @@ Two evaluation routes are implemented:
 * a boundary reduction (divergence theorem against a cut displacement branch)
   that turns V into 1-D integrals over the domain boundary plus a closed-form
   cut contribution.  ``interaction_cross_matrix`` evaluates whole pair
-  matrices at once and is the route every energy and force uses;
-  ``v_pair_boundary`` is its single-pair view.
+  matrices at once and is the route every energy uses; ``v_pair_boundary``
+  is its single-pair view and ``interaction_dy1_matrix`` (every force) dV/dy_1.
 
 ``v_pair`` shares no code with the boundary reduction and is kept as the
 independent oracle; agreement of the two routes is enforced in the tests.
@@ -36,7 +36,7 @@ from .measures import CellMeasure, DislocationConfig, min_distance
 
 __all__ = [
     "QuadratureConfig", "v_pair", "v_pair_boundary",
-    "interaction_cross_matrix", "interaction_of_points",
+    "interaction_cross_matrix", "interaction_dy1_matrix", "interaction_of_points",
     "interaction_sum", "continuum_interaction", "continuum_interaction_freespace",
 ]
 
@@ -403,6 +403,37 @@ def interaction_cross_matrix(ys, zs, geom: Geometry, mat: Material,
         M[i] += _cheb.chebval(t_edge, coeffs[e, :, i].T, tensor=False) + p_start[e, i]
         M[i] += coef * np.log((sep + t_exit) / sep)
         M[i, coincident] = 0.0
+    return M
+
+
+def interaction_dy1_matrix(ys, zs, geom: Geometry, mat: Material,
+                           q: QuadratureConfig) -> np.ndarray:
+    """Matrix of dV(y_i, z_j)/dy_1 over two point families (coincident pairs get 0).
+
+    Moving y moves only the singularity of K_y = K(.; y), so (Eshelby's force)
+
+        dV/dy_1 = c D_1 (D_2^2 - D_1^2) / |D|^4 - int_dOmega (C K_y : K_z) nu_1
+                  + int_dOmega (C K_y nu) . K_z e1,    D = y - z, c = mat.log_coef,
+
+    on the route's Gauss grid.  Rows are computed one at a time, so a row does
+    not depend on which other rows are asked for.
+    """
+    ys = np.asarray(ys, dtype=float).reshape(-1, 2)
+    zs = np.asarray(zs, dtype=float).reshape(-1, 2)
+    grid = _boundary_grid(geom.omega, q.boundary_points, q.cheb_degree)
+    xg, nu = grid["gauss_pts"], grid["gauss_nu"]
+    Kz = np.stack([K_many(xg, zj, mat) for zj in zs]).reshape(len(zs), -1)
+    d = ys[:, None, :] - zs[None, :, :]
+    r2 = d[..., 0] ** 2 + d[..., 1] ** 2
+    coincident = r2 < MIN_SEPARATION ** 2
+    M = np.divide(mat.log_coef * d[..., 0] * (d[..., 1] ** 2 - d[..., 0] ** 2), r2 * r2,
+                  out=np.zeros_like(r2), where=~coincident)
+    for i, yi in enumerate(ys):
+        cky = apply_C(K_many(xg, yi, mat), mat) * grid["gauss_w"][:, None, None]
+        g = -cky * nu[:, :1, None]
+        g[:, :, 0] += np.einsum("qij,qj->qi", cky, nu)
+        M[i] += Kz @ g.ravel()
+    M[coincident] = 0.0
     return M
 
 

@@ -168,7 +168,10 @@ def _highs_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: np.ndarray) -> flo
     rows = np.concatenate([k // n, m + k % n])
     A = coo_matrix((np.ones(2 * m * n), (rows, np.tile(k, 2))), shape=(m + n, m * n))
     rhs = np.concatenate([mu.weights, nu.weights])
-    res = linprog(cost.ravel(), A_eq=A, b_eq=rhs, bounds=(0, None), method="highs")
+    # at the default 1e-7 tolerances HiGHS can stop at a vertex 1e-8 above the optimum
+    tols = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(cost.ravel(), A_eq=A, b_eq=rhs, bounds=(0, None), method="highs",
+                  options=tols)
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
     return float(res.fun)

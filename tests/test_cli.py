@@ -30,6 +30,30 @@ def test_unknown_keys_rejected(tmp_path):
         load_config(p2)
 
 
+def test_dataclass_sections_defaults_and_casts(tmp_path):
+    from slipdyn.corrector import RitzBasis
+    from slipdyn.evolution import SolverConfig
+    from slipdyn.interaction import QuadratureConfig
+    from slipdyn.measures import ScalingSchedule
+    cfg = load_config(write_config(tmp_path, {"experiment": "kernel_check",
+                                              "kernel_check": {}}))
+    assert (cfg.schedule, cfg.quadrature, cfg.basis, cfg.solver) == (
+        ScalingSchedule(), QuadratureConfig(), RitzBasis(), SolverConfig())
+    cfg = load_config(write_config(tmp_path, {
+        "experiment": "kernel_check", "kernel_check": {},
+        "schedule": {"r_coef": 2}, "quadrature": {"boundary_points": 64.0, "tol": 1},
+        "basis": {"degree": 6.0}, "solver": {"max_sweeps": 10.0, "sweep_tol": 1}}))
+    assert type(cfg.schedule.r_coef) is float and cfg.schedule.r_coef == 2.0
+    assert type(cfg.quadrature.boundary_points) is int and cfg.quadrature.boundary_points == 64
+    assert type(cfg.quadrature.tol) is float
+    assert type(cfg.basis.degree) is int and cfg.basis.degree == 6
+    assert type(cfg.solver.max_sweeps) is int and type(cfg.solver.sweep_tol) is float
+    for section in ("schedule", "quadrature", "basis", "solver"):
+        with pytest.raises(ConfigError, match=f"unknown keys in section '{section}'"):
+            load_config(write_config(tmp_path, {"experiment": "kernel_check",
+                                                "kernel_check": {}, section: {"x": 1}}))
+
+
 def test_missing_section_rejected(tmp_path):
     p = write_config(tmp_path, {"experiment": "simulate"})
     with pytest.raises(ConfigError):

@@ -41,15 +41,17 @@ def test_pair_force_magnitude(fctx, geom, small_schedule, mat):
     assert f.values == pytest.approx([-expected, expected], rel=1e-12)
 
 
-def test_single_force_equals_all_rows(fctx):
+def test_single_force_equals_all_rows(fctx, geom, mat, quad, basis):
     # the sweep decides moves with single forces and checks stability with all
     # rows; the two must agree bit for bit
     rng = np.random.default_rng(16)
     pts = np.column_stack([rng.uniform(0.3, 0.7, 16),
                            np.repeat([0.3, 0.45, 0.6, 0.75], 4)])
-    forces = fctx.interaction_forces(pts)
-    for i in range(16):
-        assert fctx.interaction_force_single(pts, i) == forces[i]
+    bctx = EnergyContext(mode="bounded", mat=mat, geom=geom, quad=quad, basis=basis)
+    for ctx in (fctx, bctx):
+        forces = ctx.interaction_forces(pts)
+        for i in range(16):
+            assert ctx.interaction_force_single(pts, i) == forces[i]
 
 
 def test_force_matches_energy_gradient(fctx, geom, small_schedule, mat):
@@ -141,7 +143,8 @@ def test_landing_passes_its_own_threshold(fctx, geom):
         rng = np.random.default_rng(seed)
         pts = np.column_stack([np.sort(rng.uniform(0.35, 0.65, 2)), [0.5, 0.5]])
         sigma = float(rng.uniform(-1.5, 1.5))
-        load = LoadingProgram.uniform_shear(lambda t, s=sigma: s, 1.0)
+        load = LoadingProgram.uniform_shear(lambda t, s=sigma: s, 1.0,
+                                            sigma_dot=lambda t: 0.0)
         for i in range(2):
             f = _force_single(pts, i, 0.0, load, fctx)
             if abs(f) <= 1.0 + 1e-12:
@@ -305,7 +308,4 @@ def test_loading_program_custom():
     pts = np.array([[0.5, 0.5], [0.2, 0.1]])
     assert load.potential(2.0, pts) == pytest.approx([0.5, 0.08])
     assert load.horizontal_gradient(1.0, pts) == pytest.approx([1.0, 0.4])
-    # finite-difference fallback for the shear rate
-    shear = LoadingProgram.uniform_shear(lambda t: t * t, 1.0)
-    got = shear.potential_dot(0.5, np.array([[1.0, 0.0]]))
-    assert got == pytest.approx([1.0], rel=1e-5)
+    assert load.potential_dot(2.0, pts) == pytest.approx([0.25, 0.04])

@@ -5,8 +5,9 @@ import pytest
 
 from slipdyn.interaction import (QuadratureConfig, continuum_interaction,
                                  continuum_interaction_freespace,
-                                 interaction_cross_matrix, interaction_of_points,
-                                 interaction_sum, v_pair, v_pair_boundary)
+                                 interaction_cross_matrix, interaction_dy1_matrix,
+                                 interaction_of_points, interaction_sum, v_pair,
+                                 v_pair_boundary)
 from slipdyn.measures import CellMeasure, DislocationConfig
 
 #: fixed instance Omega = (0,1)^2, y = (0.4, 0.5), z = (0.6, 0.5), lam = mu = 1,
@@ -351,3 +352,42 @@ def test_cross_matrix_pinned(domain, family, geom, mat, quad):
         zs[:, 0] *= 2
     M = interaction_cross_matrix(ys, zs, geom, mat, quad)
     assert np.max(np.abs(M - np.array(PINNED_CROSS[domain, family]))) <= 1e-14
+
+
+def _spread_points(rng, n, lo, hi, sep):
+    """n points uniform in the rectangle [lo, hi], pairwise at least sep apart."""
+    pts = []
+    while len(pts) < n:
+        p = rng.uniform(lo, hi)
+        if all(np.hypot(*(p - q)) >= sep for q in pts):
+            pts.append(p)
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("domain", ["square", "wide"])
+@pytest.mark.parametrize("family", ["1x1", "3x5", "16x16"])
+def test_dy1_matrix_matches_central_differences(domain, family, geom, mat, quad):
+    # oracle: central differences of the boundary route in y_1; the 16x16
+    # family is one point set against itself, so its diagonal pairs coincide
+    from slipdyn.geometry import Disk, Geometry, Rect
+    from slipdyn.kernels import Material
+    if family == "16x16":
+        ys = zs = _spread_points(np.random.default_rng(29), 16, (0.2, 0.2),
+                                 (0.8, 0.8), 0.05)
+    else:
+        ys, zs = (np.array(p) for p in CROSS_FAMILIES[family])
+    if domain == "wide":    # the 2:1 domain of test_cross_matrix_pinned
+        geom = Geometry(omega=Rect(0.0, 0.0, 2.0, 1.0),
+                        r_box=Rect(0.3, 0.25, 1.7, 0.75),
+                        ball=Disk(0.08, 0.5, 0.04))
+        mat = Material(0.7, 1.3)
+        ys, zs = ys * [2, 1], zs * [2, 1]
+    h = 1e-6 * geom.r_box.diam
+    fd = (interaction_cross_matrix(ys + [h, 0], zs, geom, mat, quad)
+          - interaction_cross_matrix(ys - [h, 0], zs, geom, mat, quad)) / (2 * h)
+    M = interaction_dy1_matrix(ys, zs, geom, mat, quad)
+    coincident = np.linalg.norm(ys[:, None] - zs[None], axis=-1) < 1e-12
+    assert np.all(M[coincident] == 0.0)
+    assert coincident.sum() == (16 if family == "16x16" else 0)
+    err = np.abs(M - fd)[~coincident]
+    assert err.max() <= 1e-8 * np.abs(fd[~coincident]).max()

@@ -131,6 +131,21 @@ def test_assignment_route_matches_highs(monkeypatch):
             assert abs(a - b) <= 1e-12 * abs(b) or (b == 0 and abs(a) <= 1e-12)
 
 
+def test_highs_reaches_the_assignment_optimum():
+    # at HiGHS's default 1e-7 tolerances the LP stopped 6.5e-9 (relative) above
+    # the optimum on this 26-atom pair
+    rng = np.random.default_rng(151)
+    n = int(rng.integers(8, 33))
+    ys = np.repeat(rng.choice(np.arange(1, 20), 3, replace=False) * 0.05, -(-n // 3))[:n]
+    mu = DiscreteMeasure.equal_weights(np.column_stack([rng.uniform(0, 1, n), ys]))
+    nu = DiscreteMeasure.equal_weights(np.column_stack([rng.uniform(0, 1, n),
+                                                        rng.permutation(ys)]))
+    d = mu.points[:, None, :] - nu.points[None, :, :]
+    cost = np.hypot(d[..., 0], d[..., 1])
+    exact = w1_distance(mu, nu)
+    assert abs(transport._highs_lp(mu, nu, cost) - exact) <= 1e-12 * exact
+
+
 def test_eps_ladder_and_domination():
     rng = np.random.default_rng(0)
     planes = [0.0, 0.37, 0.81]
