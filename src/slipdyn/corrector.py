@@ -105,7 +105,7 @@ class CorrectorSolver:
         kkt[:self.n_dof, self.n_dof:] = self.C.T
         kkt[self.n_dof:, :self.n_dof] = self.C
         self._lu = lu_factor(kkt)
-        self._grid = _boundary_grid(geom.omega, q.boundary_points, q.cheb_degree)
+        self._grid = _boundary_grid(geom.omega, q.boundary_points)
         self._vals, _, _ = self._scalar_basis(self._grid["gauss_pts"], want_grad=False)
         self._check_resolution()
 

@@ -10,11 +10,12 @@ Two evaluation routes are implemented:
 * ``v_pair`` -- adaptive 2-D cell quadrature of the defining integral, with
   dyadic refinement around the two sources and an odd-symmetry subtraction on
   the cells containing them;
-* a boundary reduction (divergence theorem against a cut displacement branch)
-  that turns V into 1-D integrals over the domain boundary plus a closed-form
-  cut contribution.  ``interaction_cross_matrix`` evaluates whole pair
-  matrices at once and is the route every energy uses; ``v_pair_boundary``
-  is its single-pair view and ``interaction_dy1_matrix`` (every force) dV/dy_1.
+* a boundary reduction: the first row of the stress C K(.; y) is the rotated
+  gradient of a single-valued stress potential psi_y, and Green's identity
+  turns V into -psi_y(z) plus Gauss sums over the domain boundary, with no
+  branch cut.  ``interaction_cross_matrix`` evaluates whole pair matrices at
+  once and is the route every energy uses; ``interaction_dy1_matrix`` gives
+  dV/dy_1 (every force) on the same boundary grid.
 
 ``v_pair`` shares no code with the boundary reduction and is kept as the
 independent oracle; agreement of the two routes is enforced in the tests.
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial.legendre import leggauss
 
 from .geometry import Geometry, Rect
@@ -35,7 +35,7 @@ from .kernels import (MIN_SEPARATION, Material, K_many, apply_C, displacement_v,
 from .measures import CellMeasure, DislocationConfig, min_distance
 
 __all__ = [
-    "QuadratureConfig", "v_pair", "v_pair_boundary",
+    "QuadratureConfig", "v_pair",
     "interaction_cross_matrix", "interaction_dy1_matrix", "interaction_of_points",
     "interaction_sum", "continuum_interaction", "continuum_interaction_freespace",
 ]
@@ -50,22 +50,28 @@ class QuadratureConfig:
     tol: float = 1e-6              # corrector's boundary-grid resolution check
     cell_gauss: int = 3            # per-axis points on regular cells
     boundary_points: int = 128     # Gauss points per domain edge (route and corrector)
-    cheb_degree: int = 96          # boundary antiderivative degree per edge
     density_gauss: int = 4         # per-axis points per cell in continuum energies
 
     def __post_init__(self):
         if self.base_cells < 4 or self.singular_refine_depth < 0 or self.tol <= 0:
             raise ValueError("invalid quadrature configuration")
+        for name in ("cell_gauss", "boundary_points", "density_gauss"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"quadrature {name} must be a positive integer")
 
 
 # ---------------------------------------------------------------------------
 # direct 2-D quadrature route
 # ---------------------------------------------------------------------------
 
+#: Gauss-Legendre rules by order, shared by every cell of ``v_pair``
+_leggauss = lru_cache(maxsize=None)(leggauss)
+
+
 def _gauss_rect(rect, order):
     """Tensor Gauss nodes/weights on a rectangle given as (x0, y0, x1, y1)."""
     x0, y0, x1, y1 = rect
-    gx, gw = leggauss(order)
+    gx, gw = _leggauss(order)
     xs = 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * gx
     ys = 0.5 * (y0 + y1) + 0.5 * (y1 - y0) * gx
     wx = 0.5 * (x1 - x0) * gw
@@ -254,154 +260,77 @@ _NORMALS = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
 
 
 @lru_cache(maxsize=16)
-def _boundary_grid(rect: Rect, n_per_edge, cheb_degree):
-    """Cached boundary sampling layouts and per-edge Chebyshev operators.
+def _boundary_grid(rect: Rect, n_per_edge):
+    """Cached Gauss points, weights and outward normals on the domain boundary.
 
-    Edges run counterclockwise from the lower-left corner, each with t in
-    [-1, 1] from its start to its end.  ``cheb_int`` maps samples at an edge's
-    Chebyshev points to the Chebyshev coefficients (in t) of the antiderivative
-    that is 0 at the edge start; ``gauss_vander`` evaluates such coefficients
-    at the edge's Gauss nodes.
+    Edges run counterclockwise from the lower-left corner, ``n_per_edge``
+    Gauss-Legendre points each.
     """
     gx, gw = leggauss(n_per_edge)
-    deg = cheb_degree
-    tcheb = np.cos(math.pi * (2 * np.arange(deg + 1) + 1) / (2 * (deg + 1)))  # first kind
-    # interpolation matrix: values at tcheb -> chebyshev coefficients
-    jj = np.arange(deg + 1)
-    F = np.cos(np.outer(jj, np.arccos(tcheb))) * (2.0 / (deg + 1))
-    F[0] *= 0.5
-
-    g_pts, g_w, g_nu, g_tau, c_pts, c_len = [], [], [], [], [], []
+    g_pts, g_w = [], []
     corners = rect.corners()
-    for k, nu in enumerate(_NORMALS):
+    for k in range(4):
         a, b = corners[k], corners[(k + 1) % 4]
         length = float(np.hypot(*(b - a)))
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
         g_pts.append(mid[None, :] + gx[:, None] * half[None, :])
         g_w.append(gw * length / 2)
-        g_nu.append(np.tile(nu, (n_per_edge, 1)))
-        g_tau.append(np.tile((b - a) / length, (n_per_edge, 1)))
-        c_pts.append(mid[None, :] + tcheb[:, None] * half[None, :])
-        c_len.append(length)
     return {
         "gauss_pts": np.concatenate(g_pts),
         "gauss_w": np.concatenate(g_w),
-        "gauss_nu": np.concatenate(g_nu),
-        "gauss_tau": np.concatenate(g_tau),
-        "cheb_pts": np.concatenate(c_pts),                 # (4 (deg+1), 2)
-        "cheb_nu": np.repeat(_NORMALS, deg + 1, axis=0),
-        "cheb_int": _cheb.chebint(F, lbnd=-1, axis=0),     # (deg+2, deg+1)
-        "gauss_vander": _cheb.chebvander(gx, deg + 1),     # (n_per_edge, deg+2)
-        "edge_len": np.array(c_len),
+        "gauss_nu": np.repeat(_NORMALS, n_per_edge, axis=0),
     }
 
 
-def _ray_exit_lengths(starts, dirs, rect: Rect):
-    """Exit parameter of rays from interior points, plus where they exit.
+def _stress_potential(u, mat: Material) -> np.ndarray:
+    """psi = c (log|u| + u_2^2 / |u|^2) at offsets u = x - y, c = ``mat.log_coef``.
 
-    Returns (t_exit, t_edge, edge_index) for each ray; ``t_edge`` is the exit
-    point's Chebyshev variable in [-1, 1] on edge ``edge_index`` (edges as in
-    ``_boundary_grid``).
+    The first row of the dislocation stress C K is the rotated gradient of
+    psi: d_1 psi = (C K)_12 and d_2 psi = -(C K)_11.  psi is single-valued and
+    even in u; it is -d_2 of the Airy stress function -c u_2 log|u|.
     """
-    px, py = starts[..., 0], starts[..., 1]
-    dx, dy = dirs[..., 0], dirs[..., 1]
-    with np.errstate(divide="ignore"):
-        tx = np.where(dx > 0, (rect.x1 - px) / dx,
-                      np.where(dx < 0, (rect.x0 - px) / dx, np.inf))
-        ty = np.where(dy > 0, (rect.y1 - py) / dy,
-                      np.where(dy < 0, (rect.y0 - py) / dy, np.inf))
-    t = np.minimum(tx, ty)
-    ex = px + t * dx
-    ey = py + t * dy
-    on_x = tx <= ty
-    edge = np.where(on_x, np.where(dx > 0, 1, 3), np.where(dy > 0, 2, 0))
-    along = np.choose(edge, [(ex - rect.x0) / rect.width, (ey - rect.y0) / rect.height,
-                             (rect.x1 - ex) / rect.width, (rect.y1 - ey) / rect.height])
-    return t, 2 * along - 1, edge
-
-
-def _tractions_and_potentials(points, geom, mat, q):
-    """Boundary tractions of every source and the potential of their horizontal part.
-
-    For sources z_i this returns the boundary grid and, on it:
-      Tv[i, q, c]     traction vector C K(x_q; z_i) nu at the Gauss points,
-      P[i, q]         P_i(x_q), the integral of the horizontal traction along
-                      the boundary from the lower-left corner,
-      coeffs[e, :, i] Chebyshev coefficients in t of P_i - p_start[e, i] on
-                      edge e, where p_start[e, i] is P_i at the edge start.
-    The horizontal traction is sampled at the Chebyshev points; the cached
-    ``cheb_int`` and ``gauss_vander`` operators of the grid turn the samples
-    into coefficients and the coefficients into P at the Gauss points.
-    """
-    grid = _boundary_grid(geom.omega, q.boundary_points, q.cheb_degree)
-    pts_g, nu_g = grid["gauss_pts"], grid["gauss_nu"]
-    pts_c, nu_c = grid["cheb_pts"], grid["cheb_nu"]
-    n = len(points)
-    ng = len(pts_g)
-    Tv = np.empty((n, ng, 2))
-    T1 = np.empty((n, len(pts_c)))
-    for i, zi in enumerate(points):
-        Tv[i] = np.einsum("qij,qj->qi", apply_C(K_many(pts_g, zi, mat), mat), nu_g)
-        T1[i] = np.einsum("qj,qj->q", apply_C(K_many(pts_c, zi, mat), mat)[:, 0], nu_c)
-
-    half = grid["edge_len"][:, None, None] / 2
-    coeffs = np.einsum("kp,iep->eki", grid["cheb_int"], T1.reshape(n, 4, -1)) * half
-    # T_k(1) = 1: the change of P_i over edge e is the sum of its coefficients
-    p_start = np.zeros((4, n))
-    np.cumsum(coeffs[:3].sum(axis=1), axis=0, out=p_start[1:])
-    P = np.empty((n, ng))
-    npe = q.boundary_points
-    for e in range(4):
-        P[:, e * npe:(e + 1) * npe] = (grid["gauss_vander"] @ coeffs[e] + p_start[e]).T
-    return grid, Tv, P, coeffs, p_start
+    r2 = u[..., 0] ** 2 + u[..., 1] ** 2
+    return mat.log_coef * (0.5 * np.log(r2) + u[..., 1] ** 2 / r2)
 
 
 def interaction_cross_matrix(ys, zs, geom: Geometry, mat: Material,
                              q: QuadratureConfig) -> np.ndarray:
     """Matrix of V(y_i, z_j) over two point families (coincident pairs get 0).
 
-    Boundary-reduction route: for each pair, V splits into a closed-form cut
-    contribution along the ray leaving the domain plus boundary integrals of
-    smooth fields, assembled here as dense matrix products.
+    With K_z = grad v_z + e1 (x) grad(theta_z) / 2 pi and the first row of
+    C K_y equal to the rotated gradient of psi_y (``_stress_potential``),
+    Green's identity gives
+
+        V(y, z) = -psi_y(z) + int_dOmega (C K_y nu) . v_z
+                              + psi_y d_nu log|x - z| / 2 pi,
+
+    assembled as boundary rows of the y_i times boundary columns of the z_j
+    on the Gauss grid, minus the closed-form singular term row by row.
     """
     ys = np.asarray(ys, dtype=float).reshape(-1, 2)
     zs = np.asarray(zs, dtype=float).reshape(-1, 2)
-    n, m = len(ys), len(zs)
-    omega = geom.omega
-    coef = mat.log_coef
-
-    grid, Tv, P, coeffs, p_start = _tractions_and_potentials(ys, geom, mat, q)
-    xg = grid["gauss_pts"]
-    wg = grid["gauss_w"]
+    grid = _boundary_grid(geom.omega, q.boundary_points)
+    xg, wg, nu = grid["gauss_pts"], grid["gauss_w"], grid["gauss_nu"]
     ng = len(xg)
 
-    # smooth boundary terms
-    vvals = np.empty((ng, 2, m))
-    theta_p = np.empty((ng, m))
-    tau = grid["gauss_tau"]
+    A = np.empty((len(ys), ng, 3))
+    for i, yi in enumerate(ys):
+        A[i, :, :2] = np.einsum("qij,qj->qi", apply_C(K_many(xg, yi, mat), mat), nu)
+        A[i, :, 2] = _stress_potential(xg - yi, mat) / (2 * math.pi)
+    A *= wg[None, :, None]
+    B = np.empty((len(zs), ng, 3))
     for j, zj in enumerate(zs):
         u = xg - zj
-        vvals[:, :, j] = displacement_v(u, mat)
-        r2 = u[:, 0] ** 2 + u[:, 1] ** 2
-        theta_p[:, j] = (u[:, 0] * tau[:, 1] - u[:, 1] * tau[:, 0]) / r2
+        B[j, :, :2] = displacement_v(u, mat)
+        B[j, :, 2] = np.einsum("qj,qj->q", u, nu) / np.einsum("qj,qj->q", u, u)
+    M = A.reshape(len(ys), 3 * ng) @ B.reshape(len(zs), 3 * ng).T
 
-    A = Tv * wg[None, :, None]                        # (n, ng, 2)
-    M = A.reshape(n, 2 * ng) @ vvals.reshape(ng * 2, m)
-    M += -(1.0 / (2 * math.pi)) * (P * wg[None, :]) @ theta_p
-
-    # cut geometry, per row: for V(y_i, z_j) the cut leaves z_j along z_j - y_i;
-    # add its closed-form contribution and the branch correction P_i at its exit
-    for i in range(n):
-        diff = zs - ys[i]
-        sep = np.hypot(diff[:, 0], diff[:, 1])
-        coincident = sep < MIN_SEPARATION
-        sep[coincident] = 1.0
-        dirs = diff / sep[:, None]
-        dirs[coincident] = (1.0, 0.0)                 # dummy rays for coincident pairs
-        t_exit, t_edge, e = _ray_exit_lengths(zs, dirs, omega)
-        M[i] += _cheb.chebval(t_edge, coeffs[e, :, i].T, tensor=False) + p_start[e, i]
-        M[i] += coef * np.log((sep + t_exit) / sep)
+    for i, yi in enumerate(ys):
+        u = zs - yi
+        coincident = np.hypot(u[:, 0], u[:, 1]) < MIN_SEPARATION
+        u[coincident] = (1.0, 0.0)               # dummy offsets, zeroed below
+        M[i] -= _stress_potential(u, mat)
         M[i, coincident] = 0.0
     return M
 
@@ -420,7 +349,7 @@ def interaction_dy1_matrix(ys, zs, geom: Geometry, mat: Material,
     """
     ys = np.asarray(ys, dtype=float).reshape(-1, 2)
     zs = np.asarray(zs, dtype=float).reshape(-1, 2)
-    grid = _boundary_grid(geom.omega, q.boundary_points, q.cheb_degree)
+    grid = _boundary_grid(geom.omega, q.boundary_points)
     xg, nu = grid["gauss_pts"], grid["gauss_nu"]
     Kz = np.stack([K_many(xg, zj, mat) for zj in zs]).reshape(len(zs), -1)
     d = ys[:, None, :] - zs[None, :, :]
@@ -435,19 +364,6 @@ def interaction_dy1_matrix(ys, zs, geom: Geometry, mat: Material,
         M[i] += Kz @ g.ravel()
     M[coincident] = 0.0
     return M
-
-
-def v_pair_boundary(y, z, geom: Geometry, mat: Material,
-                    q: QuadratureConfig) -> float:
-    """Single-pair V(y, z) by the boundary reduction; +inf on the diagonal.
-
-    This is the (0, 0) entry of ``interaction_cross_matrix``.
-    """
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if float(np.hypot(*(y - z))) < MIN_SEPARATION:
-        return math.inf
-    return float(interaction_cross_matrix(y, z, geom, mat, q)[0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -105,8 +105,7 @@ def test_total_energy_modes(geom, mat, quad, basis, small_schedule):
 
 def test_solver_shares_the_interaction_grid(geom, mat, quad, basis):
     solver = get_solver(geom, mat, basis, quad)
-    assert solver._grid is _boundary_grid(geom.omega, quad.boundary_points,
-                                          quad.cheb_degree)
+    assert solver._grid is _boundary_grid(geom.omega, quad.boundary_points)
     assert get_solver(geom, mat, basis, quad) is solver
 
 

@@ -3,16 +3,25 @@ import math
 import numpy as np
 import pytest
 
+from slipdyn.geometry import Disk, Geometry, Rect
 from slipdyn.interaction import (QuadratureConfig, continuum_interaction,
                                  continuum_interaction_freespace,
                                  interaction_cross_matrix, interaction_dy1_matrix,
-                                 interaction_of_points, interaction_sum, v_pair,
-                                 v_pair_boundary)
+                                 interaction_of_points, interaction_sum, v_pair)
+from slipdyn.kernels import Material
 from slipdyn.measures import CellMeasure, DislocationConfig
 
 #: fixed instance Omega = (0,1)^2, y = (0.4, 0.5), z = (0.6, 0.5), lam = mu = 1,
 #: pinned by a uniform 4000^2 midpoint quadrature with Richardson extrapolation
 FIXED_INSTANCE_ORACLE = 0.2601344
+
+
+def _two_to_one():
+    """Geometry and material of the route checks off the unit square: a 2:1
+    rectangle with asymmetric Lame constants."""
+    return (Geometry(omega=Rect(0.0, 0.0, 2.0, 1.0), r_box=Rect(0.3, 0.25, 1.7, 0.75),
+                     ball=Disk(0.08, 0.5, 0.04)),
+            Material(0.7, 1.3))
 
 
 def test_freespace_leading(mat, quad):
@@ -61,10 +70,7 @@ def test_boundary_route_matches_quadrature(geom, mat, quad):
             continue
         done += 1
         vd = v_pair(y, z, geom, mat, quad)
-        vb = v_pair_boundary(y, z, geom, mat, quad)
-        assert abs(vd - vb) <= 2e-5
-        M = interaction_cross_matrix(y[None, :], z[None, :], geom, mat, quad)
-        assert abs(M[0, 0] - vb) < 1e-12
+        assert abs(vd - interaction_cross_matrix(y, z, geom, mat, quad)[0, 0]) <= 2e-5
 
 
 def test_log_asymptotics_structure(geom, mat, quad):
@@ -138,7 +144,7 @@ def test_upper_envelope_invariant(geom, mat, quad):
         r = np.hypot(*(y - z))
         if r < 1e-4:
             continue
-        vals.append(v_pair_boundary(y, z, geom, mat, quad))
+        vals.append(interaction_cross_matrix(y, z, geom, mat, quad)[0, 0])
         pts.append(-math.log(r))
     A = np.stack([np.ones(len(vals)), np.array(pts)], axis=1)
     coefs, *_ = np.linalg.lstsq(A, np.abs(vals), rcond=None)
@@ -156,7 +162,7 @@ def test_lower_bound_inner_domain(geom, mat, quad):
         r = rng.uniform(1e-3, 0.05)
         th = rng.uniform(0, 2 * math.pi)
         z = y + r * np.array([math.cos(th), math.sin(th)])
-        assert v_pair_boundary(y, z, geom, mat, quad) >= 0.0
+        assert interaction_cross_matrix(y, z, geom, mat, quad)[0, 0] >= 0.0
 
 
 def test_uniform_lower_bound_on_box(geom, mat, quad):
@@ -167,7 +173,7 @@ def test_uniform_lower_bound_on_box(geom, mat, quad):
         z = rng.uniform(0.2, 0.8, 2)
         if np.hypot(*(y - z)) < 1e-3:
             continue
-        worst = min(worst, v_pair_boundary(y, z, geom, mat, quad))
+        worst = min(worst, interaction_cross_matrix(y, z, geom, mat, quad)[0, 0])
     # empirical uniform lower bound on the confinement box (recorded constant)
     print(f"empirical min V over box sample: {worst:.6f}")
     assert worst >= -1.0
@@ -251,12 +257,7 @@ def test_continuum_freespace_pinned(mat, quad, spacing, indices, expected):
 
 def test_routes_agree_on_nonsquare_domain():
     # regression: rectangle with aspect 2:1 and asymmetric Lame constants
-    from slipdyn.geometry import Disk, Geometry, Rect
-    from slipdyn.kernels import Material
-    geom = Geometry(omega=Rect(0.0, 0.0, 2.0, 1.0),
-                    r_box=Rect(0.3, 0.25, 1.7, 0.75),
-                    ball=Disk(0.08, 0.5, 0.04))
-    mat = Material(0.7, 1.3)
+    geom, mat = _two_to_one()
     q = QuadratureConfig()
     rng = np.random.default_rng(3)
     done = 0
@@ -267,11 +268,11 @@ def test_routes_agree_on_nonsquare_domain():
             continue
         done += 1
         assert abs(v_pair(y, z, geom, mat, q)
-                   - v_pair_boundary(y, z, geom, mat, q)) <= 2e-5
+                   - interaction_cross_matrix(y, z, geom, mat, q)[0, 0]) <= 2e-5
     # short-range coefficient for the asymmetric material
     c = np.array([1.0, 0.5])
     s = 1e-4
-    v = v_pair_boundary(c - [s / 2, 0], c + [s / 2, 0], geom, mat, q)
+    v = interaction_cross_matrix(c - [s / 2, 0], c + [s / 2, 0], geom, mat, q)[0, 0]
     assert abs(v / (-math.log(s)) - mat.log_coef) / mat.log_coef < 0.01
 
 
@@ -280,11 +281,15 @@ def test_quadrature_config_validation():
         QuadratureConfig(base_cells=2)
     with pytest.raises(ValueError):
         QuadratureConfig(tol=-1.0)
+    for name in ("boundary_points", "cell_gauss", "density_gauss"):
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match=name):
+                QuadratureConfig(**{name: bad})
 
 # V(y_i, z_j) of interaction_cross_matrix on fixed families, pinned so that a
 # rewrite of the boundary route must reproduce it to rounding (1e-14), far
-# tighter than the 2e-5 v_pair oracle.  The 3x5 and 4x4 rays leave through all
-# four edges, some along the axes; the 4x4 diagonal pairs coincide.
+# tighter than the 2e-5 v_pair oracle.  The 3x5 and 4x4 families mix near,
+# far and axis-aligned pairs; the 4x4 diagonal pairs coincide.
 CROSS_FAMILIES = {
     "1x1": ([(0.4, 0.5)], [(0.6, 0.5)]),
     "3x5": ([(0.5, 0.5), (0.35, 0.62), (0.66, 0.31)],
@@ -340,14 +345,9 @@ PINNED_CROSS = {
 
 @pytest.mark.parametrize("domain, family", sorted(PINNED_CROSS))
 def test_cross_matrix_pinned(domain, family, geom, mat, quad):
-    from slipdyn.geometry import Disk, Geometry, Rect
-    from slipdyn.kernels import Material
     ys, zs = (np.array(p) for p in CROSS_FAMILIES[family])
-    if domain == "wide":    # the 2:1 domain of test_routes_agree_on_nonsquare_domain
-        geom = Geometry(omega=Rect(0.0, 0.0, 2.0, 1.0),
-                        r_box=Rect(0.3, 0.25, 1.7, 0.75),
-                        ball=Disk(0.08, 0.5, 0.04))
-        mat = Material(0.7, 1.3)
+    if domain == "wide":
+        geom, mat = _two_to_one()
         ys[:, 0] *= 2
         zs[:, 0] *= 2
     M = interaction_cross_matrix(ys, zs, geom, mat, quad)
@@ -369,18 +369,13 @@ def _spread_points(rng, n, lo, hi, sep):
 def test_dy1_matrix_matches_central_differences(domain, family, geom, mat, quad):
     # oracle: central differences of the boundary route in y_1; the 16x16
     # family is one point set against itself, so its diagonal pairs coincide
-    from slipdyn.geometry import Disk, Geometry, Rect
-    from slipdyn.kernels import Material
     if family == "16x16":
         ys = zs = _spread_points(np.random.default_rng(29), 16, (0.2, 0.2),
                                  (0.8, 0.8), 0.05)
     else:
         ys, zs = (np.array(p) for p in CROSS_FAMILIES[family])
-    if domain == "wide":    # the 2:1 domain of test_cross_matrix_pinned
-        geom = Geometry(omega=Rect(0.0, 0.0, 2.0, 1.0),
-                        r_box=Rect(0.3, 0.25, 1.7, 0.75),
-                        ball=Disk(0.08, 0.5, 0.04))
-        mat = Material(0.7, 1.3)
+    if domain == "wide":
+        geom, mat = _two_to_one()
         ys, zs = ys * [2, 1], zs * [2, 1]
     h = 1e-6 * geom.r_box.diam
     fd = (interaction_cross_matrix(ys + [h, 0], zs, geom, mat, quad)
@@ -391,3 +386,33 @@ def test_dy1_matrix_matches_central_differences(domain, family, geom, mat, quad)
     assert coincident.sum() == (16 if family == "16x16" else 0)
     err = np.abs(M - fd)[~coincident]
     assert err.max() <= 1e-8 * np.abs(fd[~coincident]).max()
+
+
+@pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (0.7, 1.3)])
+def test_stress_potential_gradient_is_the_stress_row(lam, mu):
+    # oracle: central differences of psi against the closed-form stress C K
+    from slipdyn.interaction import _stress_potential
+    from slipdyn.kernels import K_offsets, apply_C
+    mat = Material(lam, mu)
+    rng = np.random.default_rng(11)
+    u = rng.uniform(-0.8, 0.8, (40, 2))
+    u = u[np.hypot(u[:, 0], u[:, 1]) > 0.05]
+    h = 1e-6
+    d1 = (_stress_potential(u + [h, 0], mat) - _stress_potential(u - [h, 0], mat)) / (2 * h)
+    d2 = (_stress_potential(u + [0, h], mat) - _stress_potential(u - [0, h], mat)) / (2 * h)
+    ck = apply_C(K_offsets(u, mat), mat)
+    assert np.max(np.abs(d1 - ck[:, 0, 1])) <= 1e-8
+    assert np.max(np.abs(d2 + ck[:, 0, 0])) <= 1e-8
+
+
+@pytest.mark.parametrize("domain", ["square", "wide"])
+def test_cross_matrix_symmetric(domain, geom, mat, quad):
+    # V(y, z) = V(z, y); the route builds rows and columns from different
+    # fields, so its symmetry is a check of the reduction
+    pts = _spread_points(np.random.default_rng(29), 16, (0.2, 0.2), (0.8, 0.8), 0.05)
+    if domain == "wide":
+        geom, mat = _two_to_one()
+        pts = pts * [2, 1]
+    M = interaction_cross_matrix(pts, pts, geom, mat, quad)
+    assert np.all(np.diag(M) == 0.0)
+    assert np.max(np.abs(M - M.T)) <= 1e-14 * np.max(np.abs(M))
