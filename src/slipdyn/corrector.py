@@ -13,9 +13,11 @@ linear form, which the solver returns as the corrector energy (always <= 0).
 
 The boundary integral runs on the Gauss grid of the interaction route
 (``interaction._boundary_grid`` at ``quadrature.boundary_points`` per edge),
-fixed when the solver is built, so no solve depends on an earlier one.  At
-construction the grid must resolve the tractions of the admitted sources
-closest to the boundary to ``quadrature.tol``; otherwise it raises.
+fixed when the solver is built, so no solve depends on an earlier one.  Its
+weighted tractions, and their y_1-derivatives for the forces, are columns of
+the route's boundary rows (``interaction._boundary_row``).  At construction
+the grid must resolve the tractions of the admitted sources closest to the
+boundary to ``quadrature.tol``; otherwise it raises.
 """
 from __future__ import annotations
 
@@ -29,8 +31,9 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import lu_factor, lu_solve
 
 from .geometry import Geometry, Rect
-from .interaction import QuadratureConfig, _boundary_grid
-from .kernels import Material, K_many, apply_C, dK1_offsets
+from .interaction import (QuadratureConfig, _boundary_grid, _boundary_row,
+                          _source_fields_dy1)
+from .kernels import Material, K_many  # noqa: F401  (perfbench/tracing.py patches K_many here)
 from .measures import CellMeasure, DiscreteMeasure, DislocationConfig
 
 __all__ = ["RitzBasis", "CorrectorSolution", "CorrectorSolver",
@@ -52,7 +55,6 @@ class RitzBasis:
 class CorrectorSolution:
     coefficients: np.ndarray
     energy: float
-    boundary_term: float
     gauge_residual: float
 
 
@@ -188,16 +190,11 @@ class CorrectorSolver:
 
     # -- boundary linear form ---------------------------------------------
     def _traction_work(self, grid, vals, atoms, weights):
-        """Boundary work of the weighted atoms' tractions against the basis."""
-        pts, ws, nus = grid["gauss_pts"], grid["gauss_w"], grid["gauss_nu"]
-        T = np.zeros((len(pts), 2))
-        for zi, wi in zip(atoms, weights):
-            T += wi * np.einsum("qij,qj->qi", apply_C(K_many(pts, zi, self.mat), self.mat), nus)
-        N = self.n_scalar
-        b = np.empty(self.n_dof)
-        b[:N] = (T[:, 0] * ws) @ vals
-        b[N:] = (T[:, 1] * ws) @ vals
-        return b
+        """Boundary work of the weighted atoms' tractions (the first two
+        columns of their weighted boundary rows) against the basis."""
+        T = sum(wi * _boundary_row(grid, zi, self.mat)[:, :2]
+                for zi, wi in zip(atoms, weights))
+        return (vals.T @ T).T.ravel()
 
     def _linear_form_at(self, atoms, weights):
         return self._traction_work(self._grid, self._vals, atoms, weights)
@@ -235,9 +232,9 @@ class CorrectorSolver:
         """
         atoms, weights = as_weighted_atoms(measure, self.q)
         o = self.geom.omega
-        for p in atoms:
-            if o.boundary_distance(p) < self.geom.ell - 1e-9:
-                raise ValueError("measure support violates the boundary margin")
+        margin = np.minimum(atoms - (o.x0, o.y0), (o.x1, o.y1) - atoms)
+        if not np.all(margin >= self.geom.ell - 1e-9):   # NaN fails too
+            raise ValueError("measure support violates the boundary margin")
         return self._linear_form_at(atoms, weights)
 
     def solve(self, measure) -> CorrectorSolution:
@@ -250,24 +247,21 @@ class CorrectorSolver:
         gauge = float(np.max(np.abs(self.C @ u)))
         if energy > 1e-12:
             raise RuntimeError(f"corrector energy {energy} positive; zero field is admissible")
-        return CorrectorSolution(coefficients=u, energy=energy,
-                                 boundary_term=float(b @ u), gauge_residual=gauge)
+        return CorrectorSolution(coefficients=u, energy=energy, gauge_residual=gauge)
 
     def horizontal_forces(self, measure, rows) -> np.ndarray:
         """Horizontal forces -(1/w_i) dE/dz_i1 on the atoms ``rows``, from one solve.
 
-        Envelope theorem: dE/dz = (db/dz) . u at the minimizer u, and
-        dK(x; z)/dz_1 = -dK1(x - z), so each force is the boundary work of the
-        traction C dK1(x - z_i) nu against the corrector displacement.
+        Envelope theorem: dE/dz = (db/dz) . u at the minimizer u, and b is
+        linear in the atoms' boundary rows, so each force is minus the traction
+        of the y_1-derivative row against the corrector displacement.
         """
         u = self.solve(measure).coefficients
         atoms, _ = as_weighted_atoms(measure, self.q)
-        grid, mat = self._grid, self.mat
-        pts = grid["gauss_pts"]
-        wv = grid["gauss_w"][:, None] * (self._vals @ u.reshape(2, -1).T)
-        return np.array([np.einsum("qij,qj,qi->",
-                                   apply_C(dK1_offsets(pts - atoms[i], mat), mat),
-                                   grid["gauss_nu"], wv) for i in rows])
+        disp = self._vals @ u.reshape(2, -1).T
+        return np.array([-np.vdot(_boundary_row(self._grid, atoms[i], self.mat,
+                                                _source_fields_dy1)[:, :2], disp)
+                         for i in rows])
 
 
 @lru_cache(maxsize=None)

@@ -12,10 +12,11 @@ Two evaluation routes are implemented:
   the cells containing them;
 * a boundary reduction: the first row of the stress C K(.; y) is the rotated
   gradient of a single-valued stress potential psi_y, and Green's identity
-  turns V into -psi_y(z) plus Gauss sums over the domain boundary, with no
-  branch cut.  ``interaction_cross_matrix`` evaluates whole pair matrices at
-  once and is the route every energy uses; ``interaction_dy1_matrix`` gives
-  dV/dy_1 (every force) on the same boundary grid.
+  turns V into -psi_y(z) plus the boundary row of y (``_boundary_row``) dotted
+  with the boundary column of z (``_boundary_column``), with no branch cut.
+  Pair matrices (``interaction_cross_matrix``), energies (rows summed first),
+  dV/dy_1 (the row of the field's y_1-derivative) and the corrector all read
+  these rows and columns, the only evaluation of a source's boundary data.
 
 ``v_pair`` shares no code with the boundary reduction and is kept as the
 independent oracle; agreement of the two routes is enforced in the tests.
@@ -30,8 +31,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .geometry import Geometry, Rect
-from .kernels import (MIN_SEPARATION, Material, K_many, apply_C, displacement_v,
-                      eval_K)
+from .kernels import (MIN_SEPARATION, Material, K_many, apply_C, dK1_offsets,
+                      displacement_v, eval_K)
 from .measures import CellMeasure, DislocationConfig, min_distance
 
 __all__ = [
@@ -294,6 +295,43 @@ def _stress_potential(u, mat: Material) -> np.ndarray:
     return mat.log_coef * (0.5 * np.log(r2) + u[..., 1] ** 2 / r2)
 
 
+def _stress_potential_dy1(u, mat: Material) -> np.ndarray:
+    """-d_1 psi(u) = c u_1 (u_2^2 - u_1^2) / |u|^4, the y_1-derivative of psi(x - y)."""
+    r2 = u[..., 0] ** 2 + u[..., 1] ** 2
+    return mat.log_coef * u[..., 0] * (u[..., 1] ** 2 - u[..., 0] ** 2) / (r2 * r2)
+
+
+def _source_fields(xs, y, mat: Material):
+    """Strain K(x; y) and stress potential psi(x - y) of a source y at points xs."""
+    return K_many(xs, y, mat), _stress_potential(xs - y, mat)
+
+
+def _source_fields_dy1(xs, y, mat: Material):
+    """The y_1-derivatives of ``_source_fields``."""
+    return -dK1_offsets(xs - y, mat), _stress_potential_dy1(xs - y, mat)
+
+
+def _boundary_row(grid, y, mat: Material, fields=_source_fields) -> np.ndarray:
+    """Weighted boundary row w [C k nu, p / 2 pi], shape (ng, 3), of a source y
+    with (k, p) = ``fields(x, y, mat)`` on the grid; the row is linear in
+    (k, p), so ``_source_fields_dy1`` gives its y_1-derivative."""
+    k, p = fields(grid["gauss_pts"], y, mat)
+    row = np.empty((len(p), 3))
+    np.einsum("qij,qj->qi", apply_C(k, mat), grid["gauss_nu"], out=row[:, :2])
+    np.divide(p, 2 * math.pi, out=row[:, 2])
+    row *= grid["gauss_w"][:, None]
+    return row
+
+
+def _boundary_column(grid, z, mat: Material) -> np.ndarray:
+    """Boundary column [v_z, d_nu log|x - z|], shape (ng, 3), of a source z."""
+    u = grid["gauss_pts"] - z
+    col = np.empty((len(u), 3))
+    col[:, :2] = displacement_v(u, mat)
+    col[:, 2] = np.einsum("qj,qj->q", u, grid["gauss_nu"]) / np.einsum("qj,qj->q", u, u)
+    return col
+
+
 def interaction_cross_matrix(ys, zs, geom: Geometry, mat: Material,
                              q: QuadratureConfig) -> np.ndarray:
     """Matrix of V(y_i, z_j) over two point families (coincident pairs get 0).
@@ -311,21 +349,14 @@ def interaction_cross_matrix(ys, zs, geom: Geometry, mat: Material,
     ys = np.asarray(ys, dtype=float).reshape(-1, 2)
     zs = np.asarray(zs, dtype=float).reshape(-1, 2)
     grid = _boundary_grid(geom.omega, q.boundary_points)
-    xg, wg, nu = grid["gauss_pts"], grid["gauss_w"], grid["gauss_nu"]
-    ng = len(xg)
-
+    ng = len(grid["gauss_w"])
     A = np.empty((len(ys), ng, 3))
     for i, yi in enumerate(ys):
-        A[i, :, :2] = np.einsum("qij,qj->qi", apply_C(K_many(xg, yi, mat), mat), nu)
-        A[i, :, 2] = _stress_potential(xg - yi, mat) / (2 * math.pi)
-    A *= wg[None, :, None]
+        A[i] = _boundary_row(grid, yi, mat)
     B = np.empty((len(zs), ng, 3))
     for j, zj in enumerate(zs):
-        u = xg - zj
-        B[j, :, :2] = displacement_v(u, mat)
-        B[j, :, 2] = np.einsum("qj,qj->q", u, nu) / np.einsum("qj,qj->q", u, u)
+        B[j] = _boundary_column(grid, zj, mat)
     M = A.reshape(len(ys), 3 * ng) @ B.reshape(len(zs), 3 * ng).T
-
     for i, yi in enumerate(ys):
         u = zs - yi
         coincident = np.hypot(u[:, 0], u[:, 1]) < MIN_SEPARATION
@@ -339,29 +370,21 @@ def interaction_dy1_matrix(ys, zs, geom: Geometry, mat: Material,
                            q: QuadratureConfig) -> np.ndarray:
     """Matrix of dV(y_i, z_j)/dy_1 over two point families (coincident pairs get 0).
 
-    Moving y moves only the singularity of K_y = K(.; y), so (Eshelby's force)
-
-        dV/dy_1 = c D_1 (D_2^2 - D_1^2) / |D|^4 - int_dOmega (C K_y : K_z) nu_1
-                  + int_dOmega (C K_y nu) . K_z e1,    D = y - z, c = mat.log_coef,
-
-    on the route's Gauss grid.  Rows are computed one at a time, so a row does
-    not depend on which other rows are asked for.
+    The y_1-derivative of ``interaction_cross_matrix``: the boundary row of the
+    derivative fields (``_source_fields_dy1``) times the same columns, minus
+    d_1 psi(y - z).  Each row is one matrix-vector product, so a row does not
+    depend on which other rows are asked for.
     """
     ys = np.asarray(ys, dtype=float).reshape(-1, 2)
     zs = np.asarray(zs, dtype=float).reshape(-1, 2)
     grid = _boundary_grid(geom.omega, q.boundary_points)
-    xg, nu = grid["gauss_pts"], grid["gauss_nu"]
-    Kz = np.stack([K_many(xg, zj, mat) for zj in zs]).reshape(len(zs), -1)
+    B = np.stack([_boundary_column(grid, zj, mat) for zj in zs]).reshape(len(zs), -1)
     d = ys[:, None, :] - zs[None, :, :]
-    r2 = d[..., 0] ** 2 + d[..., 1] ** 2
-    coincident = r2 < MIN_SEPARATION ** 2
-    M = np.divide(mat.log_coef * d[..., 0] * (d[..., 1] ** 2 - d[..., 0] ** 2), r2 * r2,
-                  out=np.zeros_like(r2), where=~coincident)
+    coincident = np.hypot(d[..., 0], d[..., 1]) < MIN_SEPARATION
+    with np.errstate(divide="ignore", invalid="ignore"):
+        M = _stress_potential_dy1(d, mat)
     for i, yi in enumerate(ys):
-        cky = apply_C(K_many(xg, yi, mat), mat) * grid["gauss_w"][:, None, None]
-        g = -cky * nu[:, :1, None]
-        g[:, :, 0] += np.einsum("qij,qj->qi", cky, nu)
-        M[i] += Kz @ g.ravel()
+        M[i] += B @ _boundary_row(grid, yi, mat, _source_fields_dy1).ravel()
     M[coincident] = 0.0
     return M
 
@@ -393,8 +416,15 @@ def interaction_of_points(pts, mode: str, geom: Geometry | None, mat: Material,
         raise ValueError(f"unknown interaction mode {mode!r}")
     if geom is None:
         raise ValueError("bounded mode requires a geometry")
-    M = interaction_cross_matrix(pts, pts, geom, mat, q)
-    return float(M.sum()) / (2.0 * n * n)
+    # sum_{i != j} V(z_i, z_j) = (sum_i a_i) . (sum_j b_j) - sum_i (a_i . b_i + sum_{j != i}
+    # psi(z_j - z_i)); fsum adds the per-source terms without a running total's drift
+    grid = _boundary_grid(geom.omega, q.boundary_points)
+    sum_a, sum_b, terms = 0.0, 0.0, []
+    for i, zi in enumerate(pts):
+        a, b = _boundary_row(grid, zi, mat), _boundary_column(grid, zi, mat)
+        sum_a, sum_b = sum_a + a, sum_b + b
+        terms += [-np.vdot(a, b), -_stress_potential(np.delete(pts, i, 0) - zi, mat).sum()]
+    return math.fsum([np.vdot(sum_a, sum_b)] + terms) / (2.0 * n * n)
 
 
 def interaction_sum(cfg: DislocationConfig, mode: str, geom: Geometry | None,

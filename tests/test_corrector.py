@@ -39,10 +39,13 @@ def test_monotone_basis_enrichment(geom, mat, quad):
 
 
 def test_energy_identity(geom, mat, quad, basis):
+    # the returned energy is the functional I(u) = 1/2 u.A u + b.u at the
+    # returned minimizer, assembled here from the stiffness and linear form
     m = DiscreteMeasure.equal_weights([[0.35, 0.45], [0.61, 0.57]])
-    sol = solve_corrector(m, geom, mat, basis, quad)
-    # at the minimum the energy equals half of the boundary linear form
-    assert abs(sol.energy - 0.5 * sol.boundary_term) <= 1e-8
+    solver = get_solver(geom, mat, basis, quad)
+    sol = solver.solve(m)
+    u, b = sol.coefficients, solver.linear_form(m)
+    assert abs(sol.energy - (0.5 * u @ solver.A @ u + b @ u)) <= 1e-12
 
 
 def test_minimality_and_assembly_cross_check(geom, mat, quad):
@@ -83,6 +86,9 @@ def test_margin_violation_rejected(geom, mat, quad, basis):
     with pytest.raises(ValueError):
         solve_corrector(DiscreteMeasure([[0.05, 0.5]], [1.0]), geom, mat,
                         basis, quad)
+    with pytest.raises(ValueError, match="boundary margin"):
+        solve_corrector(DiscreteMeasure.equal_weights([[0.5, 0.5], [math.nan, 0.5]]),
+                        geom, mat, basis, quad)
 
 
 def test_cell_measure_corrector(geom, mat, quad, basis):

@@ -8,7 +8,7 @@ from slipdyn.interaction import (QuadratureConfig, continuum_interaction,
                                  continuum_interaction_freespace,
                                  interaction_cross_matrix, interaction_dy1_matrix,
                                  interaction_of_points, interaction_sum, v_pair)
-from slipdyn.kernels import Material
+from slipdyn.kernels import K_many, Material, apply_C
 from slipdyn.measures import CellMeasure, DislocationConfig
 
 #: fixed instance Omega = (0,1)^2, y = (0.4, 0.5), z = (0.6, 0.5), lam = mu = 1,
@@ -416,3 +416,60 @@ def test_cross_matrix_symmetric(domain, geom, mat, quad):
     M = interaction_cross_matrix(pts, pts, geom, mat, quad)
     assert np.all(np.diag(M) == 0.0)
     assert np.max(np.abs(M - M.T)) <= 1e-14 * np.max(np.abs(M))
+
+
+def _eshelby_dy1(ys, zs, geom, mat, quad):
+    """dV/dy_1 in Eshelby's form, assembled without the boundary rows as the
+    oracle of ``interaction_dy1_matrix``:
+
+        dV/dy_1 = c D_1 (D_2^2 - D_1^2) / |D|^4 - int_dOmega (C K_y : K_z) nu_1
+                  + int_dOmega (C K_y nu) . K_z e1,    D = y - z.
+    """
+    from slipdyn.interaction import _boundary_grid
+    grid = _boundary_grid(geom.omega, quad.boundary_points)
+    xg, nu = grid["gauss_pts"], grid["gauss_nu"]
+    Kz = np.stack([K_many(xg, zj, mat) for zj in zs]).reshape(len(zs), -1)
+    d = ys[:, None, :] - zs[None, :, :]
+    r2 = d[..., 0] ** 2 + d[..., 1] ** 2
+    coincident = r2 < 1e-24
+    M = np.divide(mat.log_coef * d[..., 0] * (d[..., 1] ** 2 - d[..., 0] ** 2), r2 * r2,
+                  out=np.zeros_like(r2), where=~coincident)
+    for i, yi in enumerate(ys):
+        cky = apply_C(K_many(xg, yi, mat), mat) * grid["gauss_w"][:, None, None]
+        g = -cky * nu[:, :1, None]
+        g[:, :, 0] += np.einsum("qij,qj->qi", cky, nu)
+        M[i] += Kz @ g.ravel()
+    M[coincident] = 0.0
+    return M
+
+
+@pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (0.7, 1.3)])
+@pytest.mark.parametrize("domain", ["square", "wide"])
+@pytest.mark.parametrize("family", ["1x1", "3x5", "4x4", "16x16"])
+def test_dy1_matrix_matches_eshelby_form(domain, family, lam, mu, geom, quad):
+    if family == "16x16":
+        ys = zs = _spread_points(np.random.default_rng(29), 16, (0.2, 0.2),
+                                 (0.8, 0.8), 0.05)
+    else:
+        ys, zs = (np.array(p) for p in CROSS_FAMILIES[family])
+    if domain == "wide":
+        geom = _two_to_one()[0]
+        ys, zs = ys * [2, 1], zs * [2, 1]
+    mat = Material(lam, mu)
+    ref = _eshelby_dy1(ys, zs, geom, mat, quad)
+    M = interaction_dy1_matrix(ys, zs, geom, mat, quad)
+    assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("domain", ["square", "wide"])
+@pytest.mark.parametrize("n", [2, 16, 256])
+def test_bounded_sum_matches_cross_matrix(domain, n, geom, mat, quad):
+    # oracle: the full pair matrix, summed; the energy sums rows and columns
+    # first and never builds it
+    pts = _spread_points(np.random.default_rng(n), n, (0.2, 0.2), (0.8, 0.8), 0.01)
+    if domain == "wide":
+        geom, mat = _two_to_one()
+        pts = pts * [2, 1]
+    ref = interaction_cross_matrix(pts, pts, geom, mat, quad).sum() / (2 * n * n)
+    e = interaction_of_points(pts, "bounded", geom, mat, quad)
+    assert abs(e - ref) <= 1e-13 * abs(ref)
