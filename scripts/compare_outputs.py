@@ -4,7 +4,8 @@
 Lists the byte-identical files.  For each CSV table that differs, prints every
 changed column with its largest absolute and relative deviation (``positions``
 cells are JSON arrays and compare element by element); other differing files
-are only named.
+are only named.  Exits 1 when any file differs or exists on one side only,
+0 when the trees are byte-identical.
 
 Usage: python scripts/compare_outputs.py REF NEW
 """
@@ -87,6 +88,7 @@ def main():
         print(f"differs: {rel}")
         for note in notes:
             print(f"  {note}")
+    sys.exit(1 if differing else 0)
 
 
 if __name__ == "__main__":

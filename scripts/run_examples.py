@@ -2,12 +2,16 @@
 """Run every shipped example config and summarize the outputs.
 
 Prints the sha256 of every output file, so golden hashes of the shipped
-configs can be recorded before a change and compared after it.
+configs can be recorded before a change and compared after it.  The CLI runs
+with one BLAS thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS set to 1): the last bits of the energies depend on the BLAS
+thread count, so the hashes are comparable only at a fixed count.
 
 Usage: python scripts/run_examples.py [OUTPUT_ROOT]
 """
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -25,14 +29,20 @@ COMMANDS = {
     "kernel_check.json": "kernel-check",
 }
 
+#: BLAS thread pinning for every CLI run; the goldens hold at this count
+BLAS_ENV = {name: "1" for name in
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
 
 def main():
     out_root = Path(sys.argv[1]) if len(sys.argv) > 1 else ROOT / "runs"
+    env = {**os.environ, **BLAS_ENV}
+    print("BLAS threads pinned to 1: " + ", ".join(f"{k}=1" for k in BLAS_ENV))
     for name, command in COMMANDS.items():
         out = out_root / Path(name).stem
         print(f"== {command} {name} -> {out}")
         subprocess.run([sys.executable, "-m", "slipdyn.cli", command,
-                        str(CONFIGS / name), "--out", str(out)], check=True)
+                        str(CONFIGS / name), "--out", str(out)], check=True, env=env)
         meta = json.loads((out / "metadata.json").read_text())
         print(f"   config {meta['config_sha256'][:12]}..., seed {meta['seed']}")
         for path in sorted(out.iterdir()):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -133,9 +134,11 @@ def load_config(path) -> ExperimentConfig:
             "kind": "uniform_shear", "sigma": _REQUIRED, "time_horizon": _REQUIRED})
         if ld["kind"] != "uniform_shear":
             raise ConfigError("config files support the uniform_shear loading kind")
+        horizon = float(ld["time_horizon"])
+        if not 0 < horizon < math.inf:         # NaN fails too
+            raise ConfigError(f"loading time_horizon must be finite and positive, got {horizon}")
         sigma, sigma_dot = _sigma_callable(ld["sigma"])
-        loading = LoadingProgram.uniform_shear(sigma, float(ld["time_horizon"]),
-                                               sigma_dot=sigma_dot)
+        loading = LoadingProgram.uniform_shear(sigma, horizon, sigma_dot=sigma_dot)
 
     sections = {
         "simulate": ("evolution", {

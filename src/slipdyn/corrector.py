@@ -11,6 +11,8 @@ the two gauge conditions (vector mean, scalar mean rotation) enter through
 Lagrange multipliers.  At the minimum I(v) = (1/2) b . v, with b the boundary
 linear form, which the solver returns as the corrector energy (always <= 0).
 
+The stiffness is assembled in closed form, as Kronecker products of the exact
+1-D Legendre mass and derivative matrices (Shen, SIAM J. Sci. Comput. 15, 1994).
 The boundary integral runs on the Gauss grid of the interaction route
 (``interaction._boundary_grid`` at ``quadrature.boundary_points`` per edge),
 fixed when the solver is built, so no solve depends on an earlier one.  Its
@@ -60,13 +62,8 @@ class CorrectorSolution:
 
 def _legendre_values(t: np.ndarray, deg: int):
     """Values and derivatives of L_0..L_deg at reference points t in [-1, 1]."""
-    V = _leg.legvander(t, deg)
-    D = np.zeros_like(V)
-    for k in range(1, deg + 1):
-        ck = np.zeros(k + 1)
-        ck[k] = 1.0
-        D[:, k] = _leg.legval(t, _leg.legder(ck))
-    return V, D
+    return (_leg.legvander(t, deg),
+            _leg.legvander(t, deg - 1) @ _leg.legder(np.eye(deg + 1)))
 
 
 def as_weighted_atoms(measure, q: QuadratureConfig):
@@ -96,17 +93,12 @@ class CorrectorSolver:
         self.mat = mat
         self.basis = basis
         self.q = q
-        deg = basis.degree
-        self.n_scalar = (deg + 1) ** 2
+        self.n_scalar = (basis.degree + 1) ** 2
         self.n_dof = 2 * self.n_scalar
         self._assemble_stiffness()
         self._assemble_constraints()
-        nc = 3
-        kkt = np.zeros((self.n_dof + nc, self.n_dof + nc))
-        kkt[:self.n_dof, :self.n_dof] = self.A
-        kkt[:self.n_dof, self.n_dof:] = self.C.T
-        kkt[self.n_dof:, :self.n_dof] = self.C
-        self._lu = lu_factor(kkt)
+        self._lu = lu_factor(np.block([[self.A, self.C.T],
+                                       [self.C, np.zeros((3, 3))]]))
         self._grid = _boundary_grid(geom.omega, q.boundary_points)
         self._vals, _, _ = self._scalar_basis(self._grid["gauss_pts"], want_grad=False)
         self._check_resolution()
@@ -133,32 +125,26 @@ class CorrectorSolver:
         return vals, gx, gy
 
     def _assemble_stiffness(self):
-        deg = self.basis.degree
+        """A = int C grad phi : grad phi in closed form, with no quadrature.
+
+        The exact 1-D Legendre matrices on [-1, 1] are M = int L_i L_j =
+        diag 2/(2i+1), S = int L_i' L_j' = m(m+1) (m = min(i, j), i+j even) and
+        P = int L_i' L_j = 2 (i > j, i-j odd).  With h_x, h_y the half-sides of
+        Omega the gradient blocks are the Kronecker products D_xx = S/h_x (x) M h_y,
+        D_yy = M h_x (x) S/h_y and D_xy = P (x) P^T; A is exactly symmetric.
+        """
         o = self.geom.omega
-        gq = deg + 2
-        gx, gw = leggauss(gq)
-        xs = o.x0 + (gx + 1) * o.width / 2
-        ys = o.y0 + (gx + 1) * o.height / 2
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        W = np.outer(gw * o.width / 2, gw * o.height / 2).ravel()
-        pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-        _, gxv, gyv = self._scalar_basis(pts)
-        D = np.empty((2, 2, self.n_scalar, self.n_scalar))
-        grads = (gxv, gyv)
-        for i in range(2):
-            for j in range(2):
-                D[i, j] = np.einsum("nk,nl,n->kl", grads[i], grads[j], W)
+        hx, hy = o.width / 2, o.height / 2
+        k = np.arange(self.basis.degree + 1)
+        i, j = k[:, None], k[None, :]
+        m = np.minimum(i, j)
+        M = np.diag(2.0 / (2 * k + 1))
+        S = np.where((i + j) % 2 == 0, m * (m + 1), 0.0)
+        P = np.where((i > j) & ((i - j) % 2 == 1), 2.0, 0.0)
+        Dxx, Dyy, Dxy = np.kron(S / hx, M * hy), np.kron(M * hx, S / hy), np.kron(P, P.T)
         lam, mu = self.mat.lam, self.mat.mu
-        A = np.zeros((self.n_dof, self.n_dof))
-        N = self.n_scalar
-        lap = D[0, 0] + D[1, 1]
-        for c in range(2):
-            for d in range(2):
-                blk = mu * D[d, c] + lam * D[c, d]
-                if c == d:
-                    blk = blk + mu * lap
-                A[c * N:(c + 1) * N, d * N:(d + 1) * N] = blk
-        self.A = 0.5 * (A + A.T)
+        self.A = np.block([[(lam + 2 * mu) * Dxx + mu * Dyy, lam * Dxy + mu * Dxy.T],
+                           [lam * Dxy.T + mu * Dxy, (lam + 2 * mu) * Dyy + mu * Dxx]])
 
     def _assemble_constraints(self):
         """Vector mean and mean rotation over the gauge ball."""
@@ -177,16 +163,9 @@ class CorrectorSolver:
         W = (np.outer(wr * rr, np.full(ntheta, wth))).ravel()
         pts = np.stack([X.ravel(), Y.ravel()], axis=1)
         vals, gxv, gyv = self._scalar_basis(pts)
-        ints = W @ vals
-        int_gx = W @ gxv
-        int_gy = W @ gyv
-        N = self.n_scalar
-        C = np.zeros((3, self.n_dof))
-        C[0, :N] = ints
-        C[1, N:] = ints
-        C[2, :N] = 0.5 * int_gy
-        C[2, N:] = -0.5 * int_gx
-        self.C = C
+        ints, int_gx, int_gy = W @ vals, W @ gxv, W @ gyv
+        zero = np.zeros(self.n_scalar)
+        self.C = np.block([[ints, zero], [zero, ints], [0.5 * int_gy, -0.5 * int_gx]])
 
     # -- boundary linear form ---------------------------------------------
     def _traction_work(self, grid, vals, atoms, weights):

@@ -99,7 +99,7 @@ class SolverConfig:
     mode: str = "freespace"
 
     def __post_init__(self):
-        if self.sweep_tol <= 0 or self.max_sweeps < 1 or self.line_grid < 4:
+        if not self.sweep_tol > 0 or self.max_sweeps < 1 or self.line_grid < 4:
             raise ValueError("invalid solver configuration")
         if self.mode not in ("freespace", "bounded"):
             raise ValueError(f"unknown mode {self.mode!r}")

@@ -54,7 +54,7 @@ class QuadratureConfig:
     density_gauss: int = 4         # per-axis points per cell in continuum energies
 
     def __post_init__(self):
-        if self.base_cells < 4 or self.singular_refine_depth < 0 or self.tol <= 0:
+        if self.base_cells < 4 or self.singular_refine_depth < 0 or not self.tol > 0:
             raise ValueError("invalid quadrature configuration")
         for name in ("cell_gauss", "boundary_points", "density_gauss"):
             if getattr(self, name) < 1:

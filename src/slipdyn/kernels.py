@@ -27,10 +27,10 @@ class Material:
     mu: float
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError("shear modulus mu must be positive")
-        if self.lam + self.mu < 0:
-            raise ValueError("lam + mu must be nonnegative")
+        if not 0 < self.mu < math.inf:
+            raise ValueError("shear modulus mu must be positive and finite")
+        if not 0 <= self.lam + self.mu < math.inf:
+            raise ValueError("lam + mu must be nonnegative and finite")
 
     @property
     def coef_a(self) -> float:

@@ -28,7 +28,7 @@ class ScalingSchedule:
     r_exp: float = 1.5
 
     def __post_init__(self):
-        if self.eps_coef <= 0 or self.r_coef <= 0:
+        if not (self.eps_coef > 0 and self.r_coef > 0):
             raise ValueError("schedule coefficients must be positive")
         if not self.eps_exp > 3.0 * self.r_exp:
             raise ValueError("need eps_n / r_n^3 -> 0, i.e. eps_exp > 3 r_exp")

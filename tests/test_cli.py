@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -187,7 +188,6 @@ def test_subcommand_kind_mismatch(tmp_path):
 
 
 def test_gamma_freespace_closed_form(tmp_path):
-    import math
     # n = 1 has an empty pair sum; n = 2 lands on two cell centers at distance
     # 0.2, so the table entry is the closed-form log pair sum
     payload = json.loads((CONFIG_DIR / "gamma_uniform.json").read_text())
@@ -224,6 +224,23 @@ def test_module_error_exits_nonzero(tmp_path):
     res = runner.invoke(main, ["simulate", str(p), "--out", str(tmp_path / "o")])
     assert res.exit_code == 1
     assert "unstable" in res.output
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("quadrature", "tol", math.nan), ("solver", "sweep_tol", math.nan),
+    ("material", "lam", math.nan), ("material", "lam", math.inf),
+    ("material", "mu", math.inf), ("schedule", "eps_coef", math.nan),
+    ("schedule", "r_coef", math.nan), ("loading", "time_horizon", math.nan),
+    ("loading", "time_horizon", math.inf), ("loading", "time_horizon", 0.0)])
+def test_nan_and_out_of_range_values_rejected(tmp_path, section, key, value):
+    # JSON NaN and Infinity parse, and NaN passes any check written as
+    # `x <= 0`; a NaN tolerance would switch off the check it sets, a NaN or
+    # infinite constant or horizon would write NaN tables
+    payload = json.loads((CONFIG_DIR / "zero_load.json").read_text())
+    payload.setdefault(section, {})[key] = value
+    res = CliRunner().invoke(main, ["simulate", str(write_config(tmp_path, payload)),
+                                    "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
 
 
 def test_metadata_carries_config_hash(tmp_path):

@@ -6,8 +6,9 @@ import pytest
 from slipdyn.corrector import (CorrectorSolver, RitzBasis, get_solver,
                                solve_corrector)
 from slipdyn.evolution import EnergyContext
+from slipdyn.geometry import Disk, Geometry, Rect, unit_geometry
 from slipdyn.interaction import QuadratureConfig, _boundary_grid
-from slipdyn.kernels import apply_C
+from slipdyn.kernels import Material, apply_C
 from slipdyn.measures import CellMeasure, DiscreteMeasure, DislocationConfig
 
 
@@ -80,6 +81,46 @@ def test_minimality_and_assembly_cross_check(geom, mat, quad):
     trial_energy = 0.5 * u @ solver.A @ u + b @ u
     sol = solve_corrector(m3, geom, mat, basis, quad)
     assert sol.energy <= trial_energy
+
+
+def _quadrature_stiffness(geom, mat, deg):
+    """Oracle for the stiffness: int C grad phi : grad phi by the exact
+    (deg + 2)^2 tensor Gauss rule on Omega, with the Legendre derivatives
+    taken one degree at a time by ``legval``."""
+    from numpy.polynomial import legendre as leg
+    o = geom.omega
+    t, w = leg.leggauss(deg + 2)
+    V = leg.legvander(t, deg)
+    dV = np.stack([leg.legval(t, leg.legder(np.eye(deg + 1)[k]))
+                   for k in range(deg + 1)], axis=1)
+    # gradients of phi_(a, b) = L_a(t_x) L_b(t_y) at the node (p, q)
+    gx = np.einsum("pa,qb->pqab", dV * (2 / o.width), V).reshape((deg + 2) ** 2, -1)
+    gy = np.einsum("pa,qb->pqab", V, dV * (2 / o.height)).reshape((deg + 2) ** 2, -1)
+    W = np.outer(w * o.width / 2, w * o.height / 2).ravel()
+    grads = (gx, gy)
+    D = [[np.einsum("nk,nl,n->kl", grads[i], grads[j], W) for j in range(2)]
+         for i in range(2)]
+    lap = D[0][0] + D[1][1]
+    return np.block([[mat.mu * D[d][c] + mat.lam * D[c][d] + (c == d) * mat.mu * lap
+                      for d in range(2)] for c in range(2)])
+
+
+@pytest.mark.parametrize("deg", [4, 8, 16])
+@pytest.mark.parametrize("domain", ["square", "two_to_one"])
+@pytest.mark.parametrize("lame", [(1.0, 1.0), (0.7, 1.3)], ids=["lam=mu", "lam<mu"])
+def test_stiffness_matches_quadrature(deg, domain, lame, quad):
+    # the closed-form Kronecker assembly against the 2-D quadrature it
+    # replaced; the 2:1 domain and lam != mu separate h_x from h_y and the
+    # off-diagonal gradient block from its transpose (the 2:1 domain is that
+    # of test_interaction._two_to_one)
+    geom = unit_geometry() if domain == "square" else Geometry(
+        omega=Rect(0.0, 0.0, 2.0, 1.0), r_box=Rect(0.3, 0.25, 1.7, 0.75),
+        ball=Disk(0.08, 0.5, 0.04))
+    mat = Material(*lame)
+    A = CorrectorSolver(geom, mat, RitzBasis(deg), quad).A
+    assert np.array_equal(A, A.T)
+    err = np.max(np.abs(A - _quadrature_stiffness(geom, mat, deg)))
+    assert err <= 1e-12 * np.max(np.abs(A))
 
 
 def test_margin_violation_rejected(geom, mat, quad, basis):
