@@ -5,7 +5,9 @@ Prints the sha256 of every output file, so golden hashes of the shipped
 configs can be recorded before a change and compared after it.  The CLI runs
 with one BLAS thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
 MKL_NUM_THREADS set to 1): the last bits of the energies depend on the BLAS
-thread count, so the hashes are comparable only at a fixed count.
+thread count, so the hashes are comparable only at a fixed count.  The CLI
+runs on this checkout's ``src`` (prepended to PYTHONPATH), never on an
+installed slipdyn.
 
 Usage: python scripts/run_examples.py [OUTPUT_ROOT]
 """
@@ -36,7 +38,10 @@ BLAS_ENV = {name: "1" for name in
 
 def main():
     out_root = Path(sys.argv[1]) if len(sys.argv) > 1 else ROOT / "runs"
-    env = {**os.environ, **BLAS_ENV}
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, **BLAS_ENV,
+           "PYTHONPATH": src + os.pathsep + path if path else src}
     print("BLAS threads pinned to 1: " + ", ".join(f"{k}=1" for k in BLAS_ENV))
     for name, command in COMMANDS.items():
         out = out_root / Path(name).stem

@@ -236,34 +236,59 @@ def stability_excess(cfg: DislocationConfig, record: ForceRecord) -> float:
 
 
 def _land_position(pts, i, direction, barrier, t, load, ctx, solver_cfg):
-    """March toward the barrier while the force magnitude exceeds 1; bisect the
-    landing and return its end below the threshold, so the landing passes it."""
+    """Where dislocation i, pushed toward ``barrier``, lands.
+
+    March over ``solver_cfg.line_grid`` points toward the barrier; if the
+    force along ``direction`` stays at or above 1 all the way, land on the
+    barrier.  Otherwise the first crossing is bracketed as f(lo) >= 1 > f(hi)
+    and narrowed to |hi - lo| < 1e-13 max(1, |hi|) by Illinois regula falsi
+    (Dowell & Jarratt, BIT 11, 1971): the secant point of g = f - 1 replaces
+    the end of its sign, and after two steps in a row on one side the stale
+    end's g is halved.  Safeguards: a secant point outside the bracket or NaN,
+    and every step after the 12th, is the midpoint; no probe comes closer than
+    half the tolerance to an end.  The end below the threshold, hi, is
+    returned, so the landing passes it.
+    """
     x0 = pts[i, 0]
     grid = np.linspace(x0, barrier, solver_cfg.line_grid + 1)[1:]
 
-    def f_at(x):
+    def g_at(x):
         trial = pts.copy()
         trial[i, 0] = x
-        return _force_single(trial, i, t, load, ctx) * direction
+        return _force_single(trial, i, t, load, ctx) * direction - 1.0
 
-    lo = x0
-    hi = None
-    for g in grid:
-        if f_at(g) >= 1.0:
-            lo = g
-        else:
-            hi = g
+    lo = hi = None
+    for x in grid:
+        g = g_at(x)
+        if not g >= 0.0:                            # NaN counts as below 1
+            hi, g_hi = x, g
             break
+        lo, g_lo = x, g
     if hi is None:
         return barrier
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if f_at(mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if abs(hi - lo) < 1e-13 * max(1.0, abs(hi)):
+    if lo is None:
+        lo, g_lo = x0, g_at(x0)
+    side = 0
+    for k in range(100):
+        tol = 1e-13 * max(1.0, abs(hi))
+        if abs(hi - lo) < tol:
             break
+        a, b = min(lo, hi), max(lo, hi)
+        x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        if k >= 12 or not a <= x <= b:
+            x = 0.5 * (a + b)
+        x = min(max(x, a + 0.5 * tol), b - 0.5 * tol)
+        g = g_at(x)
+        if g >= 0.0:
+            lo, g_lo = x, g
+            if side > 0:
+                g_hi *= 0.5
+            side = 1
+        else:
+            hi, g_hi = x, g
+            if side < 0:
+                g_lo *= 0.5
+            side = -1
     return hi
 
 

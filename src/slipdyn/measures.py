@@ -221,7 +221,9 @@ class DislocationConfig:
         return DislocationConfig(points, self.schedule, self.box, self.plane_tol)
 
     def canonical_order(self) -> "DislocationConfig":
-        """Points sorted by (plane, horizontal coordinate)."""
+        """Points sorted by (plane, horizontal coordinate); ``self`` if sorted."""
         pts = self.points
         order = np.lexsort((pts[:, 0], pts[:, 1]))
+        if np.array_equal(order, np.arange(len(pts))):
+            return self
         return self.with_points(pts[order])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import slipdyn.evolution as evolution
 from slipdyn.kernels import Material
 from slipdyn.measures import DislocationConfig, ScalingSchedule
 from slipdyn.evolution import (EnergyContext, LoadingProgram, SolverConfig,
@@ -164,6 +165,142 @@ def test_landing_passes_its_own_threshold(fctx, geom):
             landed += 1
             assert abs(_force_single(trial, i, 0.0, load, fctx)) <= 1.0 + 1e-12
     assert landed >= 100
+
+
+def _landing_cases(fctx, geom):
+    """The 2-atom landings of ``test_landing_passes_its_own_threshold``."""
+    box = geom.r_box
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        pts = np.column_stack([np.sort(rng.uniform(0.35, 0.65, 2)), [0.5, 0.5]])
+        sigma = float(rng.uniform(-1.5, 1.5))
+        load = LoadingProgram.uniform_shear(lambda t, s=sigma: s, 1.0,
+                                            sigma_dot=lambda t: 0.0)
+        for i in range(2):
+            f = _force_single(pts, i, 0.0, load, fctx)
+            if abs(f) <= 1.0 + 1e-12:
+                continue
+            d = 1.0 if f > 0 else -1.0
+            if (i == 1) == (d > 0):
+                barrier = box.x1 if d > 0 else box.x0
+            else:
+                barrier = pts[1 - i, 0] - d * 0.05
+            if (barrier - pts[i, 0]) * d > 0:
+                yield pts, i, d, barrier, load
+
+
+def _bisection_landing(pts, i, direction, barrier, t, load, ctx, solver_cfg):
+    """Oracle: the march-then-bisect landing that regula falsi replaced."""
+    x0 = pts[i, 0]
+    grid = np.linspace(x0, barrier, solver_cfg.line_grid + 1)[1:]
+
+    def f_at(x):
+        trial = pts.copy()
+        trial[i, 0] = x
+        return evolution._force_single(trial, i, t, load, ctx) * direction
+
+    lo = x0
+    hi = None
+    for g in grid:
+        if f_at(g) >= 1.0:
+            lo = g
+        else:
+            hi = g
+            break
+    if hi is None:
+        return barrier
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if f_at(mid) >= 1.0:
+            lo = mid
+        else:
+            hi = mid
+        if abs(hi - lo) < 1e-13 * max(1.0, abs(hi)):
+            break
+    return hi
+
+
+def _count_probes(monkeypatch):
+    """Route ``evolution._force_single`` through a counter; return the counter."""
+    probes = [0]
+    force = evolution._force_single
+
+    def counted(*args):
+        probes[0] += 1
+        return force(*args)
+
+    monkeypatch.setattr(evolution, "_force_single", counted)
+    return probes
+
+
+def test_landing_matches_bisection_oracle(fctx, geom, monkeypatch):
+    # same landing as the bisection to 1e-12, past the threshold and never
+    # more probes; over the landings short of the barrier (the others march
+    # all 48 points in both) at most half as many probes in total
+    probes = _count_probes(monkeypatch)
+    totals = np.zeros(2, dtype=int)
+    landed = 0
+    for pts, i, d, barrier, load in _landing_cases(fctx, geom):
+        x, n = [], []
+        for land in (_land_position, _bisection_landing):
+            probes[0] = 0
+            x.append(land(pts, i, d, barrier, 0.0, load, fctx, SolverConfig()))
+            n.append(probes[0])
+        assert abs(x[0] - x[1]) <= 1e-12 * max(1.0, abs(x[1]))
+        assert n[0] <= n[1]
+        if x[1] == barrier:
+            continue
+        totals += n
+        landed += 1
+        trial = pts.copy()
+        trial[i, 0] = x[0]
+        assert abs(_force_single(trial, i, 0.0, load, fctx)) <= 1.0 + 1e-12
+    assert landed >= 100
+    assert 2 * totals[0] <= totals[1]
+
+
+@pytest.mark.parametrize("direction", [1.0, -1.0])
+@pytest.mark.parametrize("left,right", [(1 + 1e-9, -1e6), (1e6, 1 - 1e-9)])
+@pytest.mark.parametrize("offset", [0.1 / 3, 1e-3])
+def test_landing_safeguards_on_a_force_jump(fctx, geom, monkeypatch, direction,
+                                            left, right, offset):
+    # a lone free-space dislocation feels only the load, so f_x1 is its force;
+    # it jumps at xj from `left` (>= 1) to `right` (< 1) along the direction,
+    # a lopsided jump on which plain secant steps crawl along one end.  The
+    # offset puts xj after six march points or before the first (lo = x0).
+    x0 = 0.5
+    xj = x0 + direction * offset
+    load = LoadingProgram.custom(
+        f=None, f_dot=None, time_horizon=1.0,
+        f_x1=lambda t, p: direction * np.where(
+            direction * (p[:, 0] - xj) < 0, left, right))
+    pts = np.array([[x0, 0.5]])
+    barrier = geom.r_box.x1 if direction > 0 else geom.r_box.x0
+    probes = _count_probes(monkeypatch)
+    hi = _land_position(pts, 0, direction, barrier, 0.0, load, fctx,
+                        SolverConfig())
+    assert _force_single(np.array([[hi, 0.5]]), 0, 0.0, load, fctx) * direction < 1
+    # f(lo) >= 1 puts lo on the near side of xj, so hi - xj bounds the bracket
+    assert 0 <= (hi - xj) * direction < 1e-13
+    assert probes[0] <= 60
+
+
+@pytest.mark.parametrize("direction", [1.0, -1.0])
+def test_landing_on_a_linear_force(fctx, geom, monkeypatch, direction):
+    # the force falls linearly through 1 at xr, between the first two march
+    # points: one secant step lands on xr to rounding, and one step half the
+    # tolerance past it closes the bracket, so 2 march + 2 root probes
+    x0 = 0.5
+    xr = x0 + direction * 0.01
+    load = LoadingProgram.custom(
+        f=None, f_dot=None, time_horizon=1.0,
+        f_x1=lambda t, p: direction * (1 - 3 * direction * (p[:, 0] - xr)))
+    barrier = geom.r_box.x1 if direction > 0 else geom.r_box.x0
+    probes = _count_probes(monkeypatch)
+    hi = _land_position(np.array([[x0, 0.5]]), 0, direction, barrier, 0.0,
+                        load, fctx, SolverConfig())
+    assert 0 < (hi - xr) * direction < 1e-13
+    assert probes[0] == 4
 
 
 def test_step_below_threshold_is_static(fctx, geom, small_schedule):

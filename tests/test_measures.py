@@ -80,6 +80,7 @@ def test_dislocation_config_invariants(geom):
     canon = cfg.canonical_order()
     assert canon.points[0, 1] == 0.3                             # plane-major
     assert canon.points[1, 0] == 0.3 and canon.points[2, 0] == 0.7
+    assert canon.canonical_order() is canon                      # sorted: no rebuild
     assert cfg.measure().weights == pytest.approx(np.full(3, 1 / 3))
     assert cfg.min_separation() == pytest.approx(math.hypot(0.2, 0.2))
 
