@@ -5,9 +5,10 @@ the previous state.  The solver operates in the per-dislocation scaling where
 the yield threshold equals one: a dislocation moves only when the magnitude of
 its configurational force exceeds 1, and it lands where the force magnitude
 falls back to 1, at a neighbor separation barrier, or at the confinement box
-edge.  Cyclic per-plane sweeps repeat until the stability residual drops below
-the solver tolerance; optional multi-start perturbations probe for deeper
-minima and warn when they find one.
+edge.  Cyclic per-plane sweeps repeat until one moves nothing, and the step
+fails unless the stability residual is then within the solver tolerance;
+optional multi-start perturbations probe for deeper minima and warn when they
+find one.
 """
 from __future__ import annotations
 
@@ -210,17 +211,13 @@ def _edge_state(x: float, box) -> int:
 
 
 def _residual_from_forces(pts: np.ndarray, forces: np.ndarray, box) -> float:
-    res = 0.0
-    for x, f in zip(pts[:, 0], forces):
-        e = _edge_state(x, box)
-        if e == -1:
-            r = max(f - 1.0, 0.0)
-        elif e == 1:
-            r = max(-f - 1.0, 0.0)
-        else:
-            r = max(abs(f) - 1.0, 0.0)
-        res = max(res, r)
-    return res
+    """max_i of the force excess over 1, one-sided at the box edges; a NaN
+    force gives a NaN residual, which fails every ``<= tol`` check."""
+    x = pts[:, 0]
+    excess = np.where(x - box.x0 <= EDGE_TOL, forces - 1.0,
+                      np.where(box.x1 - x <= EDGE_TOL, -forces - 1.0,
+                               np.abs(forces) - 1.0))
+    return float(np.max(np.maximum(excess, 0.0), initial=0.0))
 
 
 def stability_residual(cfg: DislocationConfig, t: float, load: LoadingProgram,
@@ -235,9 +232,47 @@ def stability_excess(cfg: DislocationConfig, record: ForceRecord) -> float:
     return _residual_from_forces(cfg.points, record.values, cfg.box)
 
 
+def _force_probe(pts, i, t, load, ctx):
+    """``x -> _force_single`` of ``pts`` with dislocation i moved to abscissa x.
+
+    Built once per landing; every probe equals ``_force_single`` of the moved
+    configuration bit for bit.  In free space the others' abscissae and
+    squared vertical offsets are cached, the self offset being inf so that the
+    self term is exactly 0, and a probe sums c dx / (dx^2 + dy^2) over all n in
+    ``_log_forces`` order, divides by n and adds, as ``_force_single`` does,
+    the corrector's 0.0 and the load, whose uniform-shear gradient is read
+    once.  Bounded probes copy the points and call ``_force_single``.
+    """
+    if ctx.mode == "bounded":
+        def probe(x):
+            trial = pts.copy()
+            trial[i, 0] = x
+            return _force_single(trial, i, t, load, ctx)
+        return probe
+    xs, y = pts[:, 0].copy(), pts[i, 1]
+    dy = y - pts[:, 1]
+    dy2 = dy * dy
+    dy2[i] = np.inf
+    c, n = ctx.mat.log_coef, len(pts)
+    if load.kind == "uniform_shear":
+        sigma = float(load.sigma(t))
+
+        def load_at(x):
+            return sigma
+    else:
+        def load_at(x):
+            return float(load.horizontal_gradient(t, np.array([[x, y]]))[0])
+
+    def probe(x):
+        dx = x - xs
+        return float((c * dx / (dx * dx + dy2)).sum() / n) + 0.0 + load_at(x)
+    return probe
+
+
 def _land_position(pts, i, direction, barrier, t, load, ctx, solver_cfg):
     """Where dislocation i, pushed toward ``barrier``, lands.
 
+    Every probe goes through one ``_force_probe`` built for this landing.
     March over ``solver_cfg.line_grid`` points toward the barrier; if the
     force along ``direction`` stays at or above 1 all the way, land on the
     barrier.  Otherwise the first crossing is bracketed as f(lo) >= 1 > f(hi)
@@ -251,11 +286,10 @@ def _land_position(pts, i, direction, barrier, t, load, ctx, solver_cfg):
     """
     x0 = pts[i, 0]
     grid = np.linspace(x0, barrier, solver_cfg.line_grid + 1)[1:]
+    probe = _force_probe(pts, i, t, load, ctx)
 
     def g_at(x):
-        trial = pts.copy()
-        trial[i, 0] = x
-        return _force_single(trial, i, t, load, ctx) * direction - 1.0
+        return probe(x) * direction - 1.0
 
     lo = hi = None
     for x in grid:
@@ -293,14 +327,24 @@ def _land_position(pts, i, direction, barrier, t, load, ctx, solver_cfg):
 
 
 def _sweep_to_stability(pts, t, load, ctx, solver_cfg, box, r_n, planes):
-    """Cyclic per-dislocation relaxation; mutates pts, returns the final residual."""
+    """Cyclic per-dislocation relaxation; mutates pts, returns the final residual.
+
+    Each sweep visits the planes in order and each plane's dislocations from
+    left to right.  Until the sweep's first landing the checks read one
+    all-rows ``_forces_at`` vector, taken at the start and after every sweep
+    that moved something (``test_single_force_equals_all_rows`` pins the two
+    bit for bit); after it they call ``_force_single``.  The relaxation stops
+    after a sweep that moves nothing, since a repeat would move nothing
+    either, and the residual comes from that sweep's vector.
+    """
+    forces = _forces_at(pts, t, load, ctx)
     for _ in range(solver_cfg.max_sweeps):
         moved = False
         for _, idx in planes:
             order = np.argsort(pts[idx, 0])
             ordered = idx[order]
             for k, i in enumerate(ordered):
-                f = _force_single(pts, i, t, load, ctx)
+                f = _force_single(pts, i, t, load, ctx) if moved else forces[i]
                 direction = 1.0 if f > 0 else -1.0
                 if abs(f) <= 1.0 + 1e-12:
                     continue
@@ -314,10 +358,10 @@ def _sweep_to_stability(pts, t, load, ctx, solver_cfg, box, r_n, planes):
                 pts[i, 0] = _land_position(pts, i, direction, barrier, t, load,
                                            ctx, solver_cfg)
                 moved = True
-        resid = _residual_from_forces(pts, _forces_at(pts, t, load, ctx), box)
-        if resid <= solver_cfg.sweep_tol and not moved:
-            return resid
-    return _residual_from_forces(pts, _forces_at(pts, t, load, ctx), box)
+        if not moved:
+            break
+        forces = _forces_at(pts, t, load, ctx)
+    return _residual_from_forces(pts, forces, box)
 
 
 def incremental_step(prev: DislocationConfig, t: float, load: LoadingProgram,
@@ -341,7 +385,7 @@ def incremental_step(prev: DislocationConfig, t: float, load: LoadingProgram,
         return pts, resid
 
     pts, resid = relax(prev.points)
-    if resid > solver_cfg.sweep_tol:
+    if not resid <= solver_cfg.sweep_tol:
         raise RuntimeError(
             f"incremental step failed to reach stability (residual {resid:.3e})")
     best = DislocationConfig(pts, prev.schedule, box, prev.plane_tol)
@@ -362,7 +406,7 @@ def incremental_step(prev: DislocationConfig, t: float, load: LoadingProgram,
                 trial[idx, 0] = np.clip(xs, box.x0, box.x1)
             try:
                 cand_pts, cand_resid = relax(trial)
-                if cand_resid > solver_cfg.sweep_tol:
+                if not cand_resid <= solver_cfg.sweep_tol:
                     continue
                 cand = DislocationConfig(cand_pts, prev.schedule, box,
                                          prev.plane_tol)
@@ -413,7 +457,7 @@ def run_quasistatic(init: DislocationConfig, times, load: LoadingProgram,
         init = incremental_step(init, t0, load, solver_cfg, ctx, rng)
     else:
         resid = stability_residual(init, t0, load, ctx)
-        if resid > max(solver_cfg.sweep_tol, 1e-9):
+        if not resid <= max(solver_cfg.sweep_tol, 1e-9):
             raise ValueError(
                 f"initial configuration unstable (residual {resid:.3e}); "
                 "relax it first or pass pre_relax=True")
