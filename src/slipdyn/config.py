@@ -32,6 +32,8 @@ class ConfigError(ValueError):
 
 def _take(section: dict, name: str, allowed: dict):
     """Pop known keys with defaults; reject anything else."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"section '{name}' must be a JSON object")
     out = {}
     extra = set(section) - set(allowed)
     if extra:
@@ -54,30 +56,47 @@ def _build(cls, section: dict, name: str):
     return cls(**{f.name: type(f.default)(values[f.name]) for f in keys})
 
 
-def _sigma_callable(spec: dict):
-    kind = spec.get("kind")
+_SIGMA_KEYS = {"constant": ("value",), "ramp": ("rate",),
+               "piecewise_linear": ("times", "values")}
+
+
+def _finite(spec: dict, key: str) -> np.ndarray:
+    value = np.asarray(spec[key], dtype=float)
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"loading.sigma {key} must be finite, got {spec[key]}")
+    return value
+
+
+def _sigma_callable(spec, horizon: float):
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind not in _SIGMA_KEYS:
+        raise ConfigError("loading.sigma must be a JSON object with kind one of "
+                          f"{list(_SIGMA_KEYS)}, got {spec!r}")
+    spec = _take(spec, "loading.sigma",
+                 dict.fromkeys(("kind",) + _SIGMA_KEYS[kind], _REQUIRED))
     if kind == "constant":
-        v = float(spec["value"])
+        v = float(_finite(spec, "value"))
         return (lambda t: v), (lambda t: 0.0)
     if kind == "ramp":
-        rate = float(spec["rate"])
+        rate = float(_finite(spec, "rate"))
         return (lambda t: rate * t), (lambda t: rate)
-    if kind == "piecewise_linear":
-        ts = np.asarray(spec["times"], dtype=float)
-        vs = np.asarray(spec["values"], dtype=float)
-        if len(ts) != len(vs) or len(ts) < 2:
-            raise ConfigError("piecewise_linear needs matching times/values, length >= 2")
-        slopes = np.diff(vs) / np.diff(ts)
+    ts, vs = _finite(spec, "times"), _finite(spec, "values")
+    if ts.ndim != 1 or ts.shape != vs.shape or len(ts) < 2:
+        raise ConfigError("piecewise_linear needs matching times/values, length >= 2")
+    if not np.all(np.diff(ts) > 0):
+        raise ConfigError("piecewise_linear times must be strictly increasing")
+    if not (ts[0] <= 0.0 and horizon <= ts[-1]):
+        raise ConfigError(f"piecewise_linear times must cover [0, {horizon}]")
+    slopes = np.diff(vs) / np.diff(ts)
 
-        def sigma(t, ts=ts, vs=vs):
-            return float(np.interp(t, ts, vs))
+    def sigma(t, ts=ts, vs=vs):
+        return float(np.interp(t, ts, vs))
 
-        def sigma_dot(t, ts=ts, slopes=slopes):
-            k = int(np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(slopes) - 1))
-            return float(slopes[k])
+    def sigma_dot(t, ts=ts, slopes=slopes):
+        k = int(np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(slopes) - 1))
+        return float(slopes[k])
 
-        return sigma, sigma_dot
-    raise ConfigError(f"unknown sigma kind {kind!r}")
+    return sigma, sigma_dot
 
 
 @dataclass(frozen=True)
@@ -137,7 +156,7 @@ def load_config(path) -> ExperimentConfig:
         horizon = float(ld["time_horizon"])
         if not 0 < horizon < math.inf:         # NaN fails too
             raise ConfigError(f"loading time_horizon must be finite and positive, got {horizon}")
-        sigma, sigma_dot = _sigma_callable(ld["sigma"])
+        sigma, sigma_dot = _sigma_callable(ld["sigma"], horizon)
         loading = LoadingProgram.uniform_shear(sigma, horizon, sigma_dot=sigma_dot)
 
     sections = {

@@ -202,21 +202,18 @@ def driving_force(cfg: DislocationConfig, t: float, load: LoadingProgram,
     return ForceRecord(values=_forces_at(cfg.points, t, load, ctx))
 
 
-def _edge_state(x: float, box) -> int:
-    if x - box.x0 <= EDGE_TOL:
-        return -1
-    if box.x1 - x <= EDGE_TOL:
-        return 1
-    return 0
+def _edge_clamped(x: np.ndarray, forces: np.ndarray, box) -> np.ndarray:
+    """Forces with the outward part clamped to the threshold at the box edges
+    (left edge first): a pinned dislocation may feel any outward push."""
+    return np.where(x - box.x0 <= EDGE_TOL, np.maximum(forces, -1.0),
+                    np.where(box.x1 - x <= EDGE_TOL, np.minimum(forces, 1.0),
+                             forces))
 
 
 def _residual_from_forces(pts: np.ndarray, forces: np.ndarray, box) -> float:
     """max_i of the force excess over 1, one-sided at the box edges; a NaN
     force gives a NaN residual, which fails every ``<= tol`` check."""
-    x = pts[:, 0]
-    excess = np.where(x - box.x0 <= EDGE_TOL, forces - 1.0,
-                      np.where(box.x1 - x <= EDGE_TOL, -forces - 1.0,
-                               np.abs(forces) - 1.0))
+    excess = np.abs(_edge_clamped(pts[:, 0], forces, box)) - 1.0
     return float(np.max(np.maximum(excess, 0.0), initial=0.0))
 
 
@@ -235,13 +232,14 @@ def stability_excess(cfg: DislocationConfig, record: ForceRecord) -> float:
 def _force_probe(pts, i, t, load, ctx):
     """``x -> _force_single`` of ``pts`` with dislocation i moved to abscissa x.
 
-    Built once per landing; every probe equals ``_force_single`` of the moved
-    configuration bit for bit.  In free space the others' abscissae and
-    squared vertical offsets are cached, the self offset being inf so that the
-    self term is exactly 0, and a probe sums c dx / (dx^2 + dy^2) over all n in
-    ``_log_forces`` order, divides by n and adds, as ``_force_single`` does,
-    the corrector's 0.0 and the load, whose uniform-shear gradient is read
-    once.  Bounded probes copy the points and call ``_force_single``.
+    The sweep's only single-dislocation force evaluation; every probe equals
+    ``_force_single`` of the moved configuration bit for bit.  In free space
+    the others' abscissae and squared vertical offsets are cached, the self
+    offset being inf so that the self term is exactly 0, and a probe sums
+    c dx / (dx^2 + dy^2) over all n in ``_log_forces`` order, divides by n and
+    adds, as ``_force_single`` does, the corrector's 0.0 and the load, whose
+    uniform-shear gradient is read once.  Bounded probes copy the points and
+    call ``_force_single``.
     """
     if ctx.mode == "bounded":
         def probe(x):
@@ -269,30 +267,29 @@ def _force_probe(pts, i, t, load, ctx):
     return probe
 
 
-def _land_position(pts, i, direction, barrier, t, load, ctx, solver_cfg):
-    """Where dislocation i, pushed toward ``barrier``, lands.
+def _land_position(probe, x0, direction, barrier, line_grid):
+    """Where a dislocation at ``x0`` with force ``probe``, pushed toward
+    ``barrier``, lands.
 
-    Every probe goes through one ``_force_probe`` built for this landing.
-    March over ``solver_cfg.line_grid`` points toward the barrier; if the
-    force along ``direction`` stays at or above 1 all the way, land on the
-    barrier.  Otherwise the first crossing is bracketed as f(lo) >= 1 > f(hi)
-    and narrowed to |hi - lo| < 1e-13 max(1, |hi|) by Illinois regula falsi
-    (Dowell & Jarratt, BIT 11, 1971): the secant point of g = f - 1 replaces
-    the end of its sign, and after two steps in a row on one side the stale
-    end's g is halved.  Safeguards: a secant point outside the bracket or NaN,
-    and every step after the 12th, is the midpoint; no probe comes closer than
-    half the tolerance to an end.  The end below the threshold, hi, is
-    returned, so the landing passes it.
+    March over ``line_grid`` points k (barrier - x0) / line_grid + x0 toward
+    the barrier, the last one the barrier itself (the bits of ``np.linspace``,
+    made one at a time); if the force along ``direction`` stays at or above 1
+    all the way, land on the barrier.  Otherwise the first crossing is
+    bracketed as f(lo) >= 1 > f(hi) and narrowed to |hi - lo| < 1e-13
+    max(1, |hi|) by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971):
+    the secant point of g = f - 1 replaces the end of its sign, and after two
+    steps in a row on one side the stale end's g is halved.  Safeguards: a
+    secant point outside the bracket or NaN, and every step after the 12th, is
+    the midpoint; no probe comes closer than half the tolerance to an end.
+    The end below the threshold, hi, is returned, so the landing passes it.
     """
-    x0 = pts[i, 0]
-    grid = np.linspace(x0, barrier, solver_cfg.line_grid + 1)[1:]
-    probe = _force_probe(pts, i, t, load, ctx)
-
     def g_at(x):
         return probe(x) * direction - 1.0
 
+    step = (barrier - x0) / line_grid
     lo = hi = None
-    for x in grid:
+    for k in range(1, line_grid + 1):
+        x = barrier if k == line_grid else k * step + x0
         g = g_at(x)
         if not g >= 0.0:                            # NaN counts as below 1
             hi, g_hi = x, g
@@ -333,18 +330,20 @@ def _sweep_to_stability(pts, t, load, ctx, solver_cfg, box, r_n, planes):
     left to right.  Until the sweep's first landing the checks read one
     all-rows ``_forces_at`` vector, taken at the start and after every sweep
     that moved something (``test_single_force_equals_all_rows`` pins the two
-    bit for bit); after it they call ``_force_single``.  The relaxation stops
-    after a sweep that moves nothing, since a repeat would move nothing
-    either, and the residual comes from that sweep's vector.
+    bit for bit); after it each check builds the dislocation's
+    ``_force_probe`` and evaluates it where the dislocation stands, and a
+    landing reuses that probe.  The relaxation stops after a sweep that moves
+    nothing, since a repeat would move nothing either, and the residual comes
+    from that sweep's vector.
     """
     forces = _forces_at(pts, t, load, ctx)
     for _ in range(solver_cfg.max_sweeps):
         moved = False
         for _, idx in planes:
-            order = np.argsort(pts[idx, 0])
-            ordered = idx[order]
+            ordered = idx[np.argsort(pts[idx, 0])]
             for k, i in enumerate(ordered):
-                f = _force_single(pts, i, t, load, ctx) if moved else forces[i]
+                probe = _force_probe(pts, i, t, load, ctx) if moved else None
+                f = probe(pts[i, 0]) if moved else forces[i]
                 direction = 1.0 if f > 0 else -1.0
                 if abs(f) <= 1.0 + 1e-12:
                     continue
@@ -355,8 +354,9 @@ def _sweep_to_stability(pts, t, load, ctx, solver_cfg, box, r_n, planes):
                     barrier = box.x0 if k == 0 else pts[ordered[k - 1], 0] + r_n
                 if (barrier - pts[i, 0]) * direction <= 1e-15:
                     continue
-                pts[i, 0] = _land_position(pts, i, direction, barrier, t, load,
-                                           ctx, solver_cfg)
+                pts[i, 0] = _land_position(
+                    probe or _force_probe(pts, i, t, load, ctx), pts[i, 0],
+                    direction, barrier, solver_cfg.line_grid)
                 moved = True
         if not moved:
             break
@@ -455,8 +455,9 @@ def run_quasistatic(init: DislocationConfig, times, load: LoadingProgram,
     t0 = float(times[0])
     if pre_relax:
         init = incremental_step(init, t0, load, solver_cfg, ctx, rng)
-    else:
-        resid = stability_residual(init, t0, load, ctx)
+    forces = [driving_force(init, t0, load, ctx)]
+    if not pre_relax:
+        resid = stability_excess(init, forces[0])
         if not resid <= max(solver_cfg.sweep_tol, 1e-9):
             raise ValueError(
                 f"initial configuration unstable (residual {resid:.3e}); "
@@ -464,7 +465,6 @@ def run_quasistatic(init: DislocationConfig, times, load: LoadingProgram,
     configs = [init]
     step_d = [0.0]
     energies = [ctx.renormalized_energy(init)]
-    forces = [driving_force(init, t0, load, ctx)]
     for t in times[1:]:
         new = incremental_step(configs[-1], float(t), load, solver_cfg, ctx, rng)
         step_d.append(slip_distance(new.measure(), configs[-1].measure()))
@@ -507,22 +507,11 @@ def flow_rule_steps(trace: EvolutionTrace, motion_tol: float = 1e-9) -> np.ndarr
     box = trace.configs[0].box
     out = np.zeros(len(trace.times))
     for k in range(1, len(trace.times)):
-        prev_pts = trace.configs[k - 1].points
-        new_pts = trace.configs[k].points
-        f = trace.forces[k].values
-        worst = 0.0
-        for i in range(len(new_pts)):
-            dx = new_pts[i, 0] - prev_pts[i, 0]
-            if abs(dx) <= motion_tol:
-                continue
-            e = _edge_state(new_pts[i, 0], box)
-            fi = f[i]
-            if e == 1:
-                fi = min(fi, 1.0)
-            elif e == -1:
-                fi = max(fi, -1.0)
-            worst = max(worst, abs(fi * dx - abs(dx)))
-        out[k] = worst
+        x = trace.configs[k].points[:, 0]
+        dx = x - trace.configs[k - 1].points[:, 0]
+        f = _edge_clamped(x, trace.forces[k].values, box)
+        defect = np.abs(f * dx - np.abs(dx))
+        out[k] = np.max(defect[np.abs(dx) > motion_tol], initial=0.0)
     return out
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -261,3 +262,84 @@ def test_csv_numpy_floats_read_back(tmp_path):
     _write_csv(path, ["x"], [{"x": np.float64(8.2e-15)}], SimpleNamespace(sha="0"))
     cell = path.read_text().splitlines()[-1]
     assert float(cell) == 8.2e-15
+
+
+def _zero_load_with(section, value=None, sigma=None):
+    payload = json.loads((CONFIG_DIR / "zero_load.json").read_text())
+    if section is not None:
+        payload[section] = value
+    if sigma is not None:
+        payload["loading"]["sigma"] = sigma
+    return payload
+
+
+@pytest.mark.parametrize("payload", [
+    _zero_load_with("material", 5),
+    _zero_load_with("loading", 1.0),
+    _zero_load_with("evolution", True),
+    _zero_load_with(None, sigma="x"),
+    _zero_load_with(None, sigma={"kind": "piecewise_linear",
+                                 "times": [0.0, 1.0, 0.5], "values": [0.0, 1.0, 1.0]}),
+    _zero_load_with(None, sigma={"kind": "piecewise_linear",
+                                 "times": [0.0, 0.5, 0.5, 1.0],
+                                 "values": [0.0, 0.5, 1.0, 1.0]}),
+    _zero_load_with(None, sigma={"kind": "piecewise_linear",
+                                 "times": [0.0, 0.5], "values": [0.0, 0.5]}),
+    _zero_load_with(None, sigma={"kind": "piecewise_linear",
+                                 "times": [0.1, 1.0], "values": [0.0, 0.5]}),
+    _zero_load_with(None, sigma={"kind": "constant", "value": math.nan}),
+    _zero_load_with(None, sigma={"kind": "constant", "value": math.inf}),
+    _zero_load_with(None, sigma={"kind": "ramp", "rate": math.nan}),
+    _zero_load_with(None, sigma={"kind": "piecewise_linear",
+                                 "times": [0.0, math.nan, 1.0], "values": [0.0, 0.5, 1.0]}),
+    _zero_load_with(None, sigma={"kind": "piecewise_linear",
+                                 "times": [0.0, 1.0], "values": [0.0, -math.inf]}),
+    _zero_load_with(None, sigma={"kind": "constant"}),
+    _zero_load_with(None, sigma={"kind": "constant", "value": 0.0, "rate": 1.0}),
+], ids=["material-not-object", "loading-not-object", "evolution-not-object",
+        "sigma-not-object", "times-decreasing", "times-repeated",
+        "times-end-before-horizon", "times-start-after-zero", "value-nan",
+        "value-inf", "rate-nan", "times-nan", "values-inf", "value-missing",
+        "sigma-unknown-key"])
+def test_malformed_loading_rejected(tmp_path, payload):
+    # each of these used to run into a traceback or to write a trace whose
+    # load and its rate disagree; they are config errors
+    with pytest.raises(ConfigError):
+        load_config(write_config(tmp_path, payload))
+    res = CliRunner().invoke(main, ["simulate", str(write_config(tmp_path, payload)),
+                                    "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert "error:" in res.output
+
+
+#: sha256 of every output file of the shipped configs whose outputs do not
+#: depend on the BLAS thread count (bounded_pair, gamma_uniform and
+#: kernel_check do; scripts/run_examples.py prints all of them)
+GOLDEN = {
+    ("simulate", "ramp_single"): {
+        "metadata.json": "3200801a647797c0a47101d6221f5a986c2c92a3bfbc17072df5190d791b2bce",
+        "summary.json": "b160b0abab4da7d99836d04831b6c6b55754c689832f52796092040b627e7628",
+        "trace.csv": "87a245c7ccc98d303f8aabf3152d5e94eb99ac95a48ecc5426f3b608e4585fdc"},
+    ("simulate", "spreading_pair"): {
+        "metadata.json": "0ad4045186389a5adc2d3717c54e218ad9fbb401eda432d346751dfdd25bf21b",
+        "summary.json": "69cd83f0f7183cccb0a0da7cfeaa0354cbe872a9d7c77eb339c8d4f13e321b77",
+        "trace.csv": "823cfeffd7cbf873f742beac09a4b920142c0ba0131f8ca363ba7f8c82582908"},
+    ("simulate", "zero_load"): {
+        "metadata.json": "6206f0ecdaa20cf259e435da4f1df58ed07c11d84f5a47f2fb1e6b9519b59454",
+        "summary.json": "eea56eadc5afc13937a12ff8b38e1e778a7d99a77ee937070451cbcb1c0df3e3",
+        "trace.csv": "b129efc59c34182b6c097f9a44e43aec82159e49ddbc34aa23133834880b181e"},
+    ("distance", "distance_pair"): {
+        "distance.csv": "ff764a7254b0e97889ff5d345ab4ccee2ceb43a3ac36dc7e093ce319a4a8c2d6",
+        "metadata.json": "ab30b688aa0674a91c7363551f8eb4fb4a17a375fbe18e4cddeb8d2937c30fb9"},
+}
+
+
+@pytest.mark.parametrize("command, name", list(GOLDEN), ids=[n for _, n in GOLDEN])
+def test_shipped_outputs_pinned(tmp_path, command, name):
+    out = tmp_path / name
+    res = CliRunner().invoke(main, [command, str(CONFIG_DIR / f"{name}.json"),
+                                    "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.iterdir()}
+    assert digests == GOLDEN[command, name]

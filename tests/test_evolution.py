@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,8 +10,11 @@ from slipdyn.measures import DislocationConfig, ScalingSchedule
 from slipdyn.evolution import (EnergyContext, LoadingProgram, SolverConfig,
                                _force_single, _land_position, driving_force,
                                energy_balance_residual, flow_rule_residual,
-                               incremental_step, run_quasistatic,
-                               stability_residual)
+                               flow_rule_steps, incremental_step,
+                               run_quasistatic, stability_residual)
+
+
+LINE_GRID = SolverConfig().line_grid
 
 
 @pytest.fixture(scope="module")
@@ -191,8 +195,9 @@ def test_landing_passes_its_own_threshold(fctx, geom):
             if (barrier - pts[i, 0]) * d <= 0:
                 continue
             trial = pts.copy()
-            trial[i, 0] = _land_position(pts, i, d, barrier, 0.0, load, fctx,
-                                         SolverConfig())
+            trial[i, 0] = _land_position(
+                evolution._force_probe(pts, i, 0.0, load, fctx), pts[i, 0], d,
+                barrier, LINE_GRID)
             if trial[i, 0] == barrier:
                 continue
             landed += 1
@@ -222,11 +227,9 @@ def _landing_cases(fctx, geom):
                 yield pts, i, d, barrier, load
 
 
-def _bisection_landing(pts, i, direction, barrier, t, load, ctx, solver_cfg):
+def _bisection_landing(probe, x0, direction, barrier, line_grid):
     """Oracle: the march-then-bisect landing that regula falsi replaced."""
-    x0 = pts[i, 0]
-    grid = np.linspace(x0, barrier, solver_cfg.line_grid + 1)[1:]
-    probe = evolution._force_probe(pts, i, t, load, ctx)
+    grid = np.linspace(x0, barrier, line_grid + 1)[1:]
 
     def f_at(x):
         return probe(x) * direction
@@ -252,39 +255,31 @@ def _bisection_landing(pts, i, direction, barrier, t, load, ctx, solver_cfg):
     return hi
 
 
-def _count_probes(monkeypatch):
-    """Count the calls of every probe ``evolution._force_probe`` builds; the
-    landing and its bisection oracle make all their probes through it."""
-    probes = [0]
-    build = evolution._force_probe
+class _Counted:
+    """A force probe that counts its calls."""
 
-    def counted_build(*args):
-        probe = build(*args)
+    def __init__(self, probe):
+        self.probe, self.calls = probe, 0
 
-        def counted(x):
-            probes[0] += 1
-            return probe(x)
-        return counted
-
-    monkeypatch.setattr(evolution, "_force_probe", counted_build)
-    return probes
+    def __call__(self, x):
+        self.calls += 1
+        return self.probe(x)
 
 
-def test_landing_matches_bisection_oracle(fctx, geom, monkeypatch):
+def test_landing_matches_bisection_oracle(fctx, geom):
     # same landing as the bisection to 1e-12, past the threshold and never
     # more probes; over the landings short of the barrier (the others march
     # all 48 points in both) at most half as many probes in total.  The
-    # totals are pinned, so a probe that bypasses the counted seam fails.
-    probes = _count_probes(monkeypatch)
+    # totals are pinned.
     totals = np.zeros(2, dtype=int)
     overall = np.zeros(2, dtype=int)
     landed = 0
     for pts, i, d, barrier, load in _landing_cases(fctx, geom):
         x, n = [], []
         for land in (_land_position, _bisection_landing):
-            probes[0] = 0
-            x.append(land(pts, i, d, barrier, 0.0, load, fctx, SolverConfig()))
-            n.append(probes[0])
+            probe = _Counted(evolution._force_probe(pts, i, 0.0, load, fctx))
+            x.append(land(probe, pts[i, 0], d, barrier, LINE_GRID))
+            n.append(probe.calls)
         assert abs(x[0] - x[1]) <= 1e-12 * max(1.0, abs(x[1]))
         assert 0 < n[0] <= n[1]
         overall += n
@@ -301,48 +296,52 @@ def test_landing_matches_bisection_oracle(fctx, geom, monkeypatch):
     assert overall.tolist() == [8342, 13018]
 
 
+def test_landing_marches_on_linspace_points():
+    # the march points are made one at a time, with the bits of np.linspace
+    for x0, barrier in [(0.5, 0.8), (0.5, 0.2), (0.3127, 0.41), (0.7, 0.2 + 1e-9)]:
+        seen = []
+
+        def probe(x):
+            seen.append(x)
+            return 2.0 if barrier > x0 else -2.0
+        assert _land_position(probe, x0, np.sign(barrier - x0), barrier,
+                              LINE_GRID) == barrier
+        grid = np.linspace(x0, barrier, LINE_GRID + 1)[1:]
+        assert [_bits(x) for x in seen] == [_bits(x) for x in grid]
+
+
 @pytest.mark.parametrize("direction", [1.0, -1.0])
 @pytest.mark.parametrize("left,right", [(1 + 1e-9, -1e6), (1e6, 1 - 1e-9)])
 @pytest.mark.parametrize("offset", [0.1 / 3, 1e-3])
-def test_landing_safeguards_on_a_force_jump(fctx, geom, monkeypatch, direction,
-                                            left, right, offset):
-    # a lone free-space dislocation feels only the load, so f_x1 is its force;
-    # it jumps at xj from `left` (>= 1) to `right` (< 1) along the direction,
-    # a lopsided jump on which plain secant steps crawl along one end.  The
-    # offset puts xj after six march points or before the first (lo = x0).
+def test_landing_safeguards_on_a_force_jump(geom, direction, left, right, offset):
+    # the force jumps at xj from `left` (>= 1) to `right` (< 1) along the
+    # direction, a lopsided jump on which plain secant steps crawl along one
+    # end.  The offset puts xj after six march points or before the first
+    # (lo = x0).
     x0 = 0.5
     xj = x0 + direction * offset
-    load = LoadingProgram.custom(
-        f=None, f_dot=None, time_horizon=1.0,
-        f_x1=lambda t, p: direction * np.where(
-            direction * (p[:, 0] - xj) < 0, left, right))
-    pts = np.array([[x0, 0.5]])
+    probe = _Counted(lambda x: direction * (left if direction * (x - xj) < 0
+                                            else right))
     barrier = geom.r_box.x1 if direction > 0 else geom.r_box.x0
-    probes = _count_probes(monkeypatch)
-    hi = _land_position(pts, 0, direction, barrier, 0.0, load, fctx,
-                        SolverConfig())
-    assert _force_single(np.array([[hi, 0.5]]), 0, 0.0, load, fctx) * direction < 1
+    hi = _land_position(probe, x0, direction, barrier, LINE_GRID)
+    assert probe.probe(hi) * direction < 1
     # f(lo) >= 1 puts lo on the near side of xj, so hi - xj bounds the bracket
     assert 0 <= (hi - xj) * direction < 1e-13
-    assert probes[0] <= 60
+    assert probe.calls <= 60
 
 
 @pytest.mark.parametrize("direction", [1.0, -1.0])
-def test_landing_on_a_linear_force(fctx, geom, monkeypatch, direction):
+def test_landing_on_a_linear_force(geom, direction):
     # the force falls linearly through 1 at xr, between the first two march
     # points: one secant step lands on xr to rounding, and one step half the
     # tolerance past it closes the bracket, so 2 march + 2 root probes
     x0 = 0.5
     xr = x0 + direction * 0.01
-    load = LoadingProgram.custom(
-        f=None, f_dot=None, time_horizon=1.0,
-        f_x1=lambda t, p: direction * (1 - 3 * direction * (p[:, 0] - xr)))
+    probe = _Counted(lambda x: direction * (1 - 3 * direction * (x - xr)))
     barrier = geom.r_box.x1 if direction > 0 else geom.r_box.x0
-    probes = _count_probes(monkeypatch)
-    hi = _land_position(np.array([[x0, 0.5]]), 0, direction, barrier, 0.0,
-                        load, fctx, SolverConfig())
+    hi = _land_position(probe, x0, direction, barrier, LINE_GRID)
     assert 0 < (hi - xr) * direction < 1e-13
-    assert probes[0] == 4
+    assert probe.calls == 4
 
 
 def _checked_sweep(pts, t, load, ctx, solver_cfg, box, r_n, planes):
@@ -365,8 +364,9 @@ def _checked_sweep(pts, t, load, ctx, solver_cfg, box, r_n, planes):
                     barrier = box.x0 if k == 0 else pts[ordered[k - 1], 0] + r_n
                 if (barrier - pts[i, 0]) * direction <= 1e-15:
                     continue
-                pts[i, 0] = _land_position(pts, i, direction, barrier, t, load,
-                                           ctx, solver_cfg)
+                pts[i, 0] = _land_position(
+                    evolution._force_probe(pts, i, t, load, ctx), pts[i, 0],
+                    direction, barrier, solver_cfg.line_grid)
                 moved = True
         resid = evolution._residual_from_forces(
             pts, evolution._forces_at(pts, t, load, ctx), box)
@@ -388,15 +388,27 @@ def _copy_probe(pts, i, t, load, ctx):
 def test_step_matches_checked_sweep(fctx, geom, small_schedule, monkeypatch):
     # 20 ramps of 16 dislocations on 4 planes past yield: every step lands
     # every dislocation exactly where the oracle sweep, with its
-    # copy-and-_force_single probes, lands it, with fewer single forces
+    # copy-and-_force_single probes, lands it, with fewer single-dislocation
+    # force evaluations: probe calls plus _force_single calls (free-space
+    # probes make none, and the oracle's uncounted probes one each)
     calls = [0]
     single = evolution._force_single
+    build = evolution._force_probe
 
     def counted(*args):
         calls[0] += 1
         return single(*args)
 
+    def counted_build(*args):
+        probe = build(*args)
+
+        def counted_probe(x):
+            calls[0] += 1
+            return probe(x)
+        return counted_probe
+
     monkeypatch.setattr(evolution, "_force_single", counted)
+    monkeypatch.setattr(evolution, "_force_probe", counted_build)
     load = ramp_load()
     solver_cfg = SolverConfig()
     ys = np.repeat([0.3, 0.4333, 0.5667, 0.7], 4)
@@ -499,6 +511,90 @@ def test_stability_residual_values(fctx, geom, small_schedule):
     # pinned at the right edge: outward force beyond threshold is admissible
     edge = DislocationConfig([[0.8, 0.5]], small_schedule, geom.r_box)
     assert stability_residual(edge, 1.7, ramp_load(), fctx) == 0.0
+
+
+def _edge_state_oracle(x, box):
+    """Oracle: the per-dislocation edge state the clamp helper replaced."""
+    if x - box.x0 <= evolution.EDGE_TOL:
+        return -1
+    if box.x1 - x <= evolution.EDGE_TOL:
+        return 1
+    return 0
+
+
+def _residual_oracle(pts, forces, box):
+    """Oracle: the one-sided excess written out per edge."""
+    x = pts[:, 0]
+    excess = np.where(x - box.x0 <= evolution.EDGE_TOL, forces - 1.0,
+                      np.where(box.x1 - x <= evolution.EDGE_TOL, -forces - 1.0,
+                               np.abs(forces) - 1.0))
+    return float(np.max(np.maximum(excess, 0.0), initial=0.0))
+
+
+def _flow_rule_oracle(trace, motion_tol=1e-9):
+    """Oracle: the per-dislocation flow-rule loop."""
+    box = trace.configs[0].box
+    out = np.zeros(len(trace.times))
+    for k in range(1, len(trace.times)):
+        prev_pts = trace.configs[k - 1].points
+        new_pts = trace.configs[k].points
+        f = trace.forces[k].values
+        worst = 0.0
+        for i in range(len(new_pts)):
+            dx = new_pts[i, 0] - prev_pts[i, 0]
+            if abs(dx) <= motion_tol:
+                continue
+            e = _edge_state_oracle(new_pts[i, 0], box)
+            fi = f[i]
+            if e == 1:
+                fi = min(fi, 1.0)
+            elif e == -1:
+                fi = max(fi, -1.0)
+            worst = max(worst, abs(fi * dx - abs(dx)))
+        out[k] = worst
+    return out
+
+
+def test_edge_clamp_matches_oracles(geom):
+    # the one clamp helper behind the stability residual and the flow rule,
+    # bit for bit against the per-edge formulas it replaced: on both edges,
+    # within and just beyond EDGE_TOL of them, in the interior, at exactly
+    # +-1 and its neighbours, signed zeros, and NaN (residual only)
+    box = geom.r_box
+    tol = evolution.EDGE_TOL
+    xs = np.array([box.x0, box.x0 + 0.5 * tol, box.x0 + 2 * tol, 0.5,
+                   box.x1 - 2 * tol, box.x1 - 0.5 * tol, box.x1])
+    fs = np.array([-3.0, np.nextafter(-1.0, -2.0), -1.0, np.nextafter(-1.0, 0.0),
+                   -0.5, -0.0, 0.0, 0.5, np.nextafter(1.0, 0.0), 1.0,
+                   np.nextafter(1.0, 2.0), 3.0])
+    dxs = [0.0, 5e-10, -5e-10, 0.01, -0.01, 0.3]
+    rng = np.random.default_rng(41)
+    cases = [(np.array([x]), np.array([f])) for x in xs for f in fs]
+    cases += [(xs, rng.choice(fs, len(xs))) for _ in range(50)]
+    for x, f in cases:
+        pts = np.column_stack([x, np.full(len(x), 0.5)])
+        assert _bits(evolution._residual_from_forces(pts, f, box)) == \
+            _bits(_residual_oracle(pts, f, box))
+        # a NaN force gives a NaN residual in both (the sign of a NaN differs)
+        nan_f = np.where(rng.random(len(f)) < 0.3, np.nan, f)
+        r, r_oracle = (evolution._residual_from_forces(pts, nan_f, box),
+                       _residual_oracle(pts, nan_f, box))
+        assert _bits(r) == _bits(r_oracle) or math.isnan(r) and math.isnan(r_oracle)
+        # a trace alternating between pts moved back by dx and pts: every
+        # step arrives at one of the two, after a move of +-dx
+        configs = []
+        for dx in dxs:
+            step = dx if len(x) == 1 else rng.choice(dxs, len(x))
+            back = pts.copy()
+            back[:, 0] -= step
+            configs += [SimpleNamespace(points=back, box=box),
+                        SimpleNamespace(points=pts, box=box)]
+        trace = evolution.EvolutionTrace(
+            times=np.arange(len(configs), dtype=float), configs=configs,
+            step_d=None, energies=None,
+            forces=[evolution.ForceRecord(f)] * len(configs))
+        assert flow_rule_steps(trace).tobytes() == \
+            _flow_rule_oracle(trace).tobytes()
 
 
 def test_rate_independence(fctx, geom, small_schedule):
