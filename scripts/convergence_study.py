@@ -8,16 +8,14 @@ the limit functional beyond the acceptance ladder.
 Usage: python scripts/convergence_study.py [--mode bounded|freespace]
 """
 import argparse
-import math
 import time
 
 import numpy as np
 
-from slipdyn.corrector import RitzBasis, solve_corrector
+from slipdyn.corrector import RitzBasis
+from slipdyn.evolution import EnergyContext
 from slipdyn.geometry import Rect, unit_geometry
-from slipdyn.interaction import (QuadratureConfig, continuum_interaction,
-                                 continuum_interaction_freespace,
-                                 interaction_sum)
+from slipdyn.interaction import QuadratureConfig
 from slipdyn.kernels import Material
 from slipdyn.measures import ScalingSchedule
 from slipdyn.recovery import UniformDensity, discretize_grid, grid_approximation
@@ -38,21 +36,16 @@ def main():
     target = UniformDensity(Rect(0.3, 0.3, 0.7, 0.7))
     density = grid_approximation(target, 0.2, geom, origin=(0.3, 0.3))
 
+    ctx = EnergyContext(args.mode, mat, geom, quad, basis)
     t0 = time.time()
-    if args.mode == "bounded":
-        f_limit = (continuum_interaction(density, geom, mat, quad)
-                   + solve_corrector(density, geom, mat, basis, quad).energy)
-    else:
-        f_limit = continuum_interaction_freespace(density, mat, quad)
+    f_limit = ctx.renormalized_energy(density)
     print(f"limit energy: {f_limit:.8f}  ({time.time() - t0:.1f}s)")
 
     errors = []
     for n in args.ladder:
         t0 = time.time()
         cfg = discretize_grid(density, n, schedule, geom)
-        f_n = interaction_sum(cfg, args.mode, geom, mat, quad)
-        if args.mode == "bounded":
-            f_n += solve_corrector(cfg, geom, mat, basis, quad).energy
+        f_n = ctx.renormalized_energy(cfg)
         err = abs(f_n - f_limit)
         errors.append(err)
         print(f"n={n:6d}  F_n={f_n:.8f}  |F_n - F| = {err:.3e}  "

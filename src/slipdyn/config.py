@@ -48,22 +48,32 @@ def _take(section: dict, name: str, allowed: dict):
 _REQUIRED = object()
 
 
+def _cast(cast, value, key: str):
+    """``cast(value)``; a value of the wrong type or shape is a config error."""
+    try:
+        return cast(value)
+    except TypeError:
+        raise ConfigError(f"{key} has the wrong type or shape: {value!r}") from None
+
+
 def _build(cls, section: dict, name: str):
     """A dataclass from a section keyed by its fields, each value cast to the
     type of the field's default."""
     keys = fields(cls)
     values = _take(section, name, {f.name: f.default for f in keys})
-    return cls(**{f.name: type(f.default)(values[f.name]) for f in keys})
+    return cls(**{f.name: _cast(type(f.default), values[f.name], f"{name}.{f.name}")
+                  for f in keys})
 
 
 _SIGMA_KEYS = {"constant": ("value",), "ramp": ("rate",),
                "piecewise_linear": ("times", "values")}
 
 
-def _finite(spec: dict, key: str) -> np.ndarray:
-    value = np.asarray(spec[key], dtype=float)
-    if not np.all(np.isfinite(value)):
-        raise ConfigError(f"loading.sigma {key} must be finite, got {spec[key]}")
+def _finite(spec: dict, key: str, ndim: int) -> np.ndarray:
+    value = _cast(lambda v: np.asarray(v, dtype=float), spec[key], f"loading.sigma {key}")
+    if value.ndim != ndim or not np.all(np.isfinite(value)):
+        kind = ("a finite number", "a list of finite numbers")[ndim]
+        raise ConfigError(f"loading.sigma {key} must be {kind}, got {spec[key]!r}")
     return value
 
 
@@ -75,13 +85,13 @@ def _sigma_callable(spec, horizon: float):
     spec = _take(spec, "loading.sigma",
                  dict.fromkeys(("kind",) + _SIGMA_KEYS[kind], _REQUIRED))
     if kind == "constant":
-        v = float(_finite(spec, "value"))
+        v = float(_finite(spec, "value", 0))
         return (lambda t: v), (lambda t: 0.0)
     if kind == "ramp":
-        rate = float(_finite(spec, "rate"))
+        rate = float(_finite(spec, "rate", 0))
         return (lambda t: rate * t), (lambda t: rate)
-    ts, vs = _finite(spec, "times"), _finite(spec, "values")
-    if ts.ndim != 1 or ts.shape != vs.shape or len(ts) < 2:
+    ts, vs = _finite(spec, "times", 1), _finite(spec, "values", 1)
+    if ts.shape != vs.shape or len(ts) < 2:
         raise ConfigError("piecewise_linear needs matching times/values, length >= 2")
     if not np.all(np.diff(ts) > 0):
         raise ConfigError("piecewise_linear times must be strictly increasing")
@@ -131,16 +141,18 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {exp!r}")
 
     m = _take(top["material"], "material", {"lam": 1.0, "mu": 1.0})
-    material = Material(lam=float(m["lam"]), mu=float(m["mu"]))
+    material = Material(lam=_cast(float, m["lam"], "material.lam"),
+                        mu=_cast(float, m["mu"], "material.mu"))
 
     g = _take(top["geometry"], "geometry", {
         "omega": [0.0, 0.0, 1.0, 1.0],
         "box": [0.2, 0.2, 0.8, 0.8],
         "ball": [0.06, 0.5, 0.03],
     })
-    geometry = Geometry(omega=Rect(*map(float, g["omega"])),
-                        r_box=Rect(*map(float, g["box"])),
-                        ball=Disk(*map(float, g["ball"])))
+    geometry = Geometry(
+        omega=_cast(lambda v: Rect(*map(float, v)), g["omega"], "geometry.omega"),
+        r_box=_cast(lambda v: Rect(*map(float, v)), g["box"], "geometry.box"),
+        ball=_cast(lambda v: Disk(*map(float, v)), g["ball"], "geometry.ball"))
 
     schedule = _build(ScalingSchedule, top["schedule"], "schedule")
     quadrature = _build(QuadratureConfig, top["quadrature"], "quadrature")
@@ -153,7 +165,7 @@ def load_config(path) -> ExperimentConfig:
             "kind": "uniform_shear", "sigma": _REQUIRED, "time_horizon": _REQUIRED})
         if ld["kind"] != "uniform_shear":
             raise ConfigError("config files support the uniform_shear loading kind")
-        horizon = float(ld["time_horizon"])
+        horizon = _cast(float, ld["time_horizon"], "loading.time_horizon")
         if not 0 < horizon < math.inf:         # NaN fails too
             raise ConfigError(f"loading time_horizon must be finite and positive, got {horizon}")
         sigma, sigma_dot = _sigma_callable(ld["sigma"], horizon)
@@ -185,7 +197,7 @@ def load_config(path) -> ExperimentConfig:
     sha = hashlib.sha256(
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     return ExperimentConfig(
-        experiment=exp, seed=int(top["seed"]), material=material,
+        experiment=exp, seed=_cast(int, top["seed"], "seed"), material=material,
         geometry=geometry, schedule=schedule, quadrature=quadrature,
         basis=basis, solver=solver, loading=loading, section=section,
         output_dir=top["output_dir"], raw=raw, sha=sha)

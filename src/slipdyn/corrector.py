@@ -17,7 +17,8 @@ The boundary integral runs on the Gauss grid of the interaction route
 (``interaction._boundary_grid`` at ``quadrature.boundary_points`` per edge),
 fixed when the solver is built, so no solve depends on an earlier one.  Its
 weighted tractions, and their y_1-derivatives for the forces, are columns of
-the route's boundary rows (``interaction._boundary_row``).  At construction
+the route's boundary rows (``interaction._boundary_row``); ``solve_traction``
+takes their sum from the interaction energy's pass.  At construction
 the grid must resolve the tractions of the admitted sources closest to the
 boundary to ``quadrature.tol``; otherwise it raises.
 """
@@ -168,16 +169,6 @@ class CorrectorSolver:
         self.C = np.block([[ints, zero], [zero, ints], [0.5 * int_gy, -0.5 * int_gx]])
 
     # -- boundary linear form ---------------------------------------------
-    def _traction_work(self, grid, vals, atoms, weights):
-        """Boundary work of the weighted atoms' tractions (the first two
-        columns of their weighted boundary rows) against the basis."""
-        T = sum(wi * _boundary_row(grid, zi, self.mat)[:, :2]
-                for zi, wi in zip(atoms, weights))
-        return (vals.T @ T).T.ravel()
-
-    def _linear_form_at(self, atoms, weights):
-        return self._traction_work(self._grid, self._vals, atoms, weights)
-
     def _check_resolution(self):
         """Reject a boundary grid that does not resolve the admitted tractions.
 
@@ -196,12 +187,18 @@ class CorrectorSolver:
                 "gauss_nu": np.tile(grid["gauss_nu"], (2, 1))}
         fine_vals, _, _ = self._scalar_basis(fine["gauss_pts"], want_grad=False)
         for c in Rect(o.x0 + ell, o.y0 + ell, o.x1 - ell, o.y1 - ell).corners():
-            b = self._linear_form_at([c], [1.0])
-            b2 = self._traction_work(fine, fine_vals, [c], [1.0])
+            b = (self._vals.T @ _boundary_row(grid, c, self.mat)[:, :2]).T.ravel()
+            b2 = (fine_vals.T @ _boundary_row(fine, c, self.mat)[:, :2]).T.ravel()
             if np.max(np.abs(b2 - b)) > self.q.tol * max(1.0, np.max(np.abs(b2))):
                 raise ValueError(
                     f"quadrature.boundary_points = {self.q.boundary_points} does not "
                     f"resolve the corrector's boundary form to tol = {self.q.tol}")
+
+    def _check_margin(self, support):
+        o = self.geom.omega
+        margin = np.minimum(support - (o.x0, o.y0), (o.x1, o.y1) - support)
+        if not np.all(margin >= self.geom.ell - 1e-9):   # NaN fails too
+            raise ValueError("measure support violates the boundary margin")
 
     def linear_form(self, measure) -> np.ndarray:
         """Boundary work of the measure's traction against the basis.
@@ -210,14 +207,22 @@ class CorrectorSolver:
         ``quadrature.boundary_points`` per edge, checked at construction.
         """
         atoms, weights = as_weighted_atoms(measure, self.q)
-        o = self.geom.omega
-        margin = np.minimum(atoms - (o.x0, o.y0), (o.x1, o.y1) - atoms)
-        if not np.all(margin >= self.geom.ell - 1e-9):   # NaN fails too
-            raise ValueError("measure support violates the boundary margin")
-        return self._linear_form_at(atoms, weights)
+        self._check_margin(atoms)
+        T = sum(wi * _boundary_row(self._grid, zi, self.mat)[:, :2]
+                for zi, wi in zip(atoms, weights))
+        return (self._vals.T @ T).T.ravel()
 
     def solve(self, measure) -> CorrectorSolution:
-        b = self.linear_form(measure)
+        return self._solve(self.linear_form(measure))
+
+    def solve_traction(self, traction, support) -> CorrectorSolution:
+        """``solve`` from the summed weighted traction, shape (ng, 2), of the
+        sources at ``support``: the first two columns of their summed boundary
+        row (``interaction._boundary_sums``)."""
+        self._check_margin(np.reshape(support, (-1, 2)))
+        return self._solve((self._vals.T @ traction).T.ravel())
+
+    def _solve(self, b) -> CorrectorSolution:
         rhs = np.zeros(self.n_dof + 3)
         rhs[:self.n_dof] = -b
         sol = lu_solve(self._lu, rhs)

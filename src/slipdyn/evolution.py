@@ -21,9 +21,10 @@ from .corrector import RitzBasis, get_solver
 from .geometry import Geometry
 # interaction_cross_matrix stays bound here: perfbench/tracing.py patches it
 from .interaction import (QuadratureConfig, interaction_cross_matrix,  # noqa: F401
+                          _atom_energy, _continuum_energy,
                           interaction_dy1_matrix, interaction_of_points)
 from .kernels import Material
-from .measures import DiscreteMeasure, DislocationConfig
+from .measures import CellMeasure, DiscreteMeasure, DislocationConfig
 from .transport import slip_distance
 
 __all__ = ["LoadingProgram", "SolverConfig", "EnergyContext", "ForceRecord",
@@ -117,6 +118,8 @@ class EnergyContext:
     basis: RitzBasis | None = None
 
     def __post_init__(self):
+        if self.mode not in ("bounded", "freespace"):
+            raise ValueError(f"unknown interaction mode {self.mode!r}")
         if self.mode == "bounded" and (self.geom is None or self.basis is None):
             raise ValueError("bounded mode requires geometry and basis")
 
@@ -130,9 +133,20 @@ class EnergyContext:
         solver = get_solver(self.geom, self.mat, self.basis, self.quad)
         return solver.solve(DiscreteMeasure.equal_weights(pts)).energy
 
-    def renormalized_energy(self, cfg: DislocationConfig) -> float:
-        pts = cfg.canonical_order().points
-        return self.interaction_of_points(pts) + self.corrector_energy_of_points(pts)
+    def renormalized_energy(self, measure: DislocationConfig | CellMeasure) -> float:
+        """Interaction plus, when bounded, corrector energy of a configuration
+        (in canonical order) or a cell density, from one rows-first pass."""
+        args = (self.mode, self.geom, self.mat, self.quad)
+        if isinstance(measure, CellMeasure):
+            support = measure.gauss_nodes(self.quad.density_gauss)[0]
+            energy, row = _continuum_energy(measure, *args)
+        else:
+            support = measure.canonical_order().points
+            energy, row = _atom_energy(support, *args)
+        if self.mode != "bounded":
+            return energy
+        solver = get_solver(self.geom, self.mat, self.basis, self.quad)
+        return energy + solver.solve_traction(row[:, :2], support).energy
 
     def total_with_load(self, cfg: DislocationConfig, t: float,
                         load: LoadingProgram) -> float:
@@ -267,9 +281,10 @@ def _force_probe(pts, i, t, load, ctx):
     return probe
 
 
-def _land_position(probe, x0, direction, barrier, line_grid):
+def _land_position(probe, x0, f0, direction, barrier, line_grid):
     """Where a dislocation at ``x0`` with force ``probe``, pushed toward
-    ``barrier``, lands.
+    ``barrier``, lands; ``f0`` is the force at ``x0``, which seeds the
+    bracket's low end.
 
     March over ``line_grid`` points k (barrier - x0) / line_grid + x0 toward
     the barrier, the last one the barrier itself (the bits of ``np.linspace``,
@@ -287,7 +302,7 @@ def _land_position(probe, x0, direction, barrier, line_grid):
         return probe(x) * direction - 1.0
 
     step = (barrier - x0) / line_grid
-    lo = hi = None
+    lo, g_lo, hi = x0, f0 * direction - 1.0, None
     for k in range(1, line_grid + 1):
         x = barrier if k == line_grid else k * step + x0
         g = g_at(x)
@@ -297,8 +312,6 @@ def _land_position(probe, x0, direction, barrier, line_grid):
         lo, g_lo = x, g
     if hi is None:
         return barrier
-    if lo is None:
-        lo, g_lo = x0, g_at(x0)
     side = 0
     for k in range(100):
         tol = 1e-13 * max(1.0, abs(hi))
@@ -332,9 +345,9 @@ def _sweep_to_stability(pts, t, load, ctx, solver_cfg, box, r_n, planes):
     that moved something (``test_single_force_equals_all_rows`` pins the two
     bit for bit); after it each check builds the dislocation's
     ``_force_probe`` and evaluates it where the dislocation stands, and a
-    landing reuses that probe.  The relaxation stops after a sweep that moves
-    nothing, since a repeat would move nothing either, and the residual comes
-    from that sweep's vector.
+    landing reuses that probe and the force just checked.  The relaxation
+    stops after a sweep that moves nothing, since a repeat would move nothing
+    either, and the residual comes from that sweep's vector.
     """
     forces = _forces_at(pts, t, load, ctx)
     for _ in range(solver_cfg.max_sweeps):
@@ -355,7 +368,7 @@ def _sweep_to_stability(pts, t, load, ctx, solver_cfg, box, r_n, planes):
                 if (barrier - pts[i, 0]) * direction <= 1e-15:
                     continue
                 pts[i, 0] = _land_position(
-                    probe or _force_probe(pts, i, t, load, ctx), pts[i, 0],
+                    probe or _force_probe(pts, i, t, load, ctx), pts[i, 0], f,
                     direction, barrier, solver_cfg.line_grid)
                 moved = True
         if not moved:

@@ -18,11 +18,11 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
-from .corrector import solve_corrector
 from .evolution import (EnergyContext, energy_balance_series,
                         flow_rule_steps, run_quasistatic, stability_excess)
 from .geometry import Rect
-from .interaction import (continuum_interaction, continuum_interaction_freespace,
+# the energies stay bound here: perfbench/tracing.py patches them
+from .interaction import (continuum_interaction, continuum_interaction_freespace,  # noqa: F401
                           interaction_sum)
 from .kernels import (CoreRadius, apply_C, circulation, divergence_residual,
                       eval_K, eval_Kn)
@@ -133,26 +133,20 @@ def cmd_gamma(cfg: ExperimentConfig, outdir: Path, seed: int,
     """Convergence ladder: |F_n(recovery config) - F(limit measure)| per n."""
     sec = cfg.section
     geom, mat, q = cfg.geometry, cfg.material, cfg.quadrature
-    mode = sec["mode"]
     target = _gamma_target(sec["target"])
     origin = tuple(sec["origin"]) if sec["origin"] is not None else (0.0, 0.0)
     density = grid_approximation(target, float(sec["h"]), geom, origin=origin)
     gamma_exp, c_const = map(float, sec["gamma_c"])
     params = ClassParams(gamma_exp, c_const)
 
-    if mode == "bounded":
-        f_limit = (continuum_interaction(density, geom, mat, q)
-                   + solve_corrector(density, geom, mat, cfg.basis, q).energy)
-    else:
-        f_limit = continuum_interaction_freespace(density, mat, q)
+    ctx = EnergyContext(mode=sec["mode"], mat=mat, geom=geom, quad=q, basis=cfg.basis)
+    f_limit = ctx.renormalized_energy(density)
 
     rows = []
     for n in sec["n_ladder"]:
         n = int(n)
         config_n = discretize_grid(density, n, cfg.schedule, geom)
-        f_n = interaction_sum(config_n, mode, geom, mat, q)
-        if mode == "bounded":
-            f_n += solve_corrector(config_n, geom, mat, cfg.basis, q).energy
+        f_n = ctx.renormalized_energy(config_n)
         # snap pitch follows the class spacing, clamped into the feasible range
         eta = min(params.min_plane_spacing(n), 0.5 * geom.r_box.width)
         snapped = snap_modification(config_n, eta)

@@ -14,9 +14,10 @@ Two evaluation routes are implemented:
   gradient of a single-valued stress potential psi_y, and Green's identity
   turns V into -psi_y(z) plus the boundary row of y (``_boundary_row``) dotted
   with the boundary column of z (``_boundary_column``), with no branch cut.
-  Pair matrices (``interaction_cross_matrix``), energies (rows summed first),
-  dV/dy_1 (the row of the field's y_1-derivative) and the corrector all read
-  these rows and columns, the only evaluation of a source's boundary data.
+  Pair matrices (``interaction_cross_matrix``), energies (weighted rows and
+  columns summed first, ``_boundary_sums``), dV/dy_1 (the row of the field's
+  y_1-derivative) and the corrector (the summed row's traction) all read these
+  rows and columns, the only evaluation of a source's boundary data.
 
 ``v_pair`` shares no code with the boundary reduction and is kept as the
 independent oracle; agreement of the two routes is enforced in the tests.
@@ -56,9 +57,10 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.base_cells < 4 or self.singular_refine_depth < 0 or not self.tol > 0:
             raise ValueError("invalid quadrature configuration")
-        for name in ("cell_gauss", "boundary_points", "density_gauss"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"quadrature {name} must be a positive integer")
+        # a cell paired with itself averages over distinct nodes: density_gauss >= 2
+        for name, low in (("cell_gauss", 1), ("boundary_points", 1), ("density_gauss", 2)):
+            if getattr(self, name) < low:
+                raise ValueError(f"quadrature {name} must be an integer >= {low}")
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +395,51 @@ def interaction_dy1_matrix(ys, zs, geom: Geometry, mat: Material,
 # interaction energies
 # ---------------------------------------------------------------------------
 
+def _log_kernel(u, mat: Material) -> np.ndarray:
+    """c log|u| = (c / 2) log(u_1^2 + u_2^2) at offsets u: the free-space kernel."""
+    return mat.log_coef * 0.5 * np.log(u[..., 0] ** 2 + u[..., 1] ** 2)
+
+
+def _boundary_sums(grid, pts, weights, mat: Material):
+    """A = sum_i w_i a_i and B = sum_i w_i b_i over the sources' boundary rows
+    and columns, each evaluated once, and the self terms (w_i a_i) . (w_i b_i)."""
+    A, B, selfs = 0.0, 0.0, []
+    for zi, wi in zip(pts, weights):
+        a, b = wi * _boundary_row(grid, zi, mat), wi * _boundary_column(grid, zi, mat)
+        A, B = A + a, B + b
+        selfs.append(np.vdot(a, b))
+    return A, B, selfs
+
+
+def _atom_energy(pts, mode: str, geom: Geometry | None, mat: Material,
+                 q: QuadratureConfig):
+    """``interaction_of_points`` and the summed boundary row A of the
+    equal-weight atoms (None in free space)."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    n = len(pts)
+    if min_distance(pts) < MIN_SEPARATION:
+        raise ValueError("coincident dislocations in configuration")
+    if mode == "freespace":
+        with np.errstate(divide="ignore"):
+            K = _log_kernel(pts[:, None, :] - pts[None, :, :], mat)
+        np.fill_diagonal(K, 0.0)
+        # 0.0 - sum: a zero sum (n = 1) gives +0.0, not -0.0
+        return (0.0 - float(K.sum())) / (2.0 * n * n), None
+    if mode != "bounded":
+        raise ValueError(f"unknown interaction mode {mode!r}")
+    if geom is None:
+        raise ValueError("bounded mode requires a geometry")
+    # w^2 sum_{i != j} V(z_i, z_j) = A . B - sum_i [(w a_i) . (w b_i) + w^2 sum_{j != i}
+    # psi(z_j - z_i)], w = 1/n; fsum adds the terms without a running total's drift
+    w = 1.0 / n
+    grid = _boundary_grid(geom.omega, q.boundary_points)
+    A, B, selfs = _boundary_sums(grid, pts, np.full(n, w), mat)
+    terms = [np.vdot(A, B)] + [-s for s in selfs]
+    terms += [-w * w * _stress_potential(np.delete(pts, i, 0) - zi, mat).sum()
+              for i, zi in enumerate(pts)]
+    return math.fsum(terms) / 2.0, A
+
+
 def interaction_of_points(pts, mode: str, geom: Geometry | None, mat: Material,
                           q: QuadratureConfig) -> float:
     """(1 / 2 n^2) sum_{i != j} V(z_i, z_j) over raw points, summed in the given order.
@@ -400,31 +447,7 @@ def interaction_of_points(pts, mode: str, geom: Geometry | None, mat: Material,
     ``mode`` is 'bounded' (V on the domain) or 'freespace' (leading log only).
     Coincident points are rejected.
     """
-    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-    n = len(pts)
-    if n == 1:
-        return 0.0
-    if min_distance(pts) < MIN_SEPARATION:
-        raise ValueError("coincident dislocations in configuration")
-    if mode == "freespace":
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        np.fill_diagonal(d2, 1.0)
-        logsum = -mat.log_coef * 0.5 * np.log(d2)
-        np.fill_diagonal(logsum, 0.0)
-        return float(logsum.sum()) / (2.0 * n * n)
-    if mode != "bounded":
-        raise ValueError(f"unknown interaction mode {mode!r}")
-    if geom is None:
-        raise ValueError("bounded mode requires a geometry")
-    # sum_{i != j} V(z_i, z_j) = (sum_i a_i) . (sum_j b_j) - sum_i (a_i . b_i + sum_{j != i}
-    # psi(z_j - z_i)); fsum adds the per-source terms without a running total's drift
-    grid = _boundary_grid(geom.omega, q.boundary_points)
-    sum_a, sum_b, terms = 0.0, 0.0, []
-    for i, zi in enumerate(pts):
-        a, b = _boundary_row(grid, zi, mat), _boundary_column(grid, zi, mat)
-        sum_a, sum_b = sum_a + a, sum_b + b
-        terms += [-np.vdot(a, b), -_stress_potential(np.delete(pts, i, 0) - zi, mat).sum()]
-    return math.fsum([np.vdot(sum_a, sum_b)] + terms) / (2.0 * n * n)
+    return _atom_energy(pts, mode, geom, mat, q)[0]
 
 
 def interaction_sum(cfg: DislocationConfig, mode: str, geom: Geometry | None,
@@ -461,77 +484,56 @@ def _cell_log_moment(di: int, dj: int) -> float:
                for a in (-1, 0, 1) for b in (-1, 0, 1))
 
 
-def _node_distances(pa, pb):
-    d = pa[:, None, :] - pb[None, :, :]
-    return np.hypot(d[..., 0], d[..., 1])
+def _continuum_energy(density: CellMeasure, mode: str, geom: Geometry | None,
+                      mat: Material, q: QuadratureConfig):
+    """(1/2) double integral of V ('bounded') or of -c log r ('freespace')
+    against a cell density, and its summed boundary row sum_a m_a A_a.
 
-
-def _cell_pair_energy(density: CellMeasure, nodes, w, mat: Material,
-                      node_potential) -> float:
-    """(1/2) sum over cell pairs of m_a m_b times the node-quadrature mean of V.
-
-    ``node_potential(a, b)`` is V between the Gauss nodes of cells a and b
-    (its diagonal is ignored when a == b).  Same-cell and touching pairs split
-    V into its leading logarithm, integrated in closed form via the
-    unit-cell log moments, plus the smooth remainder averaged at the nodes.
+    With each cell's node sums A_a, B_a under the normalized Gauss weights w,
+    the node mean of V over cells a and b is A_a . B_b - w K_ab w, with K = psi
+    when bounded and K = c log r, A = B = 0 in free space.  Same-cell and
+    touching pairs integrate c log r in closed form via the unit-cell log
+    moments and average only K - c log r at the nodes; a cell paired with
+    itself drops its self terms and divides by 1 - sum w^2.
     """
-    h = density.spacing
-    idx = density.indices
-    masses = density.masses
-    coef = mat.log_coef
+    if not isinstance(density, CellMeasure):
+        raise TypeError("continuum energies expect a cell density; use "
+                        "interaction_sum for atomic measures")
+    nodes, w = density.gauss_nodes(q.density_gauss)
+    m, idx, cells = density.masses, density.indices, density.n_cells
+    if mode == "bounded":
+        grid = _boundary_grid(geom.omega, q.boundary_points)
+        A, B, selfs = zip(*(_boundary_sums(grid, p, w, mat) for p in nodes))
+        AB = np.reshape(A, (cells, -1)) @ np.reshape(B, (cells, -1)).T
+        own, row = [sum(s) for s in selfs], sum(ma * Aa for ma, Aa in zip(m, A))
+        kernel = _stress_potential
+    else:
+        AB, own, row, kernel = np.zeros((cells, cells)), np.zeros(cells), None, _log_kernel
+    coef, log_h, denom = mat.log_coef, math.log(density.spacing), 1.0 - float(w @ w)
     total = 0.0
-    for a in range(density.n_cells):
-        for b in range(density.n_cells):
-            dij = idx[b] - idx[a]
-            block = node_potential(a, b)
-            if max(abs(dij[0]), abs(dij[1])) <= 1:
-                r = _node_distances(nodes[a], nodes[b])
-                if a == b:
-                    np.fill_diagonal(r, 1.0)
-                W_block = block + coef * np.log(r)
-                if a == b:
-                    np.fill_diagonal(W_block, 0.0)
-                    denom = 1.0 - float(np.outer(w, w).trace())
-                    w_mean = float(w @ W_block @ w) / denom
-                else:
-                    w_mean = float(w @ W_block @ w)
-                log_part = -coef * (math.log(h) + _cell_log_moment(int(dij[0]), int(dij[1])))
-                total += masses[a] * masses[b] * (log_part + w_mean)
-            else:
-                total += masses[a] * masses[b] * float(w @ block @ w)
-    return 0.5 * total
+    for a in range(cells):
+        d = idx - idx[a]
+        near = np.flatnonzero(np.max(np.abs(d), axis=1) <= 1)
+        u = nodes[:, None, :, :] - nodes[a][None, :, None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            K = kernel(u, mat)
+            K[near] -= _log_kernel(u[near], mat)
+        np.fill_diagonal(K[a], 0.0)
+        mean = AB[a] - (w @ K) @ w
+        mean[a] = (mean[a] - own[a]) / denom
+        for b in near:
+            mean[b] -= coef * (log_h + _cell_log_moment(int(d[b, 0]), int(d[b, 1])))
+        total += m[a] * float(m @ mean)
+    return 0.5 * total, row
 
 
 def continuum_interaction_freespace(density: CellMeasure, mat: Material,
                                     q: QuadratureConfig) -> float:
-    """(1/2) double integral of the leading log potential against a cell density.
-
-    On touching pairs the log remainder cancels, leaving the closed form.
-    """
-    nodes, w = density.gauss_nodes(q.density_gauss)
-
-    def log_potential(a, b):
-        with np.errstate(divide="ignore"):
-            return -mat.log_coef * np.log(_node_distances(nodes[a], nodes[b]))
-
-    return _cell_pair_energy(density, nodes, w, mat, log_potential)
+    """(1/2) double integral of the leading log potential against a cell density."""
+    return _continuum_energy(density, "freespace", None, mat, q)[0]
 
 
 def continuum_interaction(density: CellMeasure, geom: Geometry, mat: Material,
                           q: QuadratureConfig) -> float:
-    """(1/2) double integral of V against a piecewise-constant cell density.
-
-    Distant cell pairs use tensor Gauss quadrature of V; same-cell and touching
-    pairs split V into its leading logarithm, integrated in closed form via
-    the unit-cell log moments, plus the smooth remainder.
-    """
-    if not isinstance(density, CellMeasure):
-        raise TypeError("continuum_interaction expects a cell density; use "
-                        "interaction_sum for atomic measures")
-    nodes, w = density.gauss_nodes(q.density_gauss)
-    flat = nodes.reshape(-1, 2)
-    Vmat = interaction_cross_matrix(flat, flat, geom, mat, q)
-    g2 = len(w)
-    return _cell_pair_energy(
-        density, nodes, w, mat,
-        lambda a, b: Vmat[a * g2:(a + 1) * g2, b * g2:(b + 1) * g2])
+    """(1/2) double integral of V against a piecewise-constant cell density."""
+    return _continuum_energy(density, "bounded", geom, mat, q)[0]

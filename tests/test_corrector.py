@@ -7,7 +7,7 @@ from slipdyn.corrector import (CorrectorSolver, RitzBasis, get_solver,
                                solve_corrector)
 from slipdyn.evolution import EnergyContext
 from slipdyn.geometry import Disk, Geometry, Rect, unit_geometry
-from slipdyn.interaction import QuadratureConfig, _boundary_grid
+from slipdyn.interaction import QuadratureConfig, _boundary_grid, _boundary_sums
 from slipdyn.kernels import Material, apply_C
 from slipdyn.measures import CellMeasure, DiscreteMeasure, DislocationConfig
 
@@ -16,12 +16,11 @@ def test_zero_boundary_data_gives_zero_field(geom, mat, quad, basis):
     # signed harness: equal and opposite weights cancel the tractions exactly
     solver = get_solver(geom, mat, basis, quad)
     pts = np.array([[0.45, 0.5], [0.45, 0.5]])
-    b = solver._linear_form_at(pts, np.array([0.5, -0.5]))
-    assert np.max(np.abs(b)) < 1e-14
-    rhs = np.zeros(solver.n_dof + 3)
-    from scipy.linalg import lu_solve
-    u = lu_solve(solver._lu, rhs)[:solver.n_dof]
-    assert np.max(np.abs(u)) == 0.0
+    T = _boundary_sums(solver._grid, pts, [0.5, -0.5], mat)[0][:, :2]
+    assert np.max(np.abs(T)) < 1e-14
+    sol = solver.solve_traction(T, pts)
+    assert np.max(np.abs(sol.coefficients)) == 0.0
+    assert sol.energy == 0.0
 
 
 def test_single_dislocation_energy_nonpositive(geom, mat, quad, basis):
@@ -214,3 +213,59 @@ def test_total_energy_uniform_lower_bound(geom, mat, quad, basis, small_schedule
         worst = min(worst, ctx.renormalized_energy(cfg))
     print(f"min total energy over sample: {worst:.6f}")
     assert worst >= -0.5
+
+
+@pytest.mark.parametrize("n", [1, 3, 64])
+def test_renormalized_energy_matches_unshared_parts(n, geom, mat, quad, basis, schedule):
+    # oracle: the interaction energy plus a corrector solve from the measure,
+    # which evaluates every boundary row a second time
+    ctx = EnergyContext("bounded", mat, geom, quad, basis)
+    rng = np.random.default_rng(n)
+    while True:
+        try:
+            cfg = DislocationConfig(rng.uniform(0.25, 0.75, (n, 2)), schedule, geom.r_box)
+            break
+        except ValueError:
+            continue
+    pts = cfg.canonical_order().points
+    ref = ctx.interaction_of_points(pts) + ctx.corrector_energy_of_points(pts)
+    assert abs(ctx.renormalized_energy(cfg) - ref) <= 1e-13 * abs(ref)
+
+
+def test_renormalized_energy_of_a_density(geom, mat, quad, basis):
+    from slipdyn.interaction import continuum_interaction
+    cm = CellMeasure(origin=(0.3, 0.3), spacing=0.1,
+                     indices=[[i, j] for i in range(4) for j in range(4)],
+                     masses=np.full(16, 1.0 / 16))
+    ref = (continuum_interaction(cm, geom, mat, quad)
+           + solve_corrector(cm, geom, mat, basis, quad).energy)
+    e = EnergyContext("bounded", mat, geom, quad, basis).renormalized_energy(cm)
+    assert abs(e - ref) <= 1e-13 * abs(ref)
+
+
+def test_one_boundary_row_per_source(geom, mat, quad, basis, schedule, monkeypatch):
+    # one bounded energy of n atoms evaluates each atom's boundary row once,
+    # for the interaction and the corrector together
+    import slipdyn.corrector as corrector
+    import slipdyn.interaction as interaction
+    get_solver(geom, mat, basis, quad)            # built before counting
+    calls = [0]
+    row = interaction._boundary_row
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return row(*args, **kwargs)
+
+    monkeypatch.setattr(interaction, "_boundary_row", counted)
+    monkeypatch.setattr(corrector, "_boundary_row", counted)
+    pts = np.column_stack([np.linspace(0.3, 0.7, 8), np.repeat([0.4, 0.6], 4)])
+    cfg = DislocationConfig(pts, schedule, geom.r_box)
+    EnergyContext("bounded", mat, geom, quad, basis).renormalized_energy(cfg)
+    assert calls[0] == 8
+
+
+def test_density_margin_checked_on_the_shared_path(geom, mat, quad, basis):
+    cm = CellMeasure(origin=(0.02, 0.4), spacing=0.1, indices=[[0, 0], [1, 0]],
+                     masses=[0.5, 0.5])
+    with pytest.raises(ValueError, match="boundary margin"):
+        EnergyContext("bounded", mat, geom, quad, basis).renormalized_energy(cm)

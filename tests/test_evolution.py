@@ -196,8 +196,8 @@ def test_landing_passes_its_own_threshold(fctx, geom):
                 continue
             trial = pts.copy()
             trial[i, 0] = _land_position(
-                evolution._force_probe(pts, i, 0.0, load, fctx), pts[i, 0], d,
-                barrier, LINE_GRID)
+                evolution._force_probe(pts, i, 0.0, load, fctx), pts[i, 0], f,
+                d, barrier, LINE_GRID)
             if trial[i, 0] == barrier:
                 continue
             landed += 1
@@ -224,11 +224,12 @@ def _landing_cases(fctx, geom):
             else:
                 barrier = pts[1 - i, 0] - d * 0.05
             if (barrier - pts[i, 0]) * d > 0:
-                yield pts, i, d, barrier, load
+                yield pts, i, f, d, barrier, load
 
 
-def _bisection_landing(probe, x0, direction, barrier, line_grid):
-    """Oracle: the march-then-bisect landing that regula falsi replaced."""
+def _bisection_landing(probe, x0, f0, direction, barrier, line_grid):
+    """Oracle: the march-then-bisect landing that regula falsi replaced; like
+    it, it never probes x0, whose force ``f0`` it does not need."""
     grid = np.linspace(x0, barrier, line_grid + 1)[1:]
 
     def f_at(x):
@@ -274,11 +275,11 @@ def test_landing_matches_bisection_oracle(fctx, geom):
     totals = np.zeros(2, dtype=int)
     overall = np.zeros(2, dtype=int)
     landed = 0
-    for pts, i, d, barrier, load in _landing_cases(fctx, geom):
+    for pts, i, f, d, barrier, load in _landing_cases(fctx, geom):
         x, n = [], []
         for land in (_land_position, _bisection_landing):
             probe = _Counted(evolution._force_probe(pts, i, 0.0, load, fctx))
-            x.append(land(probe, pts[i, 0], d, barrier, LINE_GRID))
+            x.append(land(probe, pts[i, 0], f, d, barrier, LINE_GRID))
             n.append(probe.calls)
         assert abs(x[0] - x[1]) <= 1e-12 * max(1.0, abs(x[1]))
         assert 0 < n[0] <= n[1]
@@ -292,8 +293,8 @@ def test_landing_matches_bisection_oracle(fctx, geom):
         assert abs(_force_single(trial, i, 0.0, load, fctx)) <= 1.0 + 1e-12
     assert landed >= 100
     assert 2 * totals[0] <= totals[1]
-    assert totals.tolist() == [3014, 7690]
-    assert overall.tolist() == [8342, 13018]
+    assert totals.tolist() == [3007, 7690]
+    assert overall.tolist() == [8335, 13018]
 
 
 def test_landing_marches_on_linspace_points():
@@ -304,8 +305,8 @@ def test_landing_marches_on_linspace_points():
         def probe(x):
             seen.append(x)
             return 2.0 if barrier > x0 else -2.0
-        assert _land_position(probe, x0, np.sign(barrier - x0), barrier,
-                              LINE_GRID) == barrier
+        assert _land_position(probe, x0, 2.0 * np.sign(barrier - x0),
+                              np.sign(barrier - x0), barrier, LINE_GRID) == barrier
         grid = np.linspace(x0, barrier, LINE_GRID + 1)[1:]
         assert [_bits(x) for x in seen] == [_bits(x) for x in grid]
 
@@ -323,7 +324,7 @@ def test_landing_safeguards_on_a_force_jump(geom, direction, left, right, offset
     probe = _Counted(lambda x: direction * (left if direction * (x - xj) < 0
                                             else right))
     barrier = geom.r_box.x1 if direction > 0 else geom.r_box.x0
-    hi = _land_position(probe, x0, direction, barrier, LINE_GRID)
+    hi = _land_position(probe, x0, probe.probe(x0), direction, barrier, LINE_GRID)
     assert probe.probe(hi) * direction < 1
     # f(lo) >= 1 puts lo on the near side of xj, so hi - xj bounds the bracket
     assert 0 <= (hi - xj) * direction < 1e-13
@@ -339,7 +340,7 @@ def test_landing_on_a_linear_force(geom, direction):
     xr = x0 + direction * 0.01
     probe = _Counted(lambda x: direction * (1 - 3 * direction * (x - xr)))
     barrier = geom.r_box.x1 if direction > 0 else geom.r_box.x0
-    hi = _land_position(probe, x0, direction, barrier, LINE_GRID)
+    hi = _land_position(probe, x0, probe.probe(x0), direction, barrier, LINE_GRID)
     assert 0 < (hi - xr) * direction < 1e-13
     assert probe.calls == 4
 
@@ -365,7 +366,7 @@ def _checked_sweep(pts, t, load, ctx, solver_cfg, box, r_n, planes):
                 if (barrier - pts[i, 0]) * direction <= 1e-15:
                     continue
                 pts[i, 0] = _land_position(
-                    evolution._force_probe(pts, i, t, load, ctx), pts[i, 0],
+                    evolution._force_probe(pts, i, t, load, ctx), pts[i, 0], f,
                     direction, barrier, solver_cfg.line_grid)
                 moved = True
         resid = evolution._residual_from_forces(

@@ -285,6 +285,9 @@ def test_quadrature_config_validation():
         for bad in (0, -3):
             with pytest.raises(ValueError, match=name):
                 QuadratureConfig(**{name: bad})
+    # one node per cell leaves a cell's own pairs no distinct nodes to average
+    with pytest.raises(ValueError, match="density_gauss"):
+        QuadratureConfig(density_gauss=1)
 
 # V(y_i, z_j) of interaction_cross_matrix on fixed families, pinned so that a
 # rewrite of the boundary route must reproduce it to rounding (1e-14), far
@@ -473,3 +476,77 @@ def test_bounded_sum_matches_cross_matrix(domain, n, geom, mat, quad):
     ref = interaction_cross_matrix(pts, pts, geom, mat, quad).sum() / (2 * n * n)
     e = interaction_of_points(pts, "bounded", geom, mat, quad)
     assert abs(e - ref) <= 1e-13 * abs(ref)
+
+
+def _node_pair_continuum(density, geom, mat, quad):
+    """Oracle: the node-pair assembly the rows-first continuum replaced.
+
+    V between all Gauss nodes (``interaction_cross_matrix``, or the leading
+    -c log r when ``geom`` is None), then per cell pair the node mean of the
+    block; same-cell and touching pairs take the closed-form log moment plus
+    the node mean of V + c log r, without the coincident nodes and divided by
+    1 - sum w^2 for a cell paired with itself.
+    """
+    from slipdyn.interaction import _cell_log_moment
+    nodes, w = density.gauss_nodes(quad.density_gauss)
+    flat = nodes.reshape(-1, 2)
+    g2 = len(w)
+    r_all = np.hypot(*(flat[:, None, :] - flat[None, :, :]).transpose(2, 0, 1))
+    coef = mat.log_coef
+    if geom is None:
+        with np.errstate(divide="ignore"):
+            V = -coef * np.log(r_all)
+    else:
+        V = interaction_cross_matrix(flat, flat, geom, mat, quad)
+    total = 0.0
+    for a in range(density.n_cells):
+        for b in range(density.n_cells):
+            dij = density.indices[b] - density.indices[a]
+            block = V[a * g2:(a + 1) * g2, b * g2:(b + 1) * g2]
+            mm = density.masses[a] * density.masses[b]
+            if max(abs(dij[0]), abs(dij[1])) > 1:
+                total += mm * float(w @ block @ w)
+                continue
+            r = r_all[a * g2:(a + 1) * g2, b * g2:(b + 1) * g2].copy()
+            if a == b:
+                np.fill_diagonal(r, 1.0)
+            W = block + coef * np.log(r)
+            denom = 1.0
+            if a == b:
+                np.fill_diagonal(W, 0.0)
+                denom = 1.0 - float(w @ w)
+            log_part = -coef * (math.log(density.spacing)
+                                + _cell_log_moment(int(dij[0]), int(dij[1])))
+            total += mm * (log_part + float(w @ W @ w) / denom)
+    return 0.5 * total
+
+
+def _continuum_cases():
+    """Far, four-cell, h = 0.2, h = 0.1 and 8 x 8 touching densities."""
+    def uniform(spacing, k):
+        idx = [[i, j] for i in range(k) for j in range(k)]
+        return CellMeasure(origin=(0.3, 0.3), spacing=spacing, indices=idx,
+                           masses=np.full(k * k, 1.0 / (k * k)))
+    return {
+        "far": CellMeasure(origin=(0.0, 0.0), spacing=0.1,
+                           indices=[[3, 3], [6, 6]], masses=[0.5, 0.5]),
+        "four": CellMeasure(origin=(0.3, 0.3), spacing=0.1,
+                            indices=[[0, 0], [2, 0], [0, 2], [2, 2]],
+                            masses=[0.25] * 4),
+        "h0.2": uniform(0.2, 2), "h0.1": uniform(0.1, 4), "h0.05": uniform(0.05, 8),
+    }
+
+
+@pytest.mark.parametrize("case", list(_continuum_cases()))
+@pytest.mark.parametrize("domain", ["square", "wide"])
+@pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (0.7, 1.3)])
+def test_continuum_matches_node_pair_assembly(case, domain, lam, mu, geom, quad):
+    density = _continuum_cases()[case]
+    geom = geom if domain == "square" else _two_to_one()[0]
+    mat = Material(lam, mu)
+    ref = _node_pair_continuum(density, geom, mat, quad)
+    assert abs(continuum_interaction(density, geom, mat, quad) - ref) <= 1e-13 * abs(ref)
+    if domain == "square":      # free space does not see the domain
+        ref = _node_pair_continuum(density, None, mat, quad)
+        got = continuum_interaction_freespace(density, mat, quad)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
