@@ -1,0 +1,82 @@
+#!/usr/bin/env python3
+"""Time the boundary-data layer alone: medians of repeated calls and peak RSS.
+
+Sections:
+
+* one source's boundary row and column (``_boundary_sums`` of one source);
+* blocks of 16, 64 and 256 sources through the same sum, per source;
+* one bounded force probe (``evolution._force_probe``: one dV/dy_1 row, one
+  corrector solve and its derivative row) at n = 2, 16 and 64 dislocations.
+
+Unit square, Material(1, 1), default quadrature (128 points per edge) and
+Ritz degree 8, as in ``configs/bounded_pair.json``.  Peak RSS is the process
+maximum after each section, so it never decreases down the table.  Nothing is
+asserted.  Pin the BLAS threads for comparable numbers:
+
+Usage: OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/layer_timings.py [--repeat N]
+"""
+import argparse
+import os
+import resource
+import statistics
+import time
+
+import numpy as np
+
+from slipdyn.corrector import RitzBasis, get_solver
+from slipdyn.evolution import EnergyContext, LoadingProgram, _force_probe
+from slipdyn.geometry import unit_geometry
+from slipdyn.interaction import QuadratureConfig, _boundary_grid, _boundary_sums
+from slipdyn.kernels import Material
+
+
+def _median_s(fn, repeat):
+    """Median wall time of ``fn()`` over ``repeat`` calls, after one warm-up."""
+    fn()
+    times = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
+def _peak_rss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _report(label, seconds, per):
+    print(f"{label:<34} {seconds * 1e6:12.1f} {seconds / per * 1e6:12.1f}"
+          f" {_peak_rss_mb():10.1f}")
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--repeat", type=int, default=50)
+    args = ap.parse_args()
+
+    geom, mat, quad, basis = unit_geometry(), Material(1.0, 1.0), QuadratureConfig(), RitzBasis(8)
+    grid = _boundary_grid(geom.omega, quad.boundary_points)
+    ctx = EnergyContext("bounded", mat, geom, quad, basis)
+    get_solver(geom, mat, basis, quad)          # built once, outside the timings
+    load = LoadingProgram.uniform_shear(lambda t: 0.1 * t, 1.0, lambda t: 0.1)
+    rng = np.random.default_rng(1)
+    pts = rng.uniform(0.3, 0.7, (256, 2))
+
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    print(f"OPENBLAS_NUM_THREADS={threads}, {args.repeat} repeats, "
+          f"{len(grid['gauss_w'])} boundary points")
+    print(f"{'section':<34} {'median_us':>12} {'per_src_us':>12} {'peak_rss_mb':>10}")
+    for m in (1, 16, 64, 256):
+        weights = np.full(m, 1.0 / m)
+        t = _median_s(lambda: _boundary_sums(grid, pts[:m], weights, mat), args.repeat)
+        _report(f"row + column, {m} source(s)", t, m)
+    for n in (2, 16, 64):
+        probe = _force_probe(pts[:n].copy(), 0, 0.5, load, ctx)
+        x = pts[0, 0] + 1e-3
+        t = _median_s(lambda: probe(x), args.repeat)
+        _report(f"bounded probe, n = {n}", t, n)
+
+
+if __name__ == "__main__":
+    main()

@@ -77,6 +77,42 @@ def _finite(spec: dict, key: str, ndim: int) -> np.ndarray:
     return value
 
 
+def _numbers(value, key: str, count: int) -> tuple:
+    """``count`` finite numbers as a tuple of floats."""
+    arr = _cast(lambda v: np.asarray(v, dtype=float), value, key)
+    if arr.shape != (count,) or not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{key} must be {count} finite numbers, got {value!r}")
+    return tuple(map(float, arr))
+
+
+def _positive(value, key: str) -> float:
+    """A positive finite number."""
+    x = _cast(float, value, key)
+    if not 0 < x < math.inf:                   # NaN fails too
+        raise ConfigError(f"{key} must be finite and positive, got {value!r}")
+    return x
+
+
+def _gamma_section(sec: dict) -> dict:
+    """The gamma section with its numbers checked and cast."""
+    target = _take(sec["target"], "gamma.target",
+                   dict.fromkeys(("kind", "center", "side"), _REQUIRED))
+    if target["kind"] != "uniform_square":
+        raise ConfigError(f"gamma.target kind must be 'uniform_square', got {target['kind']!r}")
+    target.update(center=_numbers(target["center"], "gamma.target center", 2),
+                  side=_positive(target["side"], "gamma.target side"))
+    ladder = sec["n_ladder"]
+    if not (isinstance(ladder, list) and ladder and all(
+            type(n) is int and n > 0 for n in ladder)):
+        raise ConfigError("gamma.n_ladder must be a non-empty list of positive "
+                          f"integers, got {ladder!r}")
+    if sec["mode"] not in ("bounded", "freespace"):
+        raise ConfigError(f"gamma.mode must be 'bounded' or 'freespace', got {sec['mode']!r}")
+    origin = None if sec["origin"] is None else _numbers(sec["origin"], "gamma.origin", 2)
+    return {**sec, "target": target, "h": _positive(sec["h"], "gamma.h"), "origin": origin,
+            "gamma_c": _numbers(sec["gamma_c"], "gamma.gamma_c", 2)}
+
+
 def _sigma_callable(spec, horizon: float):
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind not in _SIGMA_KEYS:
@@ -165,9 +201,7 @@ def load_config(path) -> ExperimentConfig:
             "kind": "uniform_shear", "sigma": _REQUIRED, "time_horizon": _REQUIRED})
         if ld["kind"] != "uniform_shear":
             raise ConfigError("config files support the uniform_shear loading kind")
-        horizon = _cast(float, ld["time_horizon"], "loading.time_horizon")
-        if not 0 < horizon < math.inf:         # NaN fails too
-            raise ConfigError(f"loading time_horizon must be finite and positive, got {horizon}")
+        horizon = _positive(ld["time_horizon"], "loading.time_horizon")
         sigma, sigma_dot = _sigma_callable(ld["sigma"], horizon)
         loading = LoadingProgram.uniform_shear(sigma, horizon, sigma_dot=sigma_dot)
 
@@ -191,6 +225,8 @@ def load_config(path) -> ExperimentConfig:
     if sec_raw is None:
         raise ConfigError(f"experiment '{exp}' requires a '{sec_name}' section")
     section = _take(sec_raw, sec_name, allowed)
+    if exp == "gamma":
+        section = _gamma_section(section)
     if exp == "simulate" and loading is None:
         raise ConfigError("simulate requires a 'loading' section")
 

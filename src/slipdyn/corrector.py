@@ -17,8 +17,9 @@ The boundary integral runs on the Gauss grid of the interaction route
 (``interaction._boundary_grid`` at ``quadrature.boundary_points`` per edge),
 fixed when the solver is built, so no solve depends on an earlier one.  Its
 weighted tractions, and their y_1-derivatives for the forces, are columns of
-the route's boundary rows (``interaction._boundary_row``); ``solve_traction``
-takes their sum from the interaction energy's pass.  At construction
+the route's closed-form boundary rows, evaluated for blocks of sources
+(``interaction._boundary_rows``); ``solve_traction`` takes their sum from the
+interaction energy's pass.  At construction
 the grid must resolve the tractions of the admitted sources closest to the
 boundary to ``quadrature.tol``; otherwise it raises.
 """
@@ -34,8 +35,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import lu_factor, lu_solve
 
 from .geometry import Geometry, Rect
-from .interaction import (QuadratureConfig, _boundary_grid, _boundary_row,
-                          _source_fields_dy1)
+from .interaction import BLOCK, QuadratureConfig, _boundary_grid, _boundary_rows
 from .kernels import Material, K_many  # noqa: F401  (perfbench/tracing.py patches K_many here)
 from .measures import CellMeasure, DiscreteMeasure, DislocationConfig
 
@@ -186,9 +186,11 @@ class CorrectorSolver:
                 "gauss_w": np.tile(grid["gauss_w"] / 2, 2),
                 "gauss_nu": np.tile(grid["gauss_nu"], (2, 1))}
         fine_vals, _, _ = self._scalar_basis(fine["gauss_pts"], want_grad=False)
-        for c in Rect(o.x0 + ell, o.y0 + ell, o.x1 - ell, o.y1 - ell).corners():
-            b = (self._vals.T @ _boundary_row(grid, c, self.mat)[:, :2]).T.ravel()
-            b2 = (fine_vals.T @ _boundary_row(fine, c, self.mat)[:, :2]).T.ravel()
+        corners = Rect(o.x0 + ell, o.y0 + ell, o.x1 - ell, o.y1 - ell).corners()
+        for row, row2 in zip(_boundary_rows(grid, corners, self.mat),
+                             _boundary_rows(fine, corners, self.mat)):
+            b = (self._vals.T @ row[:, :2]).T.ravel()
+            b2 = (fine_vals.T @ row2[:, :2]).T.ravel()
             if np.max(np.abs(b2 - b)) > self.q.tol * max(1.0, np.max(np.abs(b2))):
                 raise ValueError(
                     f"quadrature.boundary_points = {self.q.boundary_points} does not "
@@ -208,8 +210,11 @@ class CorrectorSolver:
         """
         atoms, weights = as_weighted_atoms(measure, self.q)
         self._check_margin(atoms)
-        T = sum(wi * _boundary_row(self._grid, zi, self.mat)[:, :2]
-                for zi, wi in zip(atoms, weights))
+        T = 0.0
+        for s in range(0, len(atoms), BLOCK):
+            rows = _boundary_rows(self._grid, atoms[s:s + BLOCK], self.mat)
+            for wi, row in zip(weights[s:s + BLOCK], rows):
+                T = T + wi * row[:, :2]
         return (self._vals.T @ T).T.ravel()
 
     def solve(self, measure) -> CorrectorSolution:
@@ -241,11 +246,12 @@ class CorrectorSolver:
         of the y_1-derivative row against the corrector displacement.
         """
         u = self.solve(measure).coefficients
-        atoms, _ = as_weighted_atoms(measure, self.q)
+        atoms = as_weighted_atoms(measure, self.q)[0][np.asarray(rows, dtype=int)]
         disp = self._vals @ u.reshape(2, -1).T
-        return np.array([-np.vdot(_boundary_row(self._grid, atoms[i], self.mat,
-                                                _source_fields_dy1)[:, :2], disp)
-                         for i in rows])
+        return np.array([-np.vdot(row[:, :2], disp)
+                         for s in range(0, len(atoms), BLOCK)
+                         for row in _boundary_rows(self._grid, atoms[s:s + BLOCK],
+                                                   self.mat, dy1=True)])
 
 
 @lru_cache(maxsize=None)

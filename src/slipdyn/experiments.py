@@ -120,31 +120,22 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: Path, seed: int,
     return rows
 
 
-def _gamma_target(spec: dict):
-    if spec.get("kind") == "uniform_square":
-        cx, cy = map(float, spec["center"])
-        s = float(spec["side"])
-        return UniformDensity(Rect(cx - s / 2, cy - s / 2, cx + s / 2, cy + s / 2))
-    raise ValueError(f"unknown gamma target kind {spec.get('kind')!r}")
-
-
 def cmd_gamma(cfg: ExperimentConfig, outdir: Path, seed: int,
               threads: int | None = None):
     """Convergence ladder: |F_n(recovery config) - F(limit measure)| per n."""
     sec = cfg.section
     geom, mat, q = cfg.geometry, cfg.material, cfg.quadrature
-    target = _gamma_target(sec["target"])
-    origin = tuple(sec["origin"]) if sec["origin"] is not None else (0.0, 0.0)
-    density = grid_approximation(target, float(sec["h"]), geom, origin=origin)
-    gamma_exp, c_const = map(float, sec["gamma_c"])
-    params = ClassParams(gamma_exp, c_const)
+    (cx, cy), s = sec["target"]["center"], sec["target"]["side"]
+    target = UniformDensity(Rect(cx - s / 2, cy - s / 2, cx + s / 2, cy + s / 2))
+    origin = sec["origin"] or (0.0, 0.0)
+    density = grid_approximation(target, sec["h"], geom, origin=origin)
+    params = ClassParams(*sec["gamma_c"])
 
     ctx = EnergyContext(mode=sec["mode"], mat=mat, geom=geom, quad=q, basis=cfg.basis)
     f_limit = ctx.renormalized_energy(density)
 
     rows = []
     for n in sec["n_ladder"]:
-        n = int(n)
         config_n = discretize_grid(density, n, cfg.schedule, geom)
         f_n = ctx.renormalized_energy(config_n)
         # snap pitch follows the class spacing, clamped into the feasible range

@@ -12,12 +12,14 @@ Two evaluation routes are implemented:
   the cells containing them;
 * a boundary reduction: the first row of the stress C K(.; y) is the rotated
   gradient of a single-valued stress potential psi_y, and Green's identity
-  turns V into -psi_y(z) plus the boundary row of y (``_boundary_row``) dotted
-  with the boundary column of z (``_boundary_column``), with no branch cut.
+  turns V into -psi_y(z) plus the boundary row of y dotted with the boundary
+  column of z, with no branch cut.  Rows (the closed-form stress traction and
+  psi, or their y_1-derivatives) and columns (the displacement v and d_nu log)
+  are evaluated for blocks of ``BLOCK`` sources at once by ``_boundary_rows``
+  and ``_boundary_columns``, the only evaluation of a source's boundary data.
   Pair matrices (``interaction_cross_matrix``), energies (weighted rows and
-  columns summed first, ``_boundary_sums``), dV/dy_1 (the row of the field's
-  y_1-derivative) and the corrector (the summed row's traction) all read these
-  rows and columns, the only evaluation of a source's boundary data.
+  columns summed first, ``_boundary_sums``), dV/dy_1 (the derivative rows)
+  and the corrector (the summed row's traction) all read them.
 
 ``v_pair`` shares no code with the boundary reduction and is kept as the
 independent oracle; agreement of the two routes is enforced in the tests.
@@ -32,8 +34,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .geometry import Geometry, Rect
-from .kernels import (MIN_SEPARATION, Material, K_many, apply_C, dK1_offsets,
-                      displacement_v, eval_K)
+from .kernels import (MIN_SEPARATION, Material, K_many, _check_separation, apply_C,
+                      eval_K)
 from .measures import CellMeasure, DislocationConfig, min_distance
 
 __all__ = [
@@ -303,35 +305,72 @@ def _stress_potential_dy1(u, mat: Material) -> np.ndarray:
     return mat.log_coef * u[..., 0] * (u[..., 1] ** 2 - u[..., 0] ** 2) / (r2 * r2)
 
 
-def _source_fields(xs, y, mat: Material):
-    """Strain K(x; y) and stress potential psi(x - y) of a source y at points xs."""
-    return K_many(xs, y, mat), _stress_potential(xs - y, mat)
+#: sources per call of the boundary functions: bounds their (m, ng) temporaries
+BLOCK = 16
 
 
-def _source_fields_dy1(xs, y, mat: Material):
-    """The y_1-derivatives of ``_source_fields``."""
-    return -dK1_offsets(xs - y, mat), _stress_potential_dy1(xs - y, mat)
+def _offsets(grid, zs):
+    """Offsets u = x - z of the grid points from sources zs, (m, 2): u_1, u_2
+    and |u|^2, each of shape (m, ng); a source on the grid raises."""
+    zs = np.asarray(zs, dtype=float).reshape(-1, 2)
+    x = grid["gauss_pts"]
+    u1 = x[:, 0] - zs[:, :1]
+    u2 = x[:, 1] - zs[:, 1:]
+    r2 = u1 * u1 + u2 * u2
+    _check_separation(r2)
+    return u1, u2, r2
 
 
-def _boundary_row(grid, y, mat: Material, fields=_source_fields) -> np.ndarray:
-    """Weighted boundary row w [C k nu, p / 2 pi], shape (ng, 3), of a source y
-    with (k, p) = ``fields(x, y, mat)`` on the grid; the row is linear in
-    (k, p), so ``_source_fields_dy1`` gives its y_1-derivative."""
-    k, p = fields(grid["gauss_pts"], y, mat)
-    row = np.empty((len(p), 3))
-    np.einsum("qij,qj->qi", apply_C(k, mat), grid["gauss_nu"], out=row[:, :2])
-    np.divide(p, 2 * math.pi, out=row[:, 2])
-    row *= grid["gauss_w"][:, None]
-    return row
+def _boundary_rows(grid, zs, mat: Material, dy1=False) -> np.ndarray:
+    """Weighted boundary rows w [sigma nu, psi / 2 pi], shape (m, ng, 3), of
+    sources zs, (m, 2), with ``dy1`` their z_1-derivatives -d/du_1.
+
+    sigma = C K(x; z) is the closed-form edge-dislocation stress (Hirth and
+    Lothe), with u = x - z, r = |u| and c = ``mat.log_coef``:
+    sigma_11 = -c u_2 (3 u_1^2 + u_2^2) / r^4, sigma_12 = c u_1 (u_1^2 - u_2^2) / r^4
+    and sigma_22 = c u_2 (u_1^2 - u_2^2) / r^4; -d_1 psi = -sigma_12.
+    """
+    u1, u2, r2 = _offsets(grid, zs)
+    q = 1.0 / r2
+    cq, a1, a2 = mat.log_coef * q, u1 * u1 * q, u2 * u2 * q    # a_i = u_i^2 / r^2
+    if dy1:
+        e = 2.0 * cq * u1 * u2 * q
+        s11, s22 = -e * (3.0 * a1 - a2), -e * (3.0 * a2 - a1)
+        s12 = cq * (a1 * a1 - 6.0 * a1 * a2 + a2 * a2)
+        p = cq * u1 * (a2 - a1)
+    else:
+        cq1, cq2, d = cq * u1, cq * u2, a1 - a2
+        s11, s12, s22 = -cq2 * (3.0 * a1 + a2), cq1 * d, cq2 * d
+        p = mat.log_coef * (0.5 * np.log(r2) + a2)
+    w = grid["gauss_w"]
+    wnu = grid["gauss_nu"] * w[:, None]
+    rows = np.empty(u1.shape + (3,))
+    rows[..., 0] = s11 * wnu[:, 0] + s12 * wnu[:, 1]
+    rows[..., 1] = s12 * wnu[:, 0] + s22 * wnu[:, 1]
+    rows[..., 2] = p * (w / (2 * math.pi))
+    return rows
 
 
-def _boundary_column(grid, z, mat: Material) -> np.ndarray:
-    """Boundary column [v_z, d_nu log|x - z|], shape (ng, 3), of a source z."""
-    u = grid["gauss_pts"] - z
-    col = np.empty((len(u), 3))
-    col[:, :2] = displacement_v(u, mat)
-    col[:, 2] = np.einsum("qj,qj->q", u, grid["gauss_nu"]) / np.einsum("qj,qj->q", u, u)
-    return col
+def _boundary_columns(grid, zs, mat: Material) -> np.ndarray:
+    """Boundary columns [v_z, d_nu log|x - z|], shape (m, ng, 3), of sources zs,
+    (m, 2): the single-valued displacement v (``kernels.displacement_v``) and
+    the normal derivative of the log."""
+    u1, u2, r2 = _offsets(grid, zs)
+    a, b, q = mat.coef_a, mat.coef_b, 1.0 / r2
+    nu1, nu2 = grid["gauss_nu"].T
+    cols = np.empty(u1.shape + (3,))
+    cols[..., 0] = 2.0 * b * u1 * u2 * q
+    cols[..., 1] = -a * 0.5 * np.log(r2) - b * (u1 * u1 - u2 * u2) * q
+    cols[..., 2] = (u1 * nu1 + u2 * nu2) * q
+    return cols
+
+
+def _stacked(boundary, grid, zs, mat: Material) -> np.ndarray:
+    """``boundary(grid, block, mat)`` over zs in blocks of ``BLOCK``, stacked."""
+    out = np.empty((len(zs), len(grid["gauss_w"]), 3))
+    for s in range(0, len(zs), BLOCK):
+        out[s:s + BLOCK] = boundary(grid, zs[s:s + BLOCK], mat)
+    return out
 
 
 def interaction_cross_matrix(ys, zs, geom: Geometry, mat: Material,
@@ -351,14 +390,8 @@ def interaction_cross_matrix(ys, zs, geom: Geometry, mat: Material,
     ys = np.asarray(ys, dtype=float).reshape(-1, 2)
     zs = np.asarray(zs, dtype=float).reshape(-1, 2)
     grid = _boundary_grid(geom.omega, q.boundary_points)
-    ng = len(grid["gauss_w"])
-    A = np.empty((len(ys), ng, 3))
-    for i, yi in enumerate(ys):
-        A[i] = _boundary_row(grid, yi, mat)
-    B = np.empty((len(zs), ng, 3))
-    for j, zj in enumerate(zs):
-        B[j] = _boundary_column(grid, zj, mat)
-    M = A.reshape(len(ys), 3 * ng) @ B.reshape(len(zs), 3 * ng).T
+    A = _stacked(_boundary_rows, grid, ys, mat).reshape(len(ys), -1)
+    M = A @ _stacked(_boundary_columns, grid, zs, mat).reshape(len(zs), -1).T
     for i, yi in enumerate(ys):
         u = zs - yi
         coincident = np.hypot(u[:, 0], u[:, 1]) < MIN_SEPARATION
@@ -372,21 +405,22 @@ def interaction_dy1_matrix(ys, zs, geom: Geometry, mat: Material,
                            q: QuadratureConfig) -> np.ndarray:
     """Matrix of dV(y_i, z_j)/dy_1 over two point families (coincident pairs get 0).
 
-    The y_1-derivative of ``interaction_cross_matrix``: the boundary row of the
-    derivative fields (``_source_fields_dy1``) times the same columns, minus
+    The y_1-derivative of ``interaction_cross_matrix``: the derivative boundary
+    rows (``_boundary_rows`` with ``dy1``) times the same columns, minus
     d_1 psi(y - z).  Each row is one matrix-vector product, so a row does not
     depend on which other rows are asked for.
     """
     ys = np.asarray(ys, dtype=float).reshape(-1, 2)
     zs = np.asarray(zs, dtype=float).reshape(-1, 2)
     grid = _boundary_grid(geom.omega, q.boundary_points)
-    B = np.stack([_boundary_column(grid, zj, mat) for zj in zs]).reshape(len(zs), -1)
+    B = _stacked(_boundary_columns, grid, zs, mat).reshape(len(zs), -1)
     d = ys[:, None, :] - zs[None, :, :]
     coincident = np.hypot(d[..., 0], d[..., 1]) < MIN_SEPARATION
     with np.errstate(divide="ignore", invalid="ignore"):
         M = _stress_potential_dy1(d, mat)
-    for i, yi in enumerate(ys):
-        M[i] += B @ _boundary_row(grid, yi, mat, _source_fields_dy1).ravel()
+    for s in range(0, len(ys), BLOCK):
+        for i, row in enumerate(_boundary_rows(grid, ys[s:s + BLOCK], mat, dy1=True), s):
+            M[i] += B @ row.ravel()
     M[coincident] = 0.0
     return M
 
@@ -402,12 +436,16 @@ def _log_kernel(u, mat: Material) -> np.ndarray:
 
 def _boundary_sums(grid, pts, weights, mat: Material):
     """A = sum_i w_i a_i and B = sum_i w_i b_i over the sources' boundary rows
-    and columns, each evaluated once, and the self terms (w_i a_i) . (w_i b_i)."""
+    and columns, each evaluated once and added in source order, and the self
+    terms (w_i a_i) . (w_i b_i)."""
     A, B, selfs = 0.0, 0.0, []
-    for zi, wi in zip(pts, weights):
-        a, b = wi * _boundary_row(grid, zi, mat), wi * _boundary_column(grid, zi, mat)
-        A, B = A + a, B + b
-        selfs.append(np.vdot(a, b))
+    for s in range(0, len(pts), BLOCK):
+        w = np.asarray(weights[s:s + BLOCK], dtype=float)[:, None, None]
+        a = w * _boundary_rows(grid, pts[s:s + BLOCK], mat)
+        b = w * _boundary_columns(grid, pts[s:s + BLOCK], mat)
+        for ai, bi in zip(a, b):
+            A, B = A + ai, B + bi
+            selfs.append(np.vdot(ai, bi))
     return A, B, selfs
 
 

@@ -346,6 +346,36 @@ def test_non_scalar_numbers_rejected(tmp_path, path, value, key):
     assert key in res.output
 
 
+@pytest.mark.parametrize("key, value", [
+    ("h", [0.2]), ("h", 0.0), ("h", -0.2), ("h", math.nan), ("h", math.inf),
+    ("origin", [0.3]), ("origin", 0.3), ("origin", [[0.3, 0.3]]),
+    ("origin", [0.3, math.nan]), ("gamma_c", [1.0]), ("gamma_c", [0.0, math.inf]),
+    ("n_ladder", []), ("n_ladder", [0]), ("n_ladder", [64, -4]), ("n_ladder", 64),
+    ("n_ladder", [64.0]), ("n_ladder", [True]), ("mode", "bounded_"),
+    ("target", {"kind": "disk", "center": [0.5, 0.5], "side": 0.4}),
+    ("target", {"kind": "uniform_square", "center": [0.5, 0.5], "side": [0.4]}),
+    ("target", {"kind": "uniform_square", "center": [0.5], "side": 0.4}),
+    ("target", {"kind": "uniform_square", "center": [0.5, 0.5]}),
+    ("target", [0.5, 0.5, 0.4]),
+], ids=["h-list", "h-zero", "h-negative", "h-nan", "h-inf", "origin-one",
+        "origin-scalar", "origin-nested", "origin-nan", "gamma_c-one", "gamma_c-inf",
+        "ladder-empty", "ladder-zero", "ladder-negative", "ladder-scalar",
+        "ladder-float", "ladder-bool", "mode-unknown", "target-kind", "target-side-list",
+        "target-center-one", "target-side-missing", "target-list"])
+def test_gamma_section_rejected(tmp_path, key, value):
+    # the gamma section used to be cast only at run time: a list for h or the
+    # target's side exited 1 with a TypeError, an empty ladder wrote an empty
+    # table; each is a config error that names the key
+    payload = json.loads((CONFIG_DIR / "gamma_uniform.json").read_text())
+    payload["gamma"][key] = value
+    with pytest.raises(ConfigError, match=f"gamma.{key}"):
+        load_config(write_config(tmp_path, payload))
+    res = CliRunner().invoke(main, ["gamma", str(write_config(tmp_path, payload)),
+                                    "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert f"gamma.{key}" in res.output
+
+
 #: sha256 of every output file of the shipped configs whose outputs do not
 #: depend on the BLAS thread count (bounded_pair, gamma_uniform and
 #: kernel_check do; scripts/run_examples.py prints all of them)

@@ -249,19 +249,19 @@ def test_one_boundary_row_per_source(geom, mat, quad, basis, schedule, monkeypat
     import slipdyn.corrector as corrector
     import slipdyn.interaction as interaction
     get_solver(geom, mat, basis, quad)            # built before counting
-    calls = [0]
-    row = interaction._boundary_row
+    sources = [0]
+    rows = interaction._boundary_rows
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return row(*args, **kwargs)
+    def counted(grid, zs, *args, **kwargs):
+        sources[0] += len(np.reshape(zs, (-1, 2)))
+        return rows(grid, zs, *args, **kwargs)
 
-    monkeypatch.setattr(interaction, "_boundary_row", counted)
-    monkeypatch.setattr(corrector, "_boundary_row", counted)
+    monkeypatch.setattr(interaction, "_boundary_rows", counted)
+    monkeypatch.setattr(corrector, "_boundary_rows", counted)
     pts = np.column_stack([np.linspace(0.3, 0.7, 8), np.repeat([0.4, 0.6], 4)])
     cfg = DislocationConfig(pts, schedule, geom.r_box)
     EnergyContext("bounded", mat, geom, quad, basis).renormalized_energy(cfg)
-    assert calls[0] == 8
+    assert sources[0] == 8
 
 
 def test_density_margin_checked_on_the_shared_path(geom, mat, quad, basis):

@@ -550,3 +550,60 @@ def test_continuum_matches_node_pair_assembly(case, domain, lam, mu, geom, quad)
         ref = _node_pair_continuum(density, None, mat, quad)
         got = continuum_interaction_freespace(density, mat, quad)
         assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
+def _kernel_route_boundary_data(grid, z, mat):
+    """Row, y_1-derivative row and column of one source assembled from the
+    general-purpose kernels (strain, its z_1-derivative, C and v): the oracle
+    of the closed-form ``_boundary_rows`` and ``_boundary_columns``."""
+    from slipdyn.interaction import _stress_potential, _stress_potential_dy1
+    from slipdyn.kernels import dK1_offsets, displacement_v
+    x, nu, w = grid["gauss_pts"], grid["gauss_nu"], grid["gauss_w"][:, None]
+
+    def row(k, p):
+        return np.column_stack([np.einsum("qij,qj->qi", apply_C(k, mat), nu),
+                                p / (2 * math.pi)]) * w
+
+    u = x - z
+    col = np.column_stack([displacement_v(u, mat),
+                           np.einsum("qj,qj->q", u, nu) / np.einsum("qj,qj->q", u, u)])
+    return (row(K_many(x, z, mat), _stress_potential(u, mat)),
+            row(-dK1_offsets(u, mat), _stress_potential_dy1(u, mat)), col)
+
+
+@pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (0.7, 1.3)])
+@pytest.mark.parametrize("domain", ["square", "wide"])
+def test_closed_form_boundary_data_matches_kernel_route(domain, lam, mu, geom, quad):
+    from slipdyn.interaction import (BLOCK, _boundary_columns, _boundary_grid,
+                                     _boundary_rows)
+    if domain == "wide":
+        geom = _two_to_one()[0]
+    mat = Material(lam, mu)
+    o, ell = geom.omega, geom.ell
+    grid = _boundary_grid(o, quad.boundary_points)
+    rng = np.random.default_rng(17)
+    interior = np.column_stack([rng.uniform(o.x0 + ell, o.x1 - ell, BLOCK - 4),
+                                rng.uniform(o.y0 + ell, o.y1 - ell, BLOCK - 4)])
+    corners = Rect(o.x0 + ell, o.y0 + ell, o.x1 - ell, o.y1 - ell).corners()
+    zs = np.concatenate([interior, corners])
+    got = (_boundary_rows(grid, zs, mat), _boundary_rows(grid, zs, mat, dy1=True),
+           _boundary_columns(grid, zs, mat))
+    want = [np.stack(parts) for parts in
+            zip(*(_kernel_route_boundary_data(grid, z, mat) for z in zs))]
+    for g, r in zip(got, want):
+        assert np.max(np.abs(g - r)) <= 1e-14 * np.max(np.abs(r))
+    # a source's data do not depend on the block it is evaluated in: alone and
+    # at every position of a block of BLOCK sources they are bit-identical
+    def data(block):
+        return (_boundary_rows(grid, block, mat), _boundary_rows(grid, block, mat, dy1=True),
+                _boundary_columns(grid, block, mat))
+
+    for k, z in enumerate(zs):
+        for full, alone in zip(got, data(z)):
+            assert np.array_equal(full[k], alone[0])
+    for shift in range(1, BLOCK):
+        for full, rolled in zip(got, data(np.roll(zs, shift, axis=0))):
+            assert np.array_equal(np.roll(rolled, -shift, axis=0), full)
+    for boundary in (_boundary_rows, _boundary_columns):
+        with pytest.raises(ValueError, match="dislocation core"):
+            boundary(grid, np.vstack([zs[:3], grid["gauss_pts"][7]]), mat)
