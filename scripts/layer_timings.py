@@ -1,12 +1,18 @@
 #!/usr/bin/env python3
-"""Time the boundary-data layer alone: medians of repeated calls and peak RSS.
+"""Time single layers alone: medians of repeated calls and peak RSS.
 
 Sections:
 
 * one source's boundary row and column (``_boundary_sums`` of one source);
 * blocks of 16, 64 and 256 sources through the same sum, per source;
-* one bounded force probe (``evolution._force_probe``: one dV/dy_1 row, one
-  corrector solve and its derivative row) at n = 2, 16 and 64 dislocations.
+* one bounded force probe (``evolution._force_probe``: one boundary pass, one
+  corrector solve and one derivative row) at n = 2, 16 and 64 dislocations;
+* one all-rows bounded force (``evolution._forces_at``: the same pass with n
+  derivative rows) at n = 2, 16 and 64;
+* one corrector build (``CorrectorSolver``: stiffness, factorization and the
+  resolution check; a tenth of the repeats, at least 3) and one corrector
+  solve (``CorrectorSolver._solve`` of a fixed linear form) at degrees 8, 16,
+  24 and 28.
 
 Unit square, Material(1, 1), default quadrature (128 points per edge) and
 Ritz degree 8, as in ``configs/bounded_pair.json``.  Peak RSS is the process
@@ -23,11 +29,12 @@ import time
 
 import numpy as np
 
-from slipdyn.corrector import RitzBasis, get_solver
-from slipdyn.evolution import EnergyContext, LoadingProgram, _force_probe
+from slipdyn.corrector import CorrectorSolver, RitzBasis, get_solver
+from slipdyn.evolution import EnergyContext, LoadingProgram, _force_probe, _forces_at
 from slipdyn.geometry import unit_geometry
 from slipdyn.interaction import QuadratureConfig, _boundary_grid, _boundary_sums
 from slipdyn.kernels import Material
+from slipdyn.measures import DiscreteMeasure
 
 
 def _median_s(fn, repeat):
@@ -76,6 +83,18 @@ def main():
         x = pts[0, 0] + 1e-3
         t = _median_s(lambda: probe(x), args.repeat)
         _report(f"bounded probe, n = {n}", t, n)
+    for n in (2, 16, 64):
+        t = _median_s(lambda: _forces_at(pts[:n], 0.5, load, ctx), args.repeat)
+        _report(f"all-rows bounded force, n = {n}", t, n)
+    measure = DiscreteMeasure.equal_weights(pts[:16])
+    for degree in (8, 16, 24, 28):
+        t = _median_s(lambda: CorrectorSolver(geom, mat, RitzBasis(degree), quad),
+                      max(3, args.repeat // 10))
+        _report(f"corrector build, degree {degree}", t, 1)
+        solver = CorrectorSolver(geom, mat, RitzBasis(degree), quad)
+        b = solver.linear_form(measure)
+        t = _median_s(lambda: solver._solve(b), args.repeat)
+        _report(f"corrector solve, degree {degree}", t, 1)
 
 
 if __name__ == "__main__":

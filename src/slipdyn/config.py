@@ -48,12 +48,25 @@ def _take(section: dict, name: str, allowed: dict):
 _REQUIRED = object()
 
 
+def _leaves(value) -> list:
+    """The scalars of a JSON value, lists flattened."""
+    return [x for v in value for x in _leaves(v)] if isinstance(value, list) else [value]
+
+
 def _cast(cast, value, key: str):
-    """``cast(value)``; a value of the wrong type or shape is a config error."""
+    """``cast(value)``; a value of the wrong type or shape is a config error, as
+    is a string or a boolean anywhere in a number (any cast but ``str``) and a
+    non-integral ``int``."""
+    if cast is not str and any(isinstance(v, (str, bool)) for v in _leaves(value)):
+        raise ConfigError(f"{key} must be numeric, got {value!r}")
+    if cast is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
     try:
         return cast(value)
     except TypeError:
         raise ConfigError(f"{key} has the wrong type or shape: {value!r}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{key} = {value!r} is invalid: {exc}") from None
 
 
 def _build(cls, section: dict, name: str):
@@ -69,20 +82,19 @@ _SIGMA_KEYS = {"constant": ("value",), "ramp": ("rate",),
                "piecewise_linear": ("times", "values")}
 
 
-def _finite(spec: dict, key: str, ndim: int) -> np.ndarray:
-    value = _cast(lambda v: np.asarray(v, dtype=float), spec[key], f"loading.sigma {key}")
-    if value.ndim != ndim or not np.all(np.isfinite(value)):
-        kind = ("a finite number", "a list of finite numbers")[ndim]
-        raise ConfigError(f"loading.sigma {key} must be {kind}, got {spec[key]!r}")
-    return value
+def _finite(value, key: str, shape: tuple, what: str) -> np.ndarray:
+    """An array of finite floats of ``shape``, where None stands for any
+    positive length; otherwise a config error saying ``key`` must be ``what``."""
+    arr = _cast(lambda v: np.asarray(v, dtype=float), value, key)
+    if not (arr.ndim == len(shape) and np.all(np.isfinite(arr)) and all(
+            n == m if m else n > 0 for n, m in zip(arr.shape, shape))):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return arr
 
 
 def _numbers(value, key: str, count: int) -> tuple:
     """``count`` finite numbers as a tuple of floats."""
-    arr = _cast(lambda v: np.asarray(v, dtype=float), value, key)
-    if arr.shape != (count,) or not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{key} must be {count} finite numbers, got {value!r}")
-    return tuple(map(float, arr))
+    return tuple(map(float, _finite(value, key, (count,), f"{count} finite numbers")))
 
 
 def _positive(value, key: str) -> float:
@@ -113,6 +125,18 @@ def _gamma_section(sec: dict) -> dict:
             "gamma_c": _numbers(sec["gamma_c"], "gamma.gamma_c", 2)}
 
 
+def _evolution_section(sec: dict) -> dict:
+    """The evolution section with its values checked and cast."""
+    if type(sec["pre_relax"]) is not bool:
+        raise ConfigError(f"evolution.pre_relax must be true or false, got {sec['pre_relax']!r}")
+    steps = _cast(int, sec["steps"], "evolution.steps")
+    if steps < 0:
+        raise ConfigError(f"evolution.steps must be a non-negative integer, got {steps}")
+    points = _finite(sec["initial_points"], "evolution.initial_points", (None, 2),
+                     "a non-empty list of finite (x, y) pairs")
+    return {**sec, "initial_points": tuple(map(tuple, points.tolist())), "steps": steps}
+
+
 def _sigma_callable(spec, horizon: float):
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind not in _SIGMA_KEYS:
@@ -121,12 +145,13 @@ def _sigma_callable(spec, horizon: float):
     spec = _take(spec, "loading.sigma",
                  dict.fromkeys(("kind",) + _SIGMA_KEYS[kind], _REQUIRED))
     if kind == "constant":
-        v = float(_finite(spec, "value", 0))
+        v = float(_finite(spec["value"], "loading.sigma value", (), "a finite number"))
         return (lambda t: v), (lambda t: 0.0)
     if kind == "ramp":
-        rate = float(_finite(spec, "rate", 0))
+        rate = float(_finite(spec["rate"], "loading.sigma rate", (), "a finite number"))
         return (lambda t: rate * t), (lambda t: rate)
-    ts, vs = _finite(spec, "times", 1), _finite(spec, "values", 1)
+    ts, vs = (_finite(spec[k], f"loading.sigma {k}", (None,), "a list of finite numbers")
+              for k in ("times", "values"))
     if ts.shape != vs.shape or len(ts) < 2:
         raise ConfigError("piecewise_linear needs matching times/values, length >= 2")
     if not np.all(np.diff(ts) > 0):
@@ -227,8 +252,10 @@ def load_config(path) -> ExperimentConfig:
     section = _take(sec_raw, sec_name, allowed)
     if exp == "gamma":
         section = _gamma_section(section)
-    if exp == "simulate" and loading is None:
-        raise ConfigError("simulate requires a 'loading' section")
+    if exp == "simulate":
+        if loading is None:
+            raise ConfigError("simulate requires a 'loading' section")
+        section = _evolution_section(section)
 
     sha = hashlib.sha256(
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()).hexdigest()

@@ -16,12 +16,13 @@ The stiffness is assembled in closed form, as Kronecker products of the exact
 The boundary integral runs on the Gauss grid of the interaction route
 (``interaction._boundary_grid`` at ``quadrature.boundary_points`` per edge),
 fixed when the solver is built, so no solve depends on an earlier one.  Its
-weighted tractions, and their y_1-derivatives for the forces, are columns of
-the route's closed-form boundary rows, evaluated for blocks of sources
-(``interaction._boundary_rows``); ``solve_traction`` takes their sum from the
-interaction energy's pass.  At construction
-the grid must resolve the tractions of the admitted sources closest to the
-boundary to ``quadrature.tol``; otherwise it raises.
+weighted tractions are columns of the route's closed-form boundary rows,
+evaluated for blocks of sources (``interaction._boundary_rows``);
+``solve_traction`` and ``boundary_displacement`` take their sum from the
+interaction's pass, and the forces contract the displacement with the
+sources' y_1-derivative tractions.  At construction the grid must resolve the
+tractions of the admitted sources closest to the boundary to
+``quadrature.tol``; otherwise it raises.
 """
 from __future__ import annotations
 
@@ -238,20 +239,13 @@ class CorrectorSolver:
             raise RuntimeError(f"corrector energy {energy} positive; zero field is admissible")
         return CorrectorSolution(coefficients=u, energy=energy, gauge_residual=gauge)
 
-    def horizontal_forces(self, measure, rows) -> np.ndarray:
-        """Horizontal forces -(1/w_i) dE/dz_i1 on the atoms ``rows``, from one solve.
-
-        Envelope theorem: dE/dz = (db/dz) . u at the minimizer u, and b is
-        linear in the atoms' boundary rows, so each force is minus the traction
-        of the y_1-derivative row against the corrector displacement.
-        """
-        u = self.solve(measure).coefficients
-        atoms = as_weighted_atoms(measure, self.q)[0][np.asarray(rows, dtype=int)]
-        disp = self._vals @ u.reshape(2, -1).T
-        return np.array([-np.vdot(row[:, :2], disp)
-                         for s in range(0, len(atoms), BLOCK)
-                         for row in _boundary_rows(self._grid, atoms[s:s + BLOCK],
-                                                   self.mat, dy1=True)])
+    def boundary_displacement(self, traction, support) -> np.ndarray:
+        """Corrector displacement on the boundary grid, shape (ng, 2), from
+        ``solve_traction``.  By the envelope theorem (dE/dz = (db/dz) . u at the
+        minimizer u), a source's horizontal force is minus its y_1-derivative
+        traction against it."""
+        u = self.solve_traction(traction, support).coefficients
+        return self._vals @ u.reshape(2, -1).T
 
 
 @lru_cache(maxsize=None)

@@ -21,8 +21,9 @@ from .corrector import RitzBasis, get_solver
 from .geometry import Geometry
 # interaction_cross_matrix stays bound here: perfbench/tracing.py patches it
 from .interaction import (QuadratureConfig, interaction_cross_matrix,  # noqa: F401
-                          _atom_energy, _continuum_energy,
-                          interaction_dy1_matrix, interaction_of_points)
+                          _atom_energy, _boundary_grid, _boundary_rows, _boundary_sums,
+                          _continuum_energy, _stacked, _stress_potential_dy1,
+                          interaction_of_points)
 from .kernels import Material
 from .measures import CellMeasure, DiscreteMeasure, DislocationConfig
 from .transport import slip_distance
@@ -155,36 +156,47 @@ class EnergyContext:
                 - float(np.mean(load.potential(t, pts))))
 
     # -- per-dislocation horizontal forces ----------------------------------
+    def _force_parts(self, pts: np.ndarray, rows):
+        """Interaction and corrector parts of -n dE/dz_i1 on the dislocations
+        ``rows``; a row's value does not depend on the other rows asked for.
+
+        Bounded, from one boundary pass: with w = 1/n, the summed weighted rows A
+        and columns B and the kept w b_i (``_boundary_sums``) and i's derivative
+        row d_i, the interaction part is -d_i . (B - w b_i) - w sum_{j != i}
+        s(z_i - z_j) with s = -d_1 psi, and the corrector part is
+        -d_i[:, :2] . u, u the displacement of the traction A[:, :2].
+        """
+        rows = np.asarray(rows, dtype=int)
+        if self.mode != "bounded":
+            return _log_forces(pts[rows], pts, self.mat.log_coef), np.zeros(len(rows))
+        n, w = len(pts), 1.0 / len(pts)
+        grid = _boundary_grid(self.geom.omega, self.quad.boundary_points)
+        A, B, _, kept = _boundary_sums(grid, pts, np.full(n, w), self.mat, set(rows))
+        u = get_solver(self.geom, self.mat, self.basis, self.quad) \
+            .boundary_displacement(A[:, :2], pts)
+        inter, corr = [], []
+        for i, d in zip(rows, _stacked(_boundary_rows, grid, pts[rows], self.mat, dy1=True)):
+            s = _stress_potential_dy1(pts[i] - np.delete(pts, i, 0), self.mat)
+            inter.append(-np.vdot(d, B - kept[i]) - w * s.sum())
+            corr.append(-np.vdot(d[:, :2], u))
+        return np.array(inter), np.array(corr)
+
     def interaction_forces(self, pts: np.ndarray) -> np.ndarray:
         """-n d/dz_i of the interaction energy, horizontal components."""
-        if self.mode == "bounded":
-            rows = interaction_dy1_matrix(pts, pts, self.geom, self.mat, self.quad)
-            return -rows.sum(axis=1) / len(pts)
-        return _log_forces(pts, pts, self.mat.log_coef)
-
-    def _corrector_rows(self, pts: np.ndarray, rows) -> np.ndarray:
-        solver = get_solver(self.geom, self.mat, self.basis, self.quad)
-        return solver.horizontal_forces(DiscreteMeasure.equal_weights(pts), rows)
-
-    def corrector_force_single(self, pts: np.ndarray, i: int) -> float:
-        """Corrector contribution to the force on row i alone (one solve)."""
-        if self.mode != "bounded":
-            return 0.0
-        return float(self._corrector_rows(pts, [i])[0])
-
-    def corrector_forces(self, pts: np.ndarray) -> np.ndarray:
-        """-n d/dz_i of the corrector energy, horizontal components, from one
-        solve (envelope theorem; see ``CorrectorSolver.horizontal_forces``)."""
-        if self.mode != "bounded":
-            return np.zeros(len(pts))
-        return self._corrector_rows(pts, range(len(pts)))
+        return self._force_parts(pts, range(len(pts)))[0]
 
     def interaction_force_single(self, pts: np.ndarray, i: int) -> float:
         """Row i of ``interaction_forces``, bit for bit."""
-        if self.mode == "bounded":
-            row = interaction_dy1_matrix(pts[i], pts, self.geom, self.mat, self.quad)[0]
-            return float(-row.sum() / len(pts))
-        return float(_log_forces(pts[i:i + 1], pts, self.mat.log_coef)[0])
+        return float(self._force_parts(pts, [i])[0][0])
+
+    def corrector_forces(self, pts: np.ndarray) -> np.ndarray:
+        """-n d/dz_i of the corrector energy, horizontal components (envelope
+        theorem; see ``CorrectorSolver.boundary_displacement``)."""
+        return self._force_parts(pts, range(len(pts)))[1]
+
+    def corrector_force_single(self, pts: np.ndarray, i: int) -> float:
+        """Row i of ``corrector_forces``, bit for bit."""
+        return float(self._force_parts(pts, [i])[1][0])
 
 
 @dataclass(frozen=True)
@@ -196,14 +208,14 @@ class ForceRecord:
 
 def _forces_at(pts: np.ndarray, t: float, load: LoadingProgram,
                ctx: EnergyContext) -> np.ndarray:
-    return (ctx.interaction_forces(pts) + ctx.corrector_forces(pts)
-            + load.horizontal_gradient(t, pts))
+    inter, corr = ctx._force_parts(pts, range(len(pts)))
+    return inter + corr + load.horizontal_gradient(t, pts)
 
 
 def _force_single(pts: np.ndarray, i: int, t: float, load: LoadingProgram,
                   ctx: EnergyContext) -> float:
-    return (ctx.interaction_force_single(pts, i)
-            + ctx.corrector_force_single(pts, i)
+    inter, corr = ctx._force_parts(pts, [i])
+    return (float(inter[0]) + float(corr[0])
             + float(load.horizontal_gradient(t, pts[i:i + 1])[0]))
 
 
@@ -253,7 +265,9 @@ def _force_probe(pts, i, t, load, ctx):
     c dx / (dx^2 + dy^2) over all n in ``_log_forces`` order, divides by n and
     adds, as ``_force_single`` does, the corrector's 0.0 and the load, whose
     uniform-shear gradient is read once.  Bounded probes copy the points and
-    call ``_force_single``.
+    call ``_force_single``: one fused pass (``EnergyContext._force_parts``)
+    with one derivative row and one corrector solve, whose cost still grows
+    with n through the summed rows and columns of all atoms.
     """
     if ctx.mode == "bounded":
         def probe(x):

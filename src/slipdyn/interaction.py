@@ -18,8 +18,9 @@ Two evaluation routes are implemented:
   are evaluated for blocks of ``BLOCK`` sources at once by ``_boundary_rows``
   and ``_boundary_columns``, the only evaluation of a source's boundary data.
   Pair matrices (``interaction_cross_matrix``), energies (weighted rows and
-  columns summed first, ``_boundary_sums``), dV/dy_1 (the derivative rows)
-  and the corrector (the summed row's traction) all read them.
+  columns summed first, ``_boundary_sums``), the forces (each atom's
+  derivative row against the same sums, ``EnergyContext._force_parts``) and
+  the corrector (the summed row's traction) all read them.
 
 ``v_pair`` shares no code with the boundary reduction and is kept as the
 independent oracle; agreement of the two routes is enforced in the tests.
@@ -40,7 +41,7 @@ from .measures import CellMeasure, DislocationConfig, min_distance
 
 __all__ = [
     "QuadratureConfig", "v_pair",
-    "interaction_cross_matrix", "interaction_dy1_matrix", "interaction_of_points",
+    "interaction_cross_matrix", "interaction_of_points",
     "interaction_sum", "continuum_interaction", "continuum_interaction_freespace",
 ]
 
@@ -365,11 +366,11 @@ def _boundary_columns(grid, zs, mat: Material) -> np.ndarray:
     return cols
 
 
-def _stacked(boundary, grid, zs, mat: Material) -> np.ndarray:
-    """``boundary(grid, block, mat)`` over zs in blocks of ``BLOCK``, stacked."""
+def _stacked(boundary, grid, zs, mat: Material, **kw) -> np.ndarray:
+    """``boundary(grid, block, mat, **kw)`` over zs in blocks of ``BLOCK``, stacked."""
     out = np.empty((len(zs), len(grid["gauss_w"]), 3))
     for s in range(0, len(zs), BLOCK):
-        out[s:s + BLOCK] = boundary(grid, zs[s:s + BLOCK], mat)
+        out[s:s + BLOCK] = boundary(grid, zs[s:s + BLOCK], mat, **kw)
     return out
 
 
@@ -401,30 +402,6 @@ def interaction_cross_matrix(ys, zs, geom: Geometry, mat: Material,
     return M
 
 
-def interaction_dy1_matrix(ys, zs, geom: Geometry, mat: Material,
-                           q: QuadratureConfig) -> np.ndarray:
-    """Matrix of dV(y_i, z_j)/dy_1 over two point families (coincident pairs get 0).
-
-    The y_1-derivative of ``interaction_cross_matrix``: the derivative boundary
-    rows (``_boundary_rows`` with ``dy1``) times the same columns, minus
-    d_1 psi(y - z).  Each row is one matrix-vector product, so a row does not
-    depend on which other rows are asked for.
-    """
-    ys = np.asarray(ys, dtype=float).reshape(-1, 2)
-    zs = np.asarray(zs, dtype=float).reshape(-1, 2)
-    grid = _boundary_grid(geom.omega, q.boundary_points)
-    B = _stacked(_boundary_columns, grid, zs, mat).reshape(len(zs), -1)
-    d = ys[:, None, :] - zs[None, :, :]
-    coincident = np.hypot(d[..., 0], d[..., 1]) < MIN_SEPARATION
-    with np.errstate(divide="ignore", invalid="ignore"):
-        M = _stress_potential_dy1(d, mat)
-    for s in range(0, len(ys), BLOCK):
-        for i, row in enumerate(_boundary_rows(grid, ys[s:s + BLOCK], mat, dy1=True), s):
-            M[i] += B @ row.ravel()
-    M[coincident] = 0.0
-    return M
-
-
 # ---------------------------------------------------------------------------
 # interaction energies
 # ---------------------------------------------------------------------------
@@ -434,19 +411,24 @@ def _log_kernel(u, mat: Material) -> np.ndarray:
     return mat.log_coef * 0.5 * np.log(u[..., 0] ** 2 + u[..., 1] ** 2)
 
 
-def _boundary_sums(grid, pts, weights, mat: Material):
+def _boundary_sums(grid, pts, weights, mat: Material, keep=()):
     """A = sum_i w_i a_i and B = sum_i w_i b_i over the sources' boundary rows
-    and columns, each evaluated once and added in source order, and the self
-    terms (w_i a_i) . (w_i b_i)."""
-    A, B, selfs = 0.0, 0.0, []
+    and columns, each evaluated once and added in source order, the self
+    terms (w_i a_i) . (w_i b_i), and the weighted columns w_i b_i of the
+    sources ``keep`` by index."""
+    ng = len(grid["gauss_w"])
+    A, B, selfs, kept = np.zeros((ng, 3)), np.zeros((ng, 3)), [], {}
     for s in range(0, len(pts), BLOCK):
         w = np.asarray(weights[s:s + BLOCK], dtype=float)[:, None, None]
         a = w * _boundary_rows(grid, pts[s:s + BLOCK], mat)
         b = w * _boundary_columns(grid, pts[s:s + BLOCK], mat)
-        for ai, bi in zip(a, b):
-            A, B = A + ai, B + bi
+        for i, (ai, bi) in enumerate(zip(a, b), s):
+            A += ai
+            B += bi
             selfs.append(np.vdot(ai, bi))
-    return A, B, selfs
+            if i in keep:
+                kept[i] = bi
+    return A, B, selfs, kept
 
 
 def _atom_energy(pts, mode: str, geom: Geometry | None, mat: Material,
@@ -471,7 +453,7 @@ def _atom_energy(pts, mode: str, geom: Geometry | None, mat: Material,
     # psi(z_j - z_i)], w = 1/n; fsum adds the terms without a running total's drift
     w = 1.0 / n
     grid = _boundary_grid(geom.omega, q.boundary_points)
-    A, B, selfs = _boundary_sums(grid, pts, np.full(n, w), mat)
+    A, B, selfs, _ = _boundary_sums(grid, pts, np.full(n, w), mat)
     terms = [np.vdot(A, B)] + [-s for s in selfs]
     terms += [-w * w * _stress_potential(np.delete(pts, i, 0) - zi, mat).sum()
               for i, zi in enumerate(pts)]
@@ -541,7 +523,7 @@ def _continuum_energy(density: CellMeasure, mode: str, geom: Geometry | None,
     m, idx, cells = density.masses, density.indices, density.n_cells
     if mode == "bounded":
         grid = _boundary_grid(geom.omega, q.boundary_points)
-        A, B, selfs = zip(*(_boundary_sums(grid, p, w, mat) for p in nodes))
+        A, B, selfs, _ = zip(*(_boundary_sums(grid, p, w, mat) for p in nodes))
         AB = np.reshape(A, (cells, -1)) @ np.reshape(B, (cells, -1)).T
         own, row = [sum(s) for s in selfs], sum(ma * Aa for ma, Aa in zip(m, A))
         kernel = _stress_potential

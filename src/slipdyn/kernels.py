@@ -147,26 +147,6 @@ def K_offsets(u, mat: Material) -> np.ndarray:
     return k[0] if scalar else k
 
 
-def dK1_offsets(u, mat: Material) -> np.ndarray:
-    """Derivative of K with respect to the first offset coordinate (closed form)."""
-    us, scalar = _as_offsets(u)
-    u1, u2 = us[:, 0], us[:, 1]
-    r2 = u1 * u1 + u2 * u2
-    _check_separation(r2)
-    r4 = r2 * r2
-    r6 = r4 * r2
-    a, b = mat.coef_a, mat.coef_b
-    pi = math.pi
-    g = np.empty((len(us), 2, 2))
-    g[:, 0, 0] = u1 * u2 / (pi * r4) - 4.0 * b * u1 * u2 * (3.0 * u2 * u2 - u1 * u1) / r6
-    g[:, 0, 1] = (u2 * u2 - u1 * u1) / (2.0 * pi * r4) + 2.0 * b * (
-        -u1**4 + 6.0 * u1 * u1 * u2 * u2 - u2**4) / r6
-    g[:, 1, 0] = -a * (u2 * u2 - u1 * u1) / r4 - 4.0 * b * u2 * u2 * (
-        u2 * u2 - 3.0 * u1 * u1) / r6
-    g[:, 1, 1] = 2.0 * a * u1 * u2 / r4 + 8.0 * b * u1 * u2 * (u2 * u2 - u1 * u1) / r6
-    return g[0] if scalar else g
-
-
 def eval_K(x, z, mat: Material) -> np.ndarray:
     """Strain at x of a dislocation sitting at z (whole-plane field)."""
     return K_offsets(np.asarray(x, dtype=float) - np.asarray(z, dtype=float), mat)

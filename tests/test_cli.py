@@ -312,9 +312,10 @@ def test_malformed_loading_rejected(tmp_path, payload):
     assert "error:" in res.output
 
 
-def _zero_load_set(path, value):
-    """zero_load.json with the key at the dotted ``path`` set to ``value``."""
-    payload = json.loads((CONFIG_DIR / "zero_load.json").read_text())
+def _zero_load_set(path, value, name="zero_load"):
+    """A shipped config, zero_load.json unless ``name`` says otherwise, with
+    the key at the dotted ``path`` set to ``value``."""
+    payload = json.loads((CONFIG_DIR / f"{name}.json").read_text())
     *head, last = path.split(".")
     node = payload
     for key in head:
@@ -346,6 +347,59 @@ def test_non_scalar_numbers_rejected(tmp_path, path, value, key):
     assert key in res.output
 
 
+def _rejected_naming(tmp_path, payload, key):
+    """``payload`` is a config error naming ``key``, and simulate exits 2 with it."""
+    with pytest.raises(ConfigError, match=key):
+        load_config(write_config(tmp_path, payload))
+    res = CliRunner().invoke(main, ["simulate", str(write_config(tmp_path, payload)),
+                                    "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert key in res.output
+
+
+@pytest.mark.parametrize("path, value", [
+    ("material.lam", "0.5"), ("material.lam", "abc"), ("material.mu", True),
+    ("solver.max_sweeps", 2.7), ("quadrature.boundary_points", True),
+    ("basis.degree", "8"), ("seed", 1.5), ("seed", True),
+    ("geometry.box", [0.2, 0.2, "0.8", 0.8]), ("geometry.box", [0.8, 0.2, 0.2, 0.8]),
+    ("loading.sigma", {"kind": "ramp", "rate": "1"}),
+], ids=["lam-numeric-string", "lam-string", "mu-bool", "max_sweeps-fraction",
+        "boundary_points-bool", "degree-string", "seed-fraction", "seed-bool",
+        "box-string-entry", "box-degenerate", "sigma-rate-string"])
+def test_strings_booleans_and_fractions_rejected(tmp_path, path, value):
+    # a numeric string or a boolean used to be read as a number, a fractional
+    # int was truncated, and a value the cast rejected exited 2 with a message
+    # that did not name the key; each is a config error that names it
+    key = "loading.sigma rate" if path == "loading.sigma" else path
+    _rejected_naming(tmp_path, _zero_load_set(path, value, "ramp_single"), key)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("pre_relax", "false"), ("pre_relax", 0), ("steps", 2.5), ("steps", -3),
+    ("steps", "3"), ("steps", True), ("initial_points", "abc"),
+    ("initial_points", []), ("initial_points", [0.5, 0.5]),
+    ("initial_points", [[0.5, 0.5, 0.5]]), ("initial_points", [[0.5, math.nan]]),
+    ("initial_points", [[0.5, "0.5"]]),
+], ids=["pre_relax-string", "pre_relax-int", "steps-fraction", "steps-negative",
+        "steps-string", "steps-bool", "points-string", "points-empty", "points-flat",
+        "points-triple", "points-nan", "points-string-entry"])
+def test_evolution_section_rejected(tmp_path, key, value):
+    # the evolution section used to be cast at run time: "false" relaxed
+    # (bool("false") is True), 2.5 steps ran 2, and negative steps or a
+    # string of points exited 1 with a numpy error
+    _rejected_naming(tmp_path, _zero_load_set(f"evolution.{key}", value, "ramp_single"),
+                     f"evolution.{key}")
+
+
+def test_zero_steps_write_the_initial_row(tmp_path):
+    payload = _zero_load_set("evolution.steps", 0, "ramp_single")
+    out = tmp_path / "o"
+    res = CliRunner().invoke(main, ["simulate", str(write_config(tmp_path, payload)),
+                                    "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert len((out / "trace.csv").read_text().splitlines()) == 3    # comment, header, t = 0
+
+
 @pytest.mark.parametrize("key, value", [
     ("h", [0.2]), ("h", 0.0), ("h", -0.2), ("h", math.nan), ("h", math.inf),
     ("origin", [0.3]), ("origin", 0.3), ("origin", [[0.3, 0.3]]),
@@ -356,12 +410,13 @@ def test_non_scalar_numbers_rejected(tmp_path, path, value, key):
     ("target", {"kind": "uniform_square", "center": [0.5, 0.5], "side": [0.4]}),
     ("target", {"kind": "uniform_square", "center": [0.5], "side": 0.4}),
     ("target", {"kind": "uniform_square", "center": [0.5, 0.5]}),
-    ("target", [0.5, 0.5, 0.4]),
+    ("target", [0.5, 0.5, 0.4]), ("origin", [0.3, "a"]), ("h", "0.2"),
 ], ids=["h-list", "h-zero", "h-negative", "h-nan", "h-inf", "origin-one",
         "origin-scalar", "origin-nested", "origin-nan", "gamma_c-one", "gamma_c-inf",
         "ladder-empty", "ladder-zero", "ladder-negative", "ladder-scalar",
         "ladder-float", "ladder-bool", "mode-unknown", "target-kind", "target-side-list",
-        "target-center-one", "target-side-missing", "target-list"])
+        "target-center-one", "target-side-missing", "target-list", "origin-string",
+        "h-string"])
 def test_gamma_section_rejected(tmp_path, key, value):
     # the gamma section used to be cast only at run time: a list for h or the
     # target's side exited 1 with a TypeError, an empty ladder wrote an empty

@@ -155,7 +155,8 @@ def test_solver_shares_the_interaction_grid(geom, mat, quad, basis):
     assert get_solver(geom, mat, basis, quad) is solver
 
 
-def test_solve_independent_of_earlier_solves(geom, mat, quad, basis):
+def test_solve_independent_of_earlier_solves(geom, mat, quad, basis, monkeypatch):
+    import slipdyn.evolution as evolution
     a = DiscreteMeasure.equal_weights([[0.3, 0.4], [0.6, 0.55], [0.7, 0.3]])
     b = CellMeasure(origin=(0.3, 0.3), spacing=0.1,
                     indices=[[0, 0], [2, 2]], masses=[0.5, 0.5])
@@ -165,8 +166,13 @@ def test_solve_independent_of_earlier_solves(geom, mat, quad, basis):
     again = used.solve(a)
     assert again.energy == fresh.energy
     assert np.array_equal(again.coefficients, fresh.coefficients)
-    fresh_forces = CorrectorSolver(geom, mat, basis, quad).horizontal_forces(a, [0, 2])
-    assert np.array_equal(used.horizontal_forces(a, [0, 2]), fresh_forces)
+    # the forces' pass on a fresh solver and on the used one
+    ctx = EnergyContext("bounded", mat, geom, quad, basis)
+    forces = []
+    for solver in (CorrectorSolver(geom, mat, basis, quad), used):
+        monkeypatch.setattr(evolution, "get_solver", lambda *args: solver)
+        forces.append(ctx._force_parts(a.points, [0, 2]))
+    assert np.array_equal(forces[0], forces[1])
 
 
 def test_boundary_resolution_checked_at_construction(geom, wide_geom, mat, basis):
@@ -262,6 +268,35 @@ def test_one_boundary_row_per_source(geom, mat, quad, basis, schedule, monkeypat
     cfg = DislocationConfig(pts, schedule, geom.r_box)
     EnergyContext("bounded", mat, geom, quad, basis).renormalized_energy(cfg)
     assert sources[0] == 8
+
+
+def test_one_boundary_pass_per_force(geom, mat, quad, basis, monkeypatch):
+    # an all-rows bounded force evaluates each atom's boundary row once and its
+    # derivative row once, for the interaction and the corrector together; a
+    # single-row force makes one derivative row
+    import slipdyn.corrector as corrector
+    import slipdyn.evolution as evolution
+    import slipdyn.interaction as interaction
+    get_solver(geom, mat, basis, quad)            # built before counting
+    seen = {False: [], True: []}
+    rows = interaction._boundary_rows
+
+    def counted(grid, zs, mat, dy1=False):
+        seen[dy1].extend(map(tuple, np.reshape(zs, (-1, 2))))
+        return rows(grid, zs, mat, dy1=dy1)
+
+    for mod in (interaction, corrector, evolution):
+        monkeypatch.setattr(mod, "_boundary_rows", counted, raising=False)
+    pts = np.column_stack([np.linspace(0.3, 0.7, 20), np.tile([0.4, 0.6], 10)])
+    load = evolution.LoadingProgram.uniform_shear(lambda t: 0.0, 1.0, lambda t: 0.0)
+    ctx = EnergyContext("bounded", mat, geom, quad, basis)
+    evolution._forces_at(pts, 0.0, load, ctx)
+    atoms = sorted(map(tuple, pts))
+    assert sorted(seen[False]) == atoms
+    assert sorted(seen[True]) == atoms
+    seen[True].clear()
+    evolution._force_single(pts, 3, 0.0, load, ctx)
+    assert seen[True] == [tuple(pts[3])]
 
 
 def test_density_margin_checked_on_the_shared_path(geom, mat, quad, basis):

@@ -139,6 +139,43 @@ def test_corrector_force_matches_energy_differences(domain, geom, wide_geom, mat
             assert abs(-n * grad - forces[i]) <= 1e-6 * abs(forces[i])
 
 
+def _pair_route_forces(pts, ctx):
+    """Oracle: the interaction and corrector parts of the forces by the pair
+    route.  The dV/dy_1 matrix (``oracles.dy1_matrix``) summed by rows and
+    divided by n, and minus each derivative row's traction against the
+    displacement of ``CorrectorSolver.solve`` of the equal-weight measure."""
+    from oracles import dy1_matrix
+    from slipdyn.corrector import get_solver
+    from slipdyn.interaction import _boundary_grid, _boundary_rows
+    from slipdyn.measures import DiscreteMeasure
+    grid = _boundary_grid(ctx.geom.omega, ctx.quad.boundary_points)
+    solver = get_solver(ctx.geom, ctx.mat, ctx.basis, ctx.quad)
+    u = solver.solve(DiscreteMeasure.equal_weights(pts)).coefficients
+    disp = solver._vals @ u.reshape(2, -1).T
+    rows = _boundary_rows(grid, pts, ctx.mat, dy1=True)
+    return (-dy1_matrix(pts, pts, ctx.geom, ctx.mat, ctx.quad).sum(axis=1) / len(pts),
+            -np.einsum("iqk,qk->i", rows[:, :, :2], disp))
+
+
+@pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (0.7, 1.3)])
+@pytest.mark.parametrize("domain", ["unit", "wide"])
+@pytest.mark.parametrize("n", [1, 2, 16, 64])
+def test_fused_forces_match_pair_route(n, domain, lam, mu, geom, wide_geom, quad, basis):
+    # the one-pass bounded forces (summed rows and columns, one solve) against
+    # the pair-matrix route they replaced, part by part
+    g = geom if domain == "unit" else wide_geom
+    ctx = EnergyContext("bounded", Material(lam, mu), g, quad, basis)
+    box, rng = g.r_box, np.random.default_rng(n)
+    pts = []
+    while len(pts) < n:
+        p = rng.uniform((box.x0, box.y0), (box.x1, box.y1))
+        if all(np.hypot(*(p - q)) >= 0.02 for q in pts):
+            pts.append(p)
+    pts = np.array(pts)
+    for got, ref in zip(ctx._force_parts(pts, range(n)), _pair_route_forces(pts, ctx)):
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def _bits(value):
     return np.float64(value).tobytes()
 

@@ -6,10 +6,12 @@ import pytest
 from slipdyn.geometry import Disk, Geometry, Rect
 from slipdyn.interaction import (QuadratureConfig, continuum_interaction,
                                  continuum_interaction_freespace,
-                                 interaction_cross_matrix, interaction_dy1_matrix,
+                                 interaction_cross_matrix,
                                  interaction_of_points, interaction_sum, v_pair)
 from slipdyn.kernels import K_many, Material, apply_C
 from slipdyn.measures import CellMeasure, DislocationConfig
+
+from oracles import dK1_offsets, dy1_matrix
 
 #: fixed instance Omega = (0,1)^2, y = (0.4, 0.5), z = (0.6, 0.5), lam = mu = 1,
 #: pinned by a uniform 4000^2 midpoint quadrature with Richardson extrapolation
@@ -383,7 +385,7 @@ def test_dy1_matrix_matches_central_differences(domain, family, geom, mat, quad)
     h = 1e-6 * geom.r_box.diam
     fd = (interaction_cross_matrix(ys + [h, 0], zs, geom, mat, quad)
           - interaction_cross_matrix(ys - [h, 0], zs, geom, mat, quad)) / (2 * h)
-    M = interaction_dy1_matrix(ys, zs, geom, mat, quad)
+    M = dy1_matrix(ys, zs, geom, mat, quad)
     coincident = np.linalg.norm(ys[:, None] - zs[None], axis=-1) < 1e-12
     assert np.all(M[coincident] == 0.0)
     assert coincident.sum() == (16 if family == "16x16" else 0)
@@ -423,7 +425,7 @@ def test_cross_matrix_symmetric(domain, geom, mat, quad):
 
 def _eshelby_dy1(ys, zs, geom, mat, quad):
     """dV/dy_1 in Eshelby's form, assembled without the boundary rows as the
-    oracle of ``interaction_dy1_matrix``:
+    oracle of ``oracles.dy1_matrix``:
 
         dV/dy_1 = c D_1 (D_2^2 - D_1^2) / |D|^4 - int_dOmega (C K_y : K_z) nu_1
                   + int_dOmega (C K_y nu) . K_z e1,    D = y - z.
@@ -460,7 +462,7 @@ def test_dy1_matrix_matches_eshelby_form(domain, family, lam, mu, geom, quad):
         ys, zs = ys * [2, 1], zs * [2, 1]
     mat = Material(lam, mu)
     ref = _eshelby_dy1(ys, zs, geom, mat, quad)
-    M = interaction_dy1_matrix(ys, zs, geom, mat, quad)
+    M = dy1_matrix(ys, zs, geom, mat, quad)
     assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -557,7 +559,7 @@ def _kernel_route_boundary_data(grid, z, mat):
     general-purpose kernels (strain, its z_1-derivative, C and v): the oracle
     of the closed-form ``_boundary_rows`` and ``_boundary_columns``."""
     from slipdyn.interaction import _stress_potential, _stress_potential_dy1
-    from slipdyn.kernels import dK1_offsets, displacement_v
+    from slipdyn.kernels import displacement_v
     x, nu, w = grid["gauss_pts"], grid["gauss_nu"], grid["gauss_w"][:, None]
 
     def row(k, p):
