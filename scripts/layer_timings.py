@@ -12,10 +12,16 @@ Sections:
 * one corrector build (``CorrectorSolver``: stiffness, factorization and the
   resolution check; a tenth of the repeats, at least 3) and one corrector
   solve (``CorrectorSolver._solve`` of a fixed linear form) at degrees 8, 16,
-  24 and 28.
+  24 and 28;
+* one ``snap_modification`` of the ``discretize_grid`` configuration of
+  ``configs/gamma_uniform.json`` at n = 256 and 1024, with the snap pitch eta of
+  the ``gamma`` experiment, per atom;
+* one continuum energy (``EnergyContext.renormalized_energy``) of that config's
+  cell density, bounded and in free space, per cell.
 
 Unit square, Material(1, 1), default quadrature (128 points per edge) and
-Ritz degree 8, as in ``configs/bounded_pair.json``.  Peak RSS is the process
+Ritz degree 8, as in ``configs/bounded_pair.json`` and
+``configs/gamma_uniform.json``.  Peak RSS is the process
 maximum after each section, so it never decreases down the table.  Nothing is
 asserted.  Pin the BLAS threads for comparable numbers:
 
@@ -26,15 +32,21 @@ import os
 import resource
 import statistics
 import time
+from pathlib import Path
 
 import numpy as np
 
+from slipdyn.config import load_config
 from slipdyn.corrector import CorrectorSolver, RitzBasis, get_solver
 from slipdyn.evolution import EnergyContext, LoadingProgram, _force_probe, _forces_at
-from slipdyn.geometry import unit_geometry
+from slipdyn.geometry import Rect, unit_geometry
 from slipdyn.interaction import QuadratureConfig, _boundary_grid, _boundary_sums
 from slipdyn.kernels import Material
 from slipdyn.measures import DiscreteMeasure
+from slipdyn.recovery import (ClassParams, UniformDensity, discretize_grid,
+                              grid_approximation, snap_modification)
+
+GAMMA_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "gamma_uniform.json"
 
 
 def _median_s(fn, repeat):
@@ -95,6 +107,23 @@ def main():
         b = solver.linear_form(measure)
         t = _median_s(lambda: solver._solve(b), args.repeat)
         _report(f"corrector solve, degree {degree}", t, 1)
+
+    # the gamma experiment's cell density, recovery configurations and snap pitch
+    cfg = load_config(GAMMA_CONFIG)
+    sec = cfg.section
+    (cx, cy), s = sec["target"]["center"], sec["target"]["side"]
+    target = UniformDensity(Rect(cx - s / 2, cy - s / 2, cx + s / 2, cy + s / 2))
+    density = grid_approximation(target, sec["h"], cfg.geometry, origin=sec["origin"])
+    params = ClassParams(*sec["gamma_c"])
+    for n in (256, 1024):
+        config_n = discretize_grid(density, n, cfg.schedule, cfg.geometry)
+        eta = min(params.min_plane_spacing(n), 0.5 * cfg.geometry.r_box.width)
+        t = _median_s(lambda: snap_modification(config_n, eta), args.repeat)
+        _report(f"snap_modification, n = {n}", t, n)
+    for mode in ("bounded", "freespace"):
+        ctx_c = EnergyContext(mode, cfg.material, cfg.geometry, cfg.quadrature, cfg.basis)
+        t = _median_s(lambda: ctx_c.renormalized_energy(density), args.repeat)
+        _report(f"continuum energy, {mode}", t, density.n_cells)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Declarative experiment configuration: JSON with a strict, versioned schema.
 
-Every section rejects unknown keys.  Numeric values are in the nondimensional
-units of the model (yield threshold normalized to 1).  See README for the full
-schema and the shipped example configs.
+Each section is one table ``{key: (default, parse)}``, so a key's default and
+its check sit in one entry: ``parse(value, "section.key")`` returns the typed
+value, default included, or raises a ConfigError naming the key.  Unknown keys
+are rejected.  Numbers are in the nondimensional units of the model (yield
+threshold 1).  See README for the full schema and the shipped example configs.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from .corrector import RitzBasis
 from .geometry import Disk, Geometry, Rect
 from .interaction import QuadratureConfig
 from .kernels import Material
-from .measures import ScalingSchedule
+from .measures import DiscreteMeasure, ScalingSchedule
 from .evolution import LoadingProgram, SolverConfig
 
 SCHEMA_VERSION = 1
@@ -30,22 +32,24 @@ class ConfigError(ValueError):
     pass
 
 
-def _take(section: dict, name: str, allowed: dict):
-    """Pop known keys with defaults; reject anything else."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"section '{name}' must be a JSON object")
-    out = {}
-    extra = set(section) - set(allowed)
-    if extra:
-        raise ConfigError(f"unknown keys in section '{name}': {sorted(extra)}")
-    for key, default in allowed.items():
-        if default is _REQUIRED and key not in section:
-            raise ConfigError(f"missing required key '{key}' in section '{name}'")
-        out[key] = section.get(key, default)
-    return out
-
-
 _REQUIRED = object()
+
+
+def _take(section: dict, name: str, table: dict) -> dict:
+    """The values of a section, each read by the parser of its table entry
+    ``key: (default, parse)``; a missing key takes its default, and a key that
+    is not in the table is rejected.  The top level has the empty ``name``."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"section '{name or 'top'}' must be a JSON object")
+    extra = set(section) - set(table)
+    if extra:
+        raise ConfigError(f"unknown keys in section '{name or 'top'}': {sorted(extra)}")
+    out = {}
+    for key, (default, parse) in table.items():
+        if default is _REQUIRED and key not in section:
+            raise ConfigError(f"missing required key '{key}' in section '{name or 'top'}'")
+        out[key] = parse(section.get(key, default), f"{name}.{key}" if name else key)
+    return out
 
 
 def _leaves(value) -> list:
@@ -69,72 +73,79 @@ def _cast(cast, value, key: str):
         raise ConfigError(f"{key} = {value!r} is invalid: {exc}") from None
 
 
-def _build(cls, section: dict, name: str):
+def _raw(value, key: str):
+    """The value as it is."""
+    return value
+
+
+def _as(cast):
+    """``cast`` applied by ``_cast``."""
+    return lambda value, key: _cast(cast, value, key)
+
+
+def _number(kind, low, exact: bool = False):
+    """An int at least ``low``, or a finite float above ``low``; ``exact`` also
+    rejects an integral float where an int belongs."""
+    def parse(value, key):
+        x = _cast(kind, value, key)
+        if (exact and type(value) is not kind) or not (
+                low <= x if kind is int else low < x < math.inf):   # NaN fails too
+            bound = f"an integer >= {low}" if kind is int else f"a finite number > {low}"
+            raise ConfigError(f"{key} must be {bound}, got {value!r}")
+        return x
+    return parse
+
+
+def _array(shape: tuple, what: str):
+    """An array of finite floats of ``shape``, where None stands for any
+    positive length; otherwise a config error saying the key must be ``what``."""
+    def parse(value, key):
+        arr = _cast(lambda v: np.asarray(v, dtype=float), value, key)
+        if not (arr.ndim == len(shape) and np.all(np.isfinite(arr)) and all(
+                n == m if m else n > 0 for n, m in zip(arr.shape, shape))):
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
+        return arr
+    return parse
+
+
+def _items(parse):
+    """A non-empty list, each item read by ``parse``, as a tuple."""
+    def items(value, key):
+        if not (isinstance(value, list) and value):
+            raise ConfigError(f"{key} must be a non-empty list, got {value!r}")
+        return tuple(parse(v, f"{key}[{i}]") for i, v in enumerate(value))
+    return items
+
+
+def _choice(*values):
+    """One of ``values``, of its type too: 0 is not false."""
+    def parse(value, key):
+        if not any(type(value) is type(v) and value == v for v in values):
+            raise ConfigError(f"{key} must be one of {json.dumps(values)}, got {value!r}")
+        return value
+    return parse
+
+
+def _table(table: dict, make=dict):
+    """A JSON object read by ``table`` (see ``_take``), its values passed to
+    ``make`` as keywords; a ``ValueError`` of ``make`` names the key."""
+    def parse(value, key):
+        values = _take(value, key, table)
+        try:
+            return make(**values)
+        except ValueError as exc:
+            raise ConfigError(f"{key} is invalid: {exc}") from None
+    return parse
+
+
+def _build(cls):
     """A dataclass from a section keyed by its fields, each value cast to the
     type of the field's default."""
-    keys = fields(cls)
-    values = _take(section, name, {f.name: f.default for f in keys})
-    return cls(**{f.name: _cast(type(f.default), values[f.name], f"{name}.{f.name}")
-                  for f in keys})
+    return _table({f.name: (f.default, _as(type(f.default))) for f in fields(cls)}, cls)
 
 
 _SIGMA_KEYS = {"constant": ("value",), "ramp": ("rate",),
                "piecewise_linear": ("times", "values")}
-
-
-def _finite(value, key: str, shape: tuple, what: str) -> np.ndarray:
-    """An array of finite floats of ``shape``, where None stands for any
-    positive length; otherwise a config error saying ``key`` must be ``what``."""
-    arr = _cast(lambda v: np.asarray(v, dtype=float), value, key)
-    if not (arr.ndim == len(shape) and np.all(np.isfinite(arr)) and all(
-            n == m if m else n > 0 for n, m in zip(arr.shape, shape))):
-        raise ConfigError(f"{key} must be {what}, got {value!r}")
-    return arr
-
-
-def _numbers(value, key: str, count: int) -> tuple:
-    """``count`` finite numbers as a tuple of floats."""
-    return tuple(map(float, _finite(value, key, (count,), f"{count} finite numbers")))
-
-
-def _positive(value, key: str) -> float:
-    """A positive finite number."""
-    x = _cast(float, value, key)
-    if not 0 < x < math.inf:                   # NaN fails too
-        raise ConfigError(f"{key} must be finite and positive, got {value!r}")
-    return x
-
-
-def _gamma_section(sec: dict) -> dict:
-    """The gamma section with its numbers checked and cast."""
-    target = _take(sec["target"], "gamma.target",
-                   dict.fromkeys(("kind", "center", "side"), _REQUIRED))
-    if target["kind"] != "uniform_square":
-        raise ConfigError(f"gamma.target kind must be 'uniform_square', got {target['kind']!r}")
-    target.update(center=_numbers(target["center"], "gamma.target center", 2),
-                  side=_positive(target["side"], "gamma.target side"))
-    ladder = sec["n_ladder"]
-    if not (isinstance(ladder, list) and ladder and all(
-            type(n) is int and n > 0 for n in ladder)):
-        raise ConfigError("gamma.n_ladder must be a non-empty list of positive "
-                          f"integers, got {ladder!r}")
-    if sec["mode"] not in ("bounded", "freespace"):
-        raise ConfigError(f"gamma.mode must be 'bounded' or 'freespace', got {sec['mode']!r}")
-    origin = None if sec["origin"] is None else _numbers(sec["origin"], "gamma.origin", 2)
-    return {**sec, "target": target, "h": _positive(sec["h"], "gamma.h"), "origin": origin,
-            "gamma_c": _numbers(sec["gamma_c"], "gamma.gamma_c", 2)}
-
-
-def _evolution_section(sec: dict) -> dict:
-    """The evolution section with its values checked and cast."""
-    if type(sec["pre_relax"]) is not bool:
-        raise ConfigError(f"evolution.pre_relax must be true or false, got {sec['pre_relax']!r}")
-    steps = _cast(int, sec["steps"], "evolution.steps")
-    if steps < 0:
-        raise ConfigError(f"evolution.steps must be a non-negative integer, got {steps}")
-    points = _finite(sec["initial_points"], "evolution.initial_points", (None, 2),
-                     "a non-empty list of finite (x, y) pairs")
-    return {**sec, "initial_points": tuple(map(tuple, points.tolist())), "steps": steps}
 
 
 def _sigma_callable(spec, horizon: float):
@@ -143,14 +154,14 @@ def _sigma_callable(spec, horizon: float):
         raise ConfigError("loading.sigma must be a JSON object with kind one of "
                           f"{list(_SIGMA_KEYS)}, got {spec!r}")
     spec = _take(spec, "loading.sigma",
-                 dict.fromkeys(("kind",) + _SIGMA_KEYS[kind], _REQUIRED))
+                 dict.fromkeys(("kind",) + _SIGMA_KEYS[kind], (_REQUIRED, _raw)))
     if kind == "constant":
-        v = float(_finite(spec["value"], "loading.sigma value", (), "a finite number"))
+        v = float(_array((), "a finite number")(spec["value"], "loading.sigma value"))
         return (lambda t: v), (lambda t: 0.0)
     if kind == "ramp":
-        rate = float(_finite(spec["rate"], "loading.sigma rate", (), "a finite number"))
+        rate = float(_array((), "a finite number")(spec["rate"], "loading.sigma rate"))
         return (lambda t: rate * t), (lambda t: rate)
-    ts, vs = (_finite(spec[k], f"loading.sigma {k}", (None,), "a list of finite numbers")
+    ts, vs = (_array((None,), "a list of finite numbers")(spec[k], f"loading.sigma {k}")
               for k in ("times", "values"))
     if ts.shape != vs.shape or len(ts) < 2:
         raise ConfigError("piecewise_linear needs matching times/values, length >= 2")
@@ -168,6 +179,51 @@ def _sigma_callable(spec, horizon: float):
         return float(slopes[k])
 
     return sigma, sigma_dot
+
+
+_POSITIVE, _flag = _number(float, 0), _choice(False, True)
+_PAIR = _array((2,), "2 finite numbers")
+
+
+def _loading(value, key: str) -> LoadingProgram | None:
+    """A uniform-shear loading program, or None when the section is absent."""
+    if value is None:
+        return None
+    ld = _take(value, key, {"kind": ("uniform_shear", _choice("uniform_shear")),
+                            "sigma": (_REQUIRED, _raw), "time_horizon": (_REQUIRED, _POSITIVE)})
+    sigma, sigma_dot = _sigma_callable(ld["sigma"], ld["time_horizon"])
+    return LoadingProgram.uniform_shear(sigma, ld["time_horizon"], sigma_dot)
+
+
+def _measure(value, key: str) -> DiscreteMeasure:
+    """A discrete measure from rows ``[x, y, weight]``."""
+    rows = _array((None, 3), "a non-empty list of finite [x, y, weight] rows")(value, key)
+    return _cast(lambda a: DiscreteMeasure(a[:, :2], a[:, 2]), rows, key)
+
+
+#: experiment -> (section name, table)
+_SECTIONS = {
+    "simulate": ("evolution", {
+        "initial_points": (_REQUIRED, _array((None, 2),
+                                             "a non-empty list of finite (x, y) pairs")),
+        "steps": (200, _number(int, 0)), "pre_relax": (False, _flag)}),
+    "gamma": ("gamma", {
+        "target": (_REQUIRED, _table({
+            "kind": (_REQUIRED, _choice("uniform_square")),
+            "center": (_REQUIRED, _PAIR), "side": (_REQUIRED, _POSITIVE)})),
+        "h": (_REQUIRED, _POSITIVE), "gamma_c": ([0.0, 1.0], _PAIR),
+        "origin": (None, lambda v, key: (0.0, 0.0) if v is None else _PAIR(v, key)),
+        "n_ladder": ([64, 256, 1024], _items(_number(int, 1, exact=True))),
+        "mode": ("bounded", _choice("bounded", "freespace"))}),
+    "distance": ("distance", {
+        "mu": (_REQUIRED, _measure), "nu": (_REQUIRED, _measure),
+        "eps_ladder": ([1.0, 0.1, 0.01, 0.001], _items(_POSITIVE))}),
+    "kernel_check": ("kernel_check", {
+        "quad_n": (512, _number(int, 1)), "radii": ([0.05, 0.1, 0.5], _items(_POSITIVE)),
+        "eps": (0.05, _POSITIVE), "source": ([0.5, 0.5], _PAIR),
+        "div_points": (50, _number(int, 1)), "div_h": (1e-4, _POSITIVE),
+        "traction_samples": (64, _number(int, 1)), "break_traction": (False, _flag)}),
+}
 
 
 @dataclass(frozen=True)
@@ -189,78 +245,33 @@ class ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     raw = json.loads(Path(path).read_text())
-    if not isinstance(raw, dict):
-        raise ConfigError("top level must be a JSON object")
-    top = _take(raw, "top", {
-        "experiment": _REQUIRED, "seed": 0, "output_dir": None,
-        "material": {}, "geometry": {}, "schedule": {}, "quadrature": {},
-        "basis": {}, "solver": {}, "loading": None,
-        "evolution": None, "gamma": None, "distance": None, "kernel_check": None,
-    })
+    top = _take(raw, "", {
+        "experiment": (_REQUIRED, _choice(*EXPERIMENTS)), "seed": (0, _as(int)),
+        "output_dir": (None, _raw),
+        "material": ({}, _table({"lam": (1.0, _as(float)), "mu": (1.0, _as(float))}, Material)),
+        "geometry": ({}, _table({
+            "omega": ([0.0, 0.0, 1.0, 1.0], _as(lambda v: Rect(*map(float, v)))),
+            "box": ([0.2, 0.2, 0.8, 0.8], _as(lambda v: Rect(*map(float, v)))),
+            "ball": ([0.06, 0.5, 0.03], _as(lambda v: Disk(*map(float, v))))},
+            lambda omega, box, ball: Geometry(omega, box, ball))),
+        "schedule": ({}, _build(ScalingSchedule)), "quadrature": ({}, _build(QuadratureConfig)),
+        "basis": ({}, _build(RitzBasis)), "solver": ({}, _build(SolverConfig)),
+        "loading": (None, _loading),
+        **{name: (None, _raw) for name, _ in _SECTIONS.values()}})
     exp = top["experiment"]
-    if exp not in EXPERIMENTS:
-        raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {exp!r}")
-
-    m = _take(top["material"], "material", {"lam": 1.0, "mu": 1.0})
-    material = Material(lam=_cast(float, m["lam"], "material.lam"),
-                        mu=_cast(float, m["mu"], "material.mu"))
-
-    g = _take(top["geometry"], "geometry", {
-        "omega": [0.0, 0.0, 1.0, 1.0],
-        "box": [0.2, 0.2, 0.8, 0.8],
-        "ball": [0.06, 0.5, 0.03],
-    })
-    geometry = Geometry(
-        omega=_cast(lambda v: Rect(*map(float, v)), g["omega"], "geometry.omega"),
-        r_box=_cast(lambda v: Rect(*map(float, v)), g["box"], "geometry.box"),
-        ball=_cast(lambda v: Disk(*map(float, v)), g["ball"], "geometry.ball"))
-
-    schedule = _build(ScalingSchedule, top["schedule"], "schedule")
-    quadrature = _build(QuadratureConfig, top["quadrature"], "quadrature")
-    basis = _build(RitzBasis, top["basis"], "basis")
-    solver = _build(SolverConfig, top["solver"], "solver")
-
-    loading = None
-    if top["loading"] is not None:
-        ld = _take(top["loading"], "loading", {
-            "kind": "uniform_shear", "sigma": _REQUIRED, "time_horizon": _REQUIRED})
-        if ld["kind"] != "uniform_shear":
-            raise ConfigError("config files support the uniform_shear loading kind")
-        horizon = _positive(ld["time_horizon"], "loading.time_horizon")
-        sigma, sigma_dot = _sigma_callable(ld["sigma"], horizon)
-        loading = LoadingProgram.uniform_shear(sigma, horizon, sigma_dot=sigma_dot)
-
-    sections = {
-        "simulate": ("evolution", {
-            "initial_points": _REQUIRED, "steps": 200, "pre_relax": False}),
-        "gamma": ("gamma", {
-            "target": _REQUIRED, "h": _REQUIRED, "origin": None,
-            "n_ladder": [64, 256, 1024], "mode": "bounded",
-            "gamma_c": [0.0, 1.0]}),
-        "distance": ("distance", {
-            "mu": _REQUIRED, "nu": _REQUIRED,
-            "eps_ladder": [1.0, 0.1, 0.01, 0.001]}),
-        "kernel_check": ("kernel_check", {
-            "quad_n": 512, "radii": [0.05, 0.1, 0.5], "eps": 0.05,
-            "source": [0.5, 0.5], "div_points": 50, "div_h": 1e-4,
-            "traction_samples": 64, "break_traction": False}),
-    }
-    sec_name, allowed = sections[exp]
-    sec_raw = top[sec_name]
-    if sec_raw is None:
-        raise ConfigError(f"experiment '{exp}' requires a '{sec_name}' section")
-    section = _take(sec_raw, sec_name, allowed)
-    if exp == "gamma":
-        section = _gamma_section(section)
-    if exp == "simulate":
-        if loading is None:
-            raise ConfigError("simulate requires a 'loading' section")
-        section = _evolution_section(section)
+    name, table = _SECTIONS[exp]
+    if top[name] is None:
+        raise ConfigError(f"experiment '{exp}' requires a '{name}' section")
+    section = _take(top[name], name, table)
+    if exp == "simulate" and top["loading"] is None:
+        raise ConfigError("simulate requires a 'loading' section")
+    # a smaller step can round x + h and x - h to x: the divergence residual reads 0
+    if exp == "kernel_check" and section["div_h"] < 1e-12 * (
+            1 + np.abs(section["source"]).max()):
+        raise ConfigError("kernel_check.div_h must be at least 1e-12 (1 + max|source|), "
+                          f"got {section['div_h']!r}")
 
     sha = hashlib.sha256(
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
-    return ExperimentConfig(
-        experiment=exp, seed=_cast(int, top["seed"], "seed"), material=material,
-        geometry=geometry, schedule=schedule, quadrature=quadrature,
-        basis=basis, solver=solver, loading=loading, section=section,
-        output_dir=top["output_dir"], raw=raw, sha=sha)
+    return ExperimentConfig(**{f.name: top[f.name] for f in fields(ExperimentConfig)
+                               if f.name in top}, section=section, raw=raw, sha=sha)

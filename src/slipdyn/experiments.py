@@ -26,7 +26,7 @@ from .interaction import (continuum_interaction, continuum_interaction_freespace
                           interaction_sum)
 from .kernels import (CoreRadius, apply_C, circulation, divergence_residual,
                       eval_K, eval_Kn)
-from .measures import DiscreteMeasure, DislocationConfig, group_by_plane
+from .measures import DislocationConfig, group_by_plane
 from .recovery import (ClassParams, UniformDensity, grid_approximation,
                        discretize_grid, snap_modification)
 from .transport import (dual_lower_bound, eps_relaxed_distance,
@@ -126,8 +126,7 @@ def cmd_gamma(cfg: ExperimentConfig, outdir: Path, seed: int,
     geom, mat, q = cfg.geometry, cfg.material, cfg.quadrature
     (cx, cy), s = sec["target"]["center"], sec["target"]["side"]
     target = UniformDensity(Rect(cx - s / 2, cy - s / 2, cx + s / 2, cy + s / 2))
-    origin = sec["origin"] or (0.0, 0.0)
-    density = grid_approximation(target, sec["h"], geom, origin=origin)
+    density = grid_approximation(target, sec["h"], geom, origin=sec["origin"])
     params = ClassParams(*sec["gamma_c"])
 
     ctx = EnergyContext(mode=sec["mode"], mat=mat, geom=geom, quad=q, basis=cfg.basis)
@@ -155,25 +154,19 @@ def cmd_gamma(cfg: ExperimentConfig, outdir: Path, seed: int,
     return rows
 
 
-def _measure_from_rows(rows) -> DiscreteMeasure:
-    arr = np.asarray(rows, dtype=float)
-    return DiscreteMeasure(arr[:, :2], arr[:, 2])
-
-
 def cmd_distance(cfg: ExperimentConfig, outdir: Path, seed: int,
                  threads: int | None = None):
     """Distance suite for a measure pair: d, relaxation ladder, dual bounds."""
     sec = cfg.section
-    mu = _measure_from_rows(sec["mu"])
-    nu = _measure_from_rows(sec["nu"])
+    mu, nu = sec["mu"], sec["nu"]
     rng = np.random.default_rng(seed)
     rows = []
     d = slip_distance(mu, nu)
     rows.append({"quantity": "slip_distance", "parameter": "", "value":
                  ("inf" if math.isinf(d) else float(d))})
     for eps in sec["eps_ladder"]:
-        de = eps_relaxed_distance(mu, nu, float(eps))
-        rows.append({"quantity": "eps_relaxed", "parameter": repr(float(eps)),
+        de = eps_relaxed_distance(mu, nu, eps)
+        rows.append({"quantity": "eps_relaxed", "parameter": repr(eps),
                      "value": float(de)})
     rows.append({"quantity": "w1", "parameter": "", "value": float(w1_distance(mu, nu))})
     rows.append({"quantity": "horizontal_marginal_w1", "parameter": "",
@@ -209,9 +202,7 @@ def cmd_kernel_check(cfg: ExperimentConfig, outdir: Path, seed: int,
     """Field identity suite: circulation, equilibrium, core traction."""
     sec = cfg.section
     mat = cfg.material
-    z = np.asarray(sec["source"], dtype=float)
-    quad_n = int(sec["quad_n"])
-    eps = float(sec["eps"])
+    z, quad_n, eps = sec["source"], sec["quad_n"], sec["eps"]
     core = CoreRadius(eps)
     rng = np.random.default_rng(seed)
     rows = []
@@ -222,16 +213,13 @@ def cmd_kernel_check(cfg: ExperimentConfig, outdir: Path, seed: int,
                      "passed": bool(value <= threshold)})
 
     for r in sec["radii"]:
-        c = circulation(z, float(r), lambda p: eval_K(p, z, mat), quad_n)
-        record("circulation_K", repr(float(r)),
-               float(np.max(np.abs(c - np.array([1.0, 0.0])))), 1e-8)
-        c2 = circulation(z, float(r), lambda p: eval_K(p, z, mat), quad_n * 2)
-        record("circulation_K_refined", repr(float(r)),
-               float(np.max(np.abs(c2 - np.array([1.0, 0.0])))), 1e-8)
+        for check, n in (("circulation_K", quad_n), ("circulation_K_refined", quad_n * 2)):
+            c = circulation(z, r, lambda p: eval_K(p, z, mat), n)
+            record(check, repr(r), float(np.max(np.abs(c - np.array([1.0, 0.0])))), 1e-8)
 
-    h = float(sec["div_h"])
+    h = sec["div_h"]
     worst_k = worst_kn = 0.0
-    for _ in range(int(sec["div_points"])):
+    for _ in range(sec["div_points"]):
         # safe points: far enough that the finite-difference truncation of the
         # singular field stays below the identity threshold
         th = rng.uniform(0.0, 2.0 * math.pi)
@@ -246,8 +234,7 @@ def cmd_kernel_check(cfg: ExperimentConfig, outdir: Path, seed: int,
 
     radius = 2 * eps if sec["break_traction"] else eps
     worst_t = 0.0
-    for th in np.linspace(0, 2 * math.pi, int(sec["traction_samples"]),
-                          endpoint=False):
+    for th in np.linspace(0, 2 * math.pi, sec["traction_samples"], endpoint=False):
         nu = np.array([math.cos(th), math.sin(th)])
         t = apply_C(eval_Kn(z + radius * nu, z, core, mat), mat) @ nu
         worst_t = max(worst_t, float(np.max(np.abs(t))))
@@ -263,10 +250,8 @@ def cmd_kernel_check(cfg: ExperimentConfig, outdir: Path, seed: int,
     for qn in (12, 24):
         c = circulation(center, 0.1, lambda p: eval_K(p, z, mat), qn)
         errs.append(float(np.max(np.abs(c - np.array([1.0, 0.0])))))
-    rows.append({"check": "circulation_refinement_drop",
-                 "parameter": "off_center_quad_doubling",
-                 "value": errs[1], "threshold": float(max(0.5 * errs[0], 1e-13)),
-                 "passed": bool(errs[1] <= max(0.5 * errs[0], 1e-13))})
+    record("circulation_refinement_drop", "off_center_quad_doubling", errs[1],
+           max(0.5 * errs[0], 1e-13))
 
     header = ["check", "parameter", "value", "threshold", "passed"]
     _write_csv(outdir / "kernel_check.csv", header, rows, cfg)

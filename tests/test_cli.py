@@ -431,6 +431,71 @@ def test_gamma_section_rejected(tmp_path, key, value):
     assert f"gamma.{key}" in res.output
 
 
+def _section_rejected(tmp_path, command, name, key, value):
+    """The shipped config ``name`` with its section's ``key`` set to ``value`` is
+    a config error naming the key, and ``command`` exits 2 with it."""
+    payload = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    section = "kernel_check" if command == "kernel-check" else command
+    payload[section][key] = value
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        load_config(write_config(tmp_path, payload))
+    res = CliRunner().invoke(main, [command, str(write_config(tmp_path, payload)),
+                                    "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert f"{section}.{key}" in res.output
+
+
+@pytest.mark.parametrize("key, value", [
+    ("traction_samples", 0), ("div_points", -3), ("div_h", 0), ("div_h", 1e-300),
+    ("quad_n", 2.5), ("break_traction", "false"), ("eps", 0), ("eps", -1),
+    ("radii", [0]), ("quad_n", 0), ("quad_n", "abc"), ("radii", "x"),
+    ("radii", []), ("radii", [0.1, math.inf]), ("eps", math.nan), ("div_h", math.inf),
+    ("source", [0.5]), ("source", [0.5, math.nan]), ("break_traction", 0),
+    ("div_points", True),
+], ids=["samples-zero", "div_points-negative", "div_h-zero", "div_h-below-spacing",
+        "quad_n-fraction", "break-string", "eps-zero", "eps-negative", "radii-zero",
+        "quad_n-zero", "quad_n-string", "radii-string", "radii-empty", "radii-inf",
+        "eps-nan", "div_h-inf", "source-one", "source-nan", "break-int",
+        "div_points-bool"])
+def test_kernel_check_section_rejected(tmp_path, key, value):
+    # the kernel_check section used to be cast at run time: zero samples or
+    # points, or a step too small to move x, read a residual of 0.0 and wrote
+    # all_passed: true; 2.5 ran as 2, "false" ran the broken-radius control,
+    # and a zero radius or a string exited 1 with a message naming no key
+    _section_rejected(tmp_path, "kernel-check", "kernel_check", key, value)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("eps_ladder", [True]), ("eps_ladder", ["a"]), ("eps_ladder", [0.0]),
+    ("eps_ladder", []), ("eps_ladder", 0.1), ("mu", [[0.5, 0.5]]), ("mu", "abc"),
+    ("mu", []), ("mu", [[0.0, 0.0, 0.5], [2.0, 0.0, 0.4]]),
+    ("nu", [[1.0, 0.0, 0.5], [1.0, 0.0, 0.5]]), ("nu", [[1.0, 0.0, 1.5], [3.0, 0.0, -0.5]]),
+    ("nu", [[1.0, math.nan, 0.5], [3.0, 0.0, 0.5]]), ("nu", [[1.0, 0.0, "0.5"], [3.0, 0.0, 0.5]]),
+], ids=["ladder-bool", "ladder-string", "ladder-zero", "ladder-empty", "ladder-scalar",
+        "mu-pairs", "mu-string", "mu-empty", "mu-mass", "nu-repeated", "nu-negative",
+        "nu-nan", "nu-string-entry"])
+def test_distance_section_rejected(tmp_path, key, value):
+    # a boolean rung used to run as 1.0, and a zero rung, rows without a
+    # weight or a string exited 1; the measures are built when the config loads
+    _section_rejected(tmp_path, "distance", "distance_pair", key, value)
+
+
+def test_shipped_sections_load_typed(tmp_path):
+    from slipdyn.measures import DiscreteMeasure
+    sec = load_config(CONFIG_DIR / "kernel_check.json").section
+    assert type(sec["quad_n"]) is int and type(sec["traction_samples"]) is int
+    assert all(type(r) is float for r in sec["radii"]) and type(sec["eps"]) is float
+    assert sec["break_traction"] is False
+    sec = load_config(CONFIG_DIR / "distance_pair.json").section
+    assert isinstance(sec["mu"], DiscreteMeasure) and isinstance(sec["nu"], DiscreteMeasure)
+    assert np.array_equal(sec["mu"].points, [[0.0, 0.0], [2.0, 0.0]])
+    # an integral JSON number reads as a float, so the tables print it as 1.0
+    payload = json.loads((CONFIG_DIR / "distance_pair.json").read_text())
+    payload["distance"]["eps_ladder"] = [1, 0.5]
+    ladder = load_config(write_config(tmp_path, payload)).section["eps_ladder"]
+    assert ladder == (1.0, 0.5) and all(type(e) is float for e in ladder)
+
+
 #: sha256 of every output file of the shipped configs whose outputs do not
 #: depend on the BLAS thread count (bounded_pair, gamma_uniform and
 #: kernel_check do; scripts/run_examples.py prints all of them)
