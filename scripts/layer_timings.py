@@ -7,6 +7,9 @@ Sections:
 * blocks of 16, 64 and 256 sources through the same sum, per source;
 * one bounded force probe (``evolution._force_probe``: one boundary pass, one
   corrector solve and one derivative row) at n = 2, 16 and 64 dislocations;
+* one free-space force probe (one row of the sweep's step table against the
+  live abscissae) and one build of that table (``evolution._pair_table`` of
+  all rows) at n = 16 and 64, on 4 and 8 slip planes;
 * one all-rows bounded force (``evolution._forces_at``: the same pass with n
   derivative rows) at n = 2, 16 and 64;
 * one corrector build (``CorrectorSolver``: stiffness, factorization and the
@@ -38,7 +41,8 @@ import numpy as np
 
 from slipdyn.config import load_config
 from slipdyn.corrector import CorrectorSolver, RitzBasis, get_solver
-from slipdyn.evolution import EnergyContext, LoadingProgram, _force_probe, _forces_at
+from slipdyn.evolution import (EnergyContext, LoadingProgram, _force_probe, _forces_at,
+                               _pair_table)
 from slipdyn.geometry import Rect, unit_geometry
 from slipdyn.interaction import QuadratureConfig, _boundary_grid, _boundary_sums
 from slipdyn.kernels import Material
@@ -95,6 +99,17 @@ def main():
         x = pts[0, 0] + 1e-3
         t = _median_s(lambda: probe(x), args.repeat)
         _report(f"bounded probe, n = {n}", t, n)
+    fctx = EnergyContext("freespace", mat)
+    for n, planes in ((16, 4), (64, 8)):
+        free = np.column_stack([pts[:n, 0], np.repeat(np.linspace(0.3, 0.7, planes),
+                                                      n // planes)])
+        table = _pair_table(free, range(n))
+        probe = _force_probe(free, 0, 0.5, load, fctx, table)
+        x = free[0, 0] + 1e-3
+        t = _median_s(lambda: probe(x), args.repeat)
+        _report(f"free-space probe, n = {n}", t, n)
+        t = _median_s(lambda: _pair_table(free, range(n)), args.repeat)
+        _report(f"free-space pair table, n = {n}", t, n)
     for n in (2, 16, 64):
         t = _median_s(lambda: _forces_at(pts[:n], 0.5, load, ctx), args.repeat)
         _report(f"all-rows bounded force, n = {n}", t, n)

@@ -117,6 +117,18 @@ def _items(parse):
     return items
 
 
+def _optional(parse):
+    """None, or a value read by ``parse``."""
+    return lambda value, key: None if value is None else parse(value, key)
+
+
+def _text(value, key):
+    """A non-empty string."""
+    if not (isinstance(value, str) and value):
+        raise ConfigError(f"{key} must be a non-empty string or null, got {value!r}")
+    return value
+
+
 def _choice(*values):
     """One of ``values``, of its type too: 0 is not false."""
     def parse(value, key):
@@ -185,10 +197,8 @@ _POSITIVE, _flag = _number(float, 0), _choice(False, True)
 _PAIR = _array((2,), "2 finite numbers")
 
 
-def _loading(value, key: str) -> LoadingProgram | None:
-    """A uniform-shear loading program, or None when the section is absent."""
-    if value is None:
-        return None
+def _loading(value, key: str) -> LoadingProgram:
+    """A uniform-shear loading program."""
     ld = _take(value, key, {"kind": ("uniform_shear", _choice("uniform_shear")),
                             "sigma": (_REQUIRED, _raw), "time_horizon": (_REQUIRED, _POSITIVE)})
     sigma, sigma_dot = _sigma_callable(ld["sigma"], ld["time_horizon"])
@@ -247,7 +257,7 @@ def load_config(path) -> ExperimentConfig:
     raw = json.loads(Path(path).read_text())
     top = _take(raw, "", {
         "experiment": (_REQUIRED, _choice(*EXPERIMENTS)), "seed": (0, _as(int)),
-        "output_dir": (None, _raw),
+        "output_dir": (None, _optional(_text)),
         "material": ({}, _table({"lam": (1.0, _as(float)), "mu": (1.0, _as(float))}, Material)),
         "geometry": ({}, _table({
             "omega": ([0.0, 0.0, 1.0, 1.0], _as(lambda v: Rect(*map(float, v)))),
@@ -256,20 +266,21 @@ def load_config(path) -> ExperimentConfig:
             lambda omega, box, ball: Geometry(omega, box, ball))),
         "schedule": ({}, _build(ScalingSchedule)), "quadrature": ({}, _build(QuadratureConfig)),
         "basis": ({}, _build(RitzBasis)), "solver": ({}, _build(SolverConfig)),
-        "loading": (None, _loading),
-        **{name: (None, _raw) for name, _ in _SECTIONS.values()}})
+        "loading": (None, _optional(_loading)),
+        # every section present is checked, also those of other experiments
+        **{name: (None, _optional(_table(table))) for name, table in _SECTIONS.values()}})
     exp = top["experiment"]
-    name, table = _SECTIONS[exp]
-    if top[name] is None:
+    name = _SECTIONS[exp][0]
+    section = top[name]
+    if section is None:
         raise ConfigError(f"experiment '{exp}' requires a '{name}' section")
-    section = _take(top[name], name, table)
     if exp == "simulate" and top["loading"] is None:
         raise ConfigError("simulate requires a 'loading' section")
     # a smaller step can round x + h and x - h to x: the divergence residual reads 0
-    if exp == "kernel_check" and section["div_h"] < 1e-12 * (
-            1 + np.abs(section["source"]).max()):
+    kc = top["kernel_check"]
+    if kc is not None and kc["div_h"] < 1e-12 * (1 + np.abs(kc["source"]).max()):
         raise ConfigError("kernel_check.div_h must be at least 1e-12 (1 + max|source|), "
-                          f"got {section['div_h']!r}")
+                          f"got {kc['div_h']!r}")
 
     sha = hashlib.sha256(
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()).hexdigest()

@@ -16,9 +16,9 @@ The stiffness is assembled in closed form, as Kronecker products of the exact
 The boundary integral runs on the Gauss grid of the interaction route
 (``interaction._boundary_grid`` at ``quadrature.boundary_points`` per edge),
 fixed when the solver is built, so no solve depends on an earlier one.  Its
-weighted tractions are columns of the route's closed-form boundary rows,
-evaluated for blocks of sources (``interaction._boundary_rows``);
-``solve_traction`` and ``boundary_displacement`` take their sum from the
+weighted tractions are columns of the route's closed-form boundary rows, and
+their sum is the summed row of ``interaction._boundary_sums``: ``linear_form``
+sums it, ``solve_traction`` and ``boundary_displacement`` take it from the
 interaction's pass, and the forces contract the displacement with the
 sources' y_1-derivative tractions.  At construction the grid must resolve the
 tractions of the admitted sources closest to the boundary to
@@ -36,7 +36,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import lu_factor, lu_solve
 
 from .geometry import Geometry, Rect
-from .interaction import BLOCK, QuadratureConfig, _boundary_grid, _boundary_rows
+from .interaction import QuadratureConfig, _boundary_grid, _boundary_rows, _boundary_sums
 from .kernels import Material, K_many  # noqa: F401  (perfbench/tracing.py patches K_many here)
 from .measures import CellMeasure, DiscreteMeasure, DislocationConfig
 
@@ -204,19 +204,14 @@ class CorrectorSolver:
             raise ValueError("measure support violates the boundary margin")
 
     def linear_form(self, measure) -> np.ndarray:
-        """Boundary work of the measure's traction against the basis.
-
-        The quadrature is the Gauss grid of the interaction route,
-        ``quadrature.boundary_points`` per edge, checked at construction.
+        """Boundary work of the measure's traction against the basis: the
+        first two columns of its summed boundary row (``_boundary_sums``) on
+        the Gauss grid of the interaction route, checked at construction.
         """
         atoms, weights = as_weighted_atoms(measure, self.q)
         self._check_margin(atoms)
-        T = 0.0
-        for s in range(0, len(atoms), BLOCK):
-            rows = _boundary_rows(self._grid, atoms[s:s + BLOCK], self.mat)
-            for wi, row in zip(weights[s:s + BLOCK], rows):
-                T = T + wi * row[:, :2]
-        return (self._vals.T @ T).T.ravel()
+        traction = _boundary_sums(self._grid, atoms, weights, self.mat)[0][:, :2]
+        return (self._vals.T @ traction).T.ravel()
 
     def solve(self, measure) -> CorrectorSolution:
         return self._solve(self.linear_form(measure))

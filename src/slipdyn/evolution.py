@@ -37,17 +37,21 @@ __all__ = ["LoadingProgram", "SolverConfig", "EnergyContext", "ForceRecord",
 EDGE_TOL = 1e-10
 
 
-def _log_forces(rows: np.ndarray, pts: np.ndarray, log_coef: float) -> np.ndarray:
-    """Horizontal free-space log force on each row point from all of ``pts``, over n.
+def _pair_table(pts: np.ndarray, rows) -> np.ndarray:
+    """Squared vertical offsets (y_i - y_j)^2, shape (len(rows), n), of the
+    dislocations ``rows`` from all n, inf on each row's own column."""
+    dy = pts[rows, 1:] - pts[:, 1]
+    dy2 = dy * dy
+    dy2[np.arange(len(rows)), rows] = np.inf
+    return dy2
 
-    Self pairs (zero distance) contribute nothing, so a single row and the
-    full matrix sum the same terms in the same order.
-    """
-    dx = rows[:, None, 0] - pts[None, :, 0]
-    dy = rows[:, None, 1] - pts[None, :, 1]
-    d2 = dx * dx + dy * dy
-    rep = np.divide(log_coef * dx, d2, out=np.zeros_like(d2), where=d2 > 0)
-    return rep.sum(axis=1) / len(pts)
+
+def _log_forces(x, xs: np.ndarray, dy2: np.ndarray, log_coef: float):
+    """Free-space log force: c dx / (dx^2 + dy2), dx = x - xs, summed over the
+    last axis over n = len(xs).  The inf self offset of ``_pair_table`` makes the
+    self term exactly 0, so one row and all rows sum the same terms alike."""
+    dx = x - xs
+    return np.add.reduce(log_coef * dx / (dx * dx + dy2), axis=-1) / len(xs)
 
 
 @dataclass(frozen=True)
@@ -168,7 +172,8 @@ class EnergyContext:
         """
         rows = np.asarray(rows, dtype=int)
         if self.mode != "bounded":
-            return _log_forces(pts[rows], pts, self.mat.log_coef), np.zeros(len(rows))
+            return (_log_forces(pts[rows, :1], pts[:, 0], _pair_table(pts, rows),
+                                self.mat.log_coef), np.zeros(len(rows)))
         n, w = len(pts), 1.0 / len(pts)
         grid = _boundary_grid(self.geom.omega, self.quad.boundary_points)
         A, B, _, kept = _boundary_sums(grid, pts, np.full(n, w), self.mat, set(rows))
@@ -255,19 +260,18 @@ def stability_excess(cfg: DislocationConfig, record: ForceRecord) -> float:
     return _residual_from_forces(cfg.points, record.values, cfg.box)
 
 
-def _force_probe(pts, i, t, load, ctx):
+def _force_probe(pts, i, t, load, ctx, table=None):
     """``x -> _force_single`` of ``pts`` with dislocation i moved to abscissa x.
 
     The sweep's only single-dislocation force evaluation; every probe equals
     ``_force_single`` of the moved configuration bit for bit.  In free space
-    the others' abscissae and squared vertical offsets are cached, the self
-    offset being inf so that the self term is exactly 0, and a probe sums
-    c dx / (dx^2 + dy^2) over all n in ``_log_forces`` order, divides by n and
-    adds, as ``_force_single`` does, the corrector's 0.0 and the load, whose
-    uniform-shear gradient is read once.  Bounded probes copy the points and
-    call ``_force_single``: one fused pass (``EnergyContext._force_parts``)
-    with one derivative row and one corrector solve, whose cost still grows
-    with n through the summed rows and columns of all atoms.
+    it is ``_log_forces`` of row i of ``table`` (the sweep's ``_pair_table``;
+    row i alone when None) against the live view ``pts[:, 0]``, so it copies
+    nothing, plus the corrector's 0.0 and the load, as ``_force_single`` adds
+    them.  Bounded probes copy the points and call ``_force_single``: one
+    fused pass (``EnergyContext._force_parts``) with one derivative row and
+    one corrector solve, whose cost still grows with n through the summed
+    rows and columns of all atoms.
     """
     if ctx.mode == "bounded":
         def probe(x):
@@ -275,24 +279,13 @@ def _force_probe(pts, i, t, load, ctx):
             trial[i, 0] = x
             return _force_single(trial, i, t, load, ctx)
         return probe
-    xs, y = pts[:, 0].copy(), pts[i, 1]
-    dy = y - pts[:, 1]
-    dy2 = dy * dy
-    dy2[i] = np.inf
-    c, n = ctx.mat.log_coef, len(pts)
+    dy2 = _pair_table(pts, [i])[0] if table is None else table[i]
+    xs, y, c = pts[:, 0], pts[i, 1], ctx.mat.log_coef
     if load.kind == "uniform_shear":
-        sigma = float(load.sigma(t))
-
-        def load_at(x):
-            return sigma
-    else:
-        def load_at(x):
-            return float(load.horizontal_gradient(t, np.array([[x, y]]))[0])
-
-    def probe(x):
-        dx = x - xs
-        return float((c * dx / (dx * dx + dy2)).sum() / n) + 0.0 + load_at(x)
-    return probe
+        shear = float(load.sigma(t))
+        return lambda x: float(_log_forces(x, xs, dy2, c)) + 0.0 + shear
+    return lambda x: (float(_log_forces(x, xs, dy2, c)) + 0.0
+                      + float(load.horizontal_gradient(t, np.array([[x, y]]))[0]))
 
 
 def _land_position(probe, x0, f0, direction, barrier, line_grid):
@@ -359,17 +352,21 @@ def _sweep_to_stability(pts, t, load, ctx, solver_cfg, box, r_n, planes):
     that moved something (``test_single_force_equals_all_rows`` pins the two
     bit for bit); after it each check builds the dislocation's
     ``_force_probe`` and evaluates it where the dislocation stands, and a
-    landing reuses that probe and the force just checked.  The relaxation
-    stops after a sweep that moves nothing, since a repeat would move nothing
-    either, and the residual comes from that sweep's vector.
+    landing reuses that probe and the force just checked; in free space all
+    probes read one ``_pair_table``.  The relaxation stops after a sweep that
+    moves nothing, since a repeat would move nothing either, and the residual
+    comes from that sweep's vector.
     """
+    # a landing stops at a neighbour -+ r_n, so no dislocation passes another
+    # on its plane: the left-to-right order taken here holds for the whole step
+    orders = [idx[np.argsort(pts[idx, 0])] for _, idx in planes]
+    table = None if ctx.mode == "bounded" else _pair_table(pts, range(len(pts)))
     forces = _forces_at(pts, t, load, ctx)
     for _ in range(solver_cfg.max_sweeps):
         moved = False
-        for _, idx in planes:
-            ordered = idx[np.argsort(pts[idx, 0])]
+        for ordered in orders:
             for k, i in enumerate(ordered):
-                probe = _force_probe(pts, i, t, load, ctx) if moved else None
+                probe = _force_probe(pts, i, t, load, ctx, table) if moved else None
                 f = probe(pts[i, 0]) if moved else forces[i]
                 direction = 1.0 if f > 0 else -1.0
                 if abs(f) <= 1.0 + 1e-12:
@@ -382,7 +379,7 @@ def _sweep_to_stability(pts, t, load, ctx, solver_cfg, box, r_n, planes):
                 if (barrier - pts[i, 0]) * direction <= 1e-15:
                     continue
                 pts[i, 0] = _land_position(
-                    probe or _force_probe(pts, i, t, load, ctx), pts[i, 0], f,
+                    probe or _force_probe(pts, i, t, load, ctx, table), pts[i, 0], f,
                     direction, barrier, solver_cfg.line_grid)
                 moved = True
         if not moved:

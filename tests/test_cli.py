@@ -496,6 +496,49 @@ def test_shipped_sections_load_typed(tmp_path):
     assert ladder == (1.0, 0.5) and all(type(e) is float for e in ladder)
 
 
+@pytest.mark.parametrize("value", [5, "", True, ["o"], {"dir": "o"}],
+                         ids=["int", "empty", "bool", "list", "object"])
+def test_output_dir_rejected(tmp_path, value):
+    # a number used to reach Path() when the runner wrote its outputs and
+    # exit with a TypeError traceback; null or a non-empty string is accepted
+    payload = json.loads((CONFIG_DIR / "kernel_check.json").read_text())
+    assert load_config(write_config(tmp_path, payload)).output_dir is None
+    payload["output_dir"] = str(tmp_path / "o")
+    assert load_config(write_config(tmp_path, payload)).output_dir == str(tmp_path / "o")
+    payload["output_dir"] = value
+    with pytest.raises(ConfigError, match="output_dir"):
+        load_config(write_config(tmp_path, payload))
+    res = CliRunner().invoke(main, ["kernel-check", str(write_config(tmp_path, payload)),
+                                    "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert "output_dir" in res.output
+
+
+@pytest.mark.parametrize("name, section, value", [
+    ("kernel_check", "gamma", 5),
+    ("kernel_check", "distance", {"mu": [], "nu": [[0.0, 0.0, 1.0]]}),
+    ("ramp_single", "gamma", {"h": 0.1}),
+    ("gamma_uniform", "evolution", {"initial_points": [[0.5, 0.5]], "steps": 2.5}),
+    ("distance_pair", "kernel_check", {"quad_n": 2.5}),
+    ("distance_pair", "kernel_check", {"div_h": 1e-300}),
+    ("kernel_check", "evolution", {"initial_points": [[0.5, 0.5]], "bogus": 1}),
+], ids=["gamma-number", "distance-empty-mu", "gamma-missing-target",
+        "evolution-fraction", "kernel_check-fraction", "kernel_check-div_h",
+        "evolution-unknown-key"])
+def test_other_experiment_sections_checked(tmp_path, name, section, value):
+    # only the section the experiment names used to be parsed: a bad section
+    # of another experiment loaded and ran; it is now a config error naming it
+    payload = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    payload[section] = value
+    with pytest.raises(ConfigError, match=section):
+        load_config(write_config(tmp_path, payload))
+    # a well-formed section of another experiment still loads, and is unused
+    shipped = {"gamma": "gamma_uniform", "distance": "distance_pair",
+               "evolution": "ramp_single", "kernel_check": "kernel_check"}[section]
+    payload[section] = json.loads((CONFIG_DIR / f"{shipped}.json").read_text())[section]
+    assert load_config(write_config(tmp_path, payload)).experiment == payload["experiment"]
+
+
 #: sha256 of every output file of the shipped configs whose outputs do not
 #: depend on the BLAS thread count (bounded_pair, gamma_uniform and
 #: kernel_check do; scripts/run_examples.py prints all of them)

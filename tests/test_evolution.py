@@ -209,6 +209,33 @@ def test_probe_equals_moved_force_single(mode, fctx, geom, mat, quad, basis):
                         _force_single(trial, i, 0.7, load, ctx))
 
 
+def test_probe_reads_the_live_table(fctx):
+    # the sweep builds one _pair_table per step, and its probes read the live
+    # abscissae: after in-place moves of a same-plane neighbour and of a
+    # dislocation on another plane, a probe built before them still equals
+    # _force_single of the current points bit for bit
+    loads = [ramp_load(),
+             LoadingProgram.custom(
+                 f=None, f_dot=None, time_horizon=1.0,
+                 f_x1=lambda t, p: t * np.sin(7 * p[:, 0]) * p[:, 1])]
+    rng = np.random.default_rng(44)
+    start = np.column_stack([np.tile(np.linspace(0.35, 0.65, 4), 4)
+                             + rng.uniform(-0.02, 0.02, 16),
+                             np.repeat([0.3, 0.45, 0.6, 0.75], 4)])
+    i, neighbour, other = 5, 6, 13
+    for load in loads:
+        pts = start.copy()
+        table = evolution._pair_table(pts, range(16))
+        assert np.array_equal(table[i], evolution._pair_table(pts, [i])[0])
+        probe = evolution._force_probe(pts, i, 0.7, load, fctx, table)
+        pts[neighbour, 0] += 0.013
+        pts[other, 0] -= 0.021
+        for x in (pts[i, 0], pts[i, 0] + 0.004, rng.uniform(0.3, 0.7)):
+            trial = pts.copy()
+            trial[i, 0] = x
+            assert _bits(probe(x)) == _bits(_force_single(trial, i, 0.7, load, fctx))
+
+
 def test_landing_passes_its_own_threshold(fctx, geom):
     # a dislocation landed short of its barrier must see a force magnitude
     # within the sweep's threshold 1 + 1e-12, or the next sweep lands it again

@@ -175,6 +175,20 @@ def test_dual_bounds():
         dual_lower_bound(mu, nu, lambda p: 2.0 * p[0])
 
 
+def test_dual_bound_calls_phi_once_per_atom():
+    # the Lipschitz check and the weighted sums share one value per atom
+    rng = np.random.default_rng(5)
+    mu = random_measure(rng, [0.0, 0.5, 1.0], 3)
+    nu = random_measure(rng, [0.0, 0.5, 1.0], 3)
+    calls = [0]
+
+    def phi(p):
+        calls[0] += 1
+        return 0.5 * p[0]
+    dual_lower_bound(mu, nu, phi)
+    assert calls[0] == mu.n_atoms + nu.n_atoms
+
+
 def test_random_dual_bounds_dominated():
     rng = np.random.default_rng(8)
     planes = [0.0, 0.5]
