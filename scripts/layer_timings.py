@@ -3,6 +3,7 @@
 
 Sections:
 
+* one ``K_offsets`` batch of 4096 offsets, per offset;
 * one source's boundary row and column (``_boundary_sums`` of one source);
 * blocks of 16, 64 and 256 sources through the same sum, per source;
 * one bounded force probe (``evolution._force_probe``: one boundary pass, one
@@ -10,12 +11,17 @@ Sections:
 * one free-space force probe (one row of the sweep's step table against the
   live abscissae) and one build of that table (``evolution._pair_table`` of
   all rows) at n = 16 and 64, on 4 and 8 slip planes;
+* one landing search (``evolution._land_position``) on such a free-space
+  probe: the leftmost dislocation of the lowest plane, under a shear set so
+  that its force is 1.5 where it stands, toward its right neighbour;
 * one all-rows bounded force (``evolution._forces_at``: the same pass with n
   derivative rows) at n = 2, 16 and 64;
 * one corrector build (``CorrectorSolver``: stiffness, factorization and the
-  resolution check; a tenth of the repeats, at least 3) and one corrector
-  solve (``CorrectorSolver._solve`` of a fixed linear form) at degrees 8, 16,
-  24 and 28;
+  resolution check; a tenth of the repeats, at least 3), the tracemalloc
+  peak of one build, and one corrector solve (``CorrectorSolver._solve`` of a
+  fixed linear form) at degrees 8, 16, 24 and 28;
+* one ``slip_distance`` between two 64-atom configurations on the same 8
+  slip planes;
 * one ``snap_modification`` of the ``discretize_grid`` configuration of
   ``configs/gamma_uniform.json`` at n = 256 and 1024, with the snap pitch eta of
   the ``gamma`` experiment, per atom;
@@ -25,7 +31,8 @@ Sections:
 Unit square, Material(1, 1), default quadrature (128 points per edge) and
 Ritz degree 8, as in ``configs/bounded_pair.json`` and
 ``configs/gamma_uniform.json``.  Peak RSS is the process
-maximum after each section, so it never decreases down the table.  Nothing is
+maximum after each section, so it never decreases down the table and cannot
+isolate one build; the traced peaks (10^6 bytes) can.  Nothing is
 asserted.  Pin the BLAS threads for comparable numbers:
 
 Usage: OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/layer_timings.py [--repeat N]
@@ -35,20 +42,22 @@ import os
 import resource
 import statistics
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 from slipdyn.config import load_config
 from slipdyn.corrector import CorrectorSolver, RitzBasis, get_solver
-from slipdyn.evolution import (EnergyContext, LoadingProgram, _force_probe, _forces_at,
-                               _pair_table)
+from slipdyn.evolution import (EnergyContext, LoadingProgram, SolverConfig, _force_probe,
+                               _forces_at, _land_position, _pair_table)
 from slipdyn.geometry import Rect, unit_geometry
 from slipdyn.interaction import QuadratureConfig, _boundary_grid, _boundary_sums
-from slipdyn.kernels import Material
+from slipdyn.kernels import K_offsets, Material
 from slipdyn.measures import DiscreteMeasure
 from slipdyn.recovery import (ClassParams, UniformDensity, discretize_grid,
                               grid_approximation, snap_modification)
+from slipdyn.transport import slip_distance
 
 GAMMA_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "gamma_uniform.json"
 
@@ -66,6 +75,16 @@ def _median_s(fn, repeat):
 
 def _peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _traced_peak_mb(fn):
+    """tracemalloc peak of one call of ``fn()``, in 10^6 bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def _report(label, seconds, per):
@@ -90,6 +109,9 @@ def main():
     print(f"OPENBLAS_NUM_THREADS={threads}, {args.repeat} repeats, "
           f"{len(grid['gauss_w'])} boundary points")
     print(f"{'section':<34} {'median_us':>12} {'per_src_us':>12} {'peak_rss_mb':>10}")
+    offsets = rng.uniform(-0.5, 0.5, (4096, 2))
+    t = _median_s(lambda: K_offsets(offsets, mat), args.repeat)
+    _report("K_offsets, 4096 offsets", t, len(offsets))
     for m in (1, 16, 64, 256):
         weights = np.full(m, 1.0 / m)
         t = _median_s(lambda: _boundary_sums(grid, pts[:m], weights, mat), args.repeat)
@@ -110,6 +132,16 @@ def main():
         _report(f"free-space probe, n = {n}", t, n)
         t = _median_s(lambda: _pair_table(free, range(n)), args.repeat)
         _report(f"free-space pair table, n = {n}", t, n)
+        plane = np.arange(n // planes)
+        i, right = plane[np.argsort(free[plane, 0])[:2]]
+        pull = _force_probe(free, i, 0.5, LoadingProgram.uniform_shear(
+            lambda t: 0.0, 1.0, lambda t: 0.0), fctx, table)(free[i, 0])
+        push = LoadingProgram.uniform_shear(lambda t: 1.5 - pull, 1.0, lambda t: 0.0)
+        probe = _force_probe(free, i, 0.5, push, fctx, table)
+        f0, barrier = probe(free[i, 0]), free[right, 0] - 1e-3
+        t = _median_s(lambda: _land_position(probe, free[i, 0], f0, 1.0, barrier,
+                                             SolverConfig().line_grid), args.repeat)
+        _report(f"free-space landing, n = {n}", t, 1)
     for n in (2, 16, 64):
         t = _median_s(lambda: _forces_at(pts[:n], 0.5, load, ctx), args.repeat)
         _report(f"all-rows bounded force, n = {n}", t, n)
@@ -118,10 +150,17 @@ def main():
         t = _median_s(lambda: CorrectorSolver(geom, mat, RitzBasis(degree), quad),
                       max(3, args.repeat // 10))
         _report(f"corrector build, degree {degree}", t, 1)
+        peak = _traced_peak_mb(lambda: CorrectorSolver(geom, mat, RitzBasis(degree), quad))
+        print(f"{'  its tracemalloc peak, MB':<34} {peak:12.1f}")
         solver = CorrectorSolver(geom, mat, RitzBasis(degree), quad)
         b = solver.linear_form(measure)
         t = _median_s(lambda: solver._solve(b), args.repeat)
         _report(f"corrector solve, degree {degree}", t, 1)
+    ys = np.repeat(np.linspace(0.3, 0.7, 8), 8)
+    mu = DiscreteMeasure.equal_weights(np.column_stack([pts[:64, 0], ys]))
+    nu = DiscreteMeasure.equal_weights(np.column_stack([pts[64:128, 0], ys]))
+    t = _median_s(lambda: slip_distance(mu, nu), args.repeat)
+    _report("slip_distance, 64 atoms", t, 64)
 
     # the gamma experiment's cell density, recovery configurations and snap pitch
     cfg = load_config(GAMMA_CONFIG)

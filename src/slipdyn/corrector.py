@@ -11,18 +11,18 @@ the two gauge conditions (vector mean, scalar mean rotation) enter through
 Lagrange multipliers.  At the minimum I(v) = (1/2) b . v, with b the boundary
 linear form, which the solver returns as the corrector energy (always <= 0).
 
-The stiffness is assembled in closed form, as Kronecker products of the exact
-1-D Legendre mass and derivative matrices (Shen, SIAM J. Sci. Comput. 15, 1994).
-The boundary integral runs on the Gauss grid of the interaction route
-(``interaction._boundary_grid`` at ``quadrature.boundary_points`` per edge),
-fixed when the solver is built, so no solve depends on an earlier one.  Its
-weighted tractions are columns of the route's closed-form boundary rows, and
-their sum is the summed row of ``interaction._boundary_sums``: ``linear_form``
-sums it, ``solve_traction`` and ``boundary_displacement`` take it from the
-interaction's pass, and the forces contract the displacement with the
-sources' y_1-derivative tractions.  At construction the grid must resolve the
-tractions of the admitted sources closest to the boundary to
-``quadrature.tol``; otherwise it raises.
+The stiffness is Kronecker products of the exact 1-D Legendre mass and
+derivative matrices (Shen, SIAM J. Sci. Comput. 15, 1994), and the gauge rows
+are (d + 1) x (d + 1) products of 1-D Legendre values and derivatives at the
+gauge ball's points: no tensor basis is formed for either.  The boundary
+integral runs on the Gauss grid of the interaction route
+(``interaction._boundary_grid``), fixed at construction, so no solve depends on
+an earlier one.  Its weighted tractions are columns of the closed-form boundary
+rows summed by ``interaction._boundary_sums``, in ``linear_form`` or in the
+interaction's pass (``solve_traction``, ``boundary_displacement``); the forces
+contract the displacement with the sources' y_1-derivative tractions.  At
+construction the grid must resolve the tractions of the admitted sources
+closest to the boundary to ``quadrature.tol``; otherwise it raises.
 """
 from __future__ import annotations
 
@@ -102,7 +102,7 @@ class CorrectorSolver:
         self._lu = lu_factor(np.block([[self.A, self.C.T],
                                        [self.C, np.zeros((3, 3))]]))
         self._grid = _boundary_grid(geom.omega, q.boundary_points)
-        self._vals, _, _ = self._scalar_basis(self._grid["gauss_pts"], want_grad=False)
+        self._vals = self._scalar_basis(self._grid["gauss_pts"])
         self._check_resolution()
 
     # -- geometry mapping -------------------------------------------------
@@ -112,19 +112,11 @@ class CorrectorSolver:
         t2 = 2 * (xs[:, 1] - o.y0) / o.height - 1
         return t1, t2
 
-    def _scalar_basis(self, xs, want_grad=True):
-        """Scalar tensor-Legendre values (and physical gradients) at points."""
-        deg = self.basis.degree
+    def _scalar_basis(self, xs):
+        """Scalar tensor-Legendre values L_a(t_1) L_b(t_2) at points, (n, (d + 1)^2)."""
         t1, t2 = self._to_ref(np.asarray(xs, dtype=float))
-        V1, D1 = _legendre_values(t1, deg)
-        V2, D2 = _legendre_values(t2, deg)
-        o = self.geom.omega
-        vals = np.einsum("na,nb->nab", V1, V2).reshape(len(t1), -1)
-        if not want_grad:
-            return vals, None, None
-        gx = np.einsum("na,nb->nab", D1 * (2 / o.width), V2).reshape(len(t1), -1)
-        gy = np.einsum("na,nb->nab", V1, D2 * (2 / o.height)).reshape(len(t1), -1)
-        return vals, gx, gy
+        V1, V2 = (_leg.legvander(t, self.basis.degree) for t in (t1, t2))
+        return np.einsum("na,nb->nab", V1, V2).reshape(len(t1), -1)
 
     def _assemble_stiffness(self):
         """A = int C grad phi : grad phi in closed form, with no quadrature.
@@ -149,7 +141,8 @@ class CorrectorSolver:
                            [lam * Dxy.T + mu * Dxy, (lam + 2 * mu) * Dyy + mu * Dxx]])
 
     def _assemble_constraints(self):
-        """Vector mean and mean rotation over the gauge ball."""
+        """Vector mean and mean rotation over the gauge ball, as products of 1-D
+        Legendre values V_i and derivatives D_i at its points: V_1^T diag(W) V_2."""
         ball = self.geom.ball
         deg = self.basis.degree
         nr = deg + 2
@@ -164,8 +157,11 @@ class CorrectorSolver:
         Y = ball.cy + R * np.sin(TH)
         W = (np.outer(wr * rr, np.full(ntheta, wth))).ravel()
         pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-        vals, gxv, gyv = self._scalar_basis(pts)
-        ints, int_gx, int_gy = W @ vals, W @ gxv, W @ gyv
+        (V1, D1), (V2, D2) = (_legendre_values(t, deg) for t in self._to_ref(pts))
+        WV2 = W[:, None] * V2
+        ints = (V1.T @ WV2).ravel()
+        int_gx = (D1.T @ WV2).ravel() * (2 / self.geom.omega.width)
+        int_gy = (V1.T @ (W[:, None] * D2)).ravel() * (2 / self.geom.omega.height)
         zero = np.zeros(self.n_scalar)
         self.C = np.block([[ints, zero], [zero, ints], [0.5 * int_gy, -0.5 * int_gx]])
 
@@ -186,7 +182,7 @@ class CorrectorSolver:
                                              (pts + corners[(edge + 1) % 4]) / 2]),
                 "gauss_w": np.tile(grid["gauss_w"] / 2, 2),
                 "gauss_nu": np.tile(grid["gauss_nu"], (2, 1))}
-        fine_vals, _, _ = self._scalar_basis(fine["gauss_pts"], want_grad=False)
+        fine_vals = self._scalar_basis(fine["gauss_pts"])
         corners = Rect(o.x0 + ell, o.y0 + ell, o.x1 - ell, o.y1 - ell).corners()
         for row, row2 in zip(_boundary_rows(grid, corners, self.mat),
                              _boundary_rows(fine, corners, self.mat)):

@@ -440,11 +440,14 @@ def _atom_energy(pts, mode: str, geom: Geometry | None, mat: Material,
     if min_distance(pts) < MIN_SEPARATION:
         raise ValueError("coincident dislocations in configuration")
     if mode == "freespace":
-        with np.errstate(divide="ignore"):
-            K = _log_kernel(pts[:, None, :] - pts[None, :, :], mat)
-        np.fill_diagonal(K, 0.0)
+        total = 0.0      # blocks of BLOCK rows: O(n) memory, one sum up to BLOCK atoms
+        for s in range(0, n, BLOCK):
+            with np.errstate(divide="ignore"):
+                K = _log_kernel(pts[s:s + BLOCK, None, :] - pts[None, :, :], mat)
+            K[np.arange(len(K)), np.arange(s, s + len(K))] = 0.0
+            total += float(K.sum())
         # 0.0 - sum: a zero sum (n = 1) gives +0.0, not -0.0
-        return (0.0 - float(K.sum())) / (2.0 * n * n), None
+        return (0.0 - total) / (2.0 * n * n), None
     if mode != "bounded":
         raise ValueError(f"unknown interaction mode {mode!r}")
     if geom is None:

@@ -15,3 +15,25 @@ def test_bench_tracing_installs():
     subprocess.run([sys.executable, "-c",
                     "import tracing; tracing.install(tracing.Recorder())"],
                    cwd=ROOT / "perfbench", env=env, check=True, timeout=60)
+
+
+def test_bench_names_resolve():
+    # the benchmark's passes and checks import slipdyn names and call the
+    # runners; a rename would pass the suite and fail every op of a run
+    import ast
+    import importlib
+    import inspect
+
+    from slipdyn import experiments
+    from slipdyn.evolution import EnergyContext
+
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("slipdyn"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), f"{path.name}: {node.module}.{alias.name}"
+    for name in ("interaction_of_points", "corrector_energy_of_points"):
+        assert callable(getattr(EnergyContext, name))
+    for runner in experiments.RUNNERS.values():
+        inspect.signature(runner).bind(None, None, 0, None)

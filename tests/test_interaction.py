@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,35 @@ def test_interaction_sum_small_cases(geom, mat, quad, small_schedule):
                              small_schedule, box)
     v = interaction_sum(cfg2, "freespace", None, mat, quad)
     assert math.isclose(v, 1 / (6 * math.pi), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 17, 100])
+def test_freespace_energy_in_row_blocks(n, mat, quad):
+    # the free-space energy sums the kernel in blocks of 16 rows; oracle: the
+    # one n x n kernel and its sum, the same array up to 16 atoms
+    pts = np.random.default_rng(n).uniform(0.2, 0.8, (n, 2))
+    u = pts[:, None, :] - pts[None, :, :]
+    with np.errstate(divide="ignore"):
+        K = mat.log_coef * 0.5 * np.log(u[..., 0] ** 2 + u[..., 1] ** 2)
+    np.fill_diagonal(K, 0.0)
+    ref = (0.0 - float(K.sum())) / (2.0 * n * n)
+    e = interaction_of_points(pts, "freespace", None, mat, quad)
+    if n <= 16:
+        assert math.copysign(1.0, e) == math.copysign(1.0, ref) and e == ref
+    else:
+        assert abs(e - ref) <= 1e-14 * abs(ref)
+
+
+def test_freespace_energy_memory(mat, quad):
+    # the n x n offsets and kernel alone would take 100 MB at n = 2048
+    pts = np.random.default_rng(0).uniform(0.2, 0.8, (2048, 2))
+    tracemalloc.start()
+    try:
+        interaction_of_points(pts, "freespace", None, mat, quad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_interaction_sum_matches_vpair_loop(geom, mat, quad, small_schedule):
