@@ -6,16 +6,21 @@ Sections:
 * one ``K_offsets`` batch of 4096 offsets, per offset;
 * one source's boundary row and column (``_boundary_sums`` of one source);
 * blocks of 16, 64 and 256 sources through the same sum, per source;
-* one bounded force probe (``evolution._force_probe``: one boundary pass, one
-  corrector solve and one derivative row) at n = 2, 16 and 64 dislocations;
-* one free-space force probe (one row of the sweep's step table against the
-  live abscissae) and one build of that table (``evolution._pair_table`` of
-  all rows) at n = 16 and 64, on 4 and 8 slip planes;
+* one build of a sweep step's boundary state (``evolution._BoundaryState``:
+  every atom's weighted row and column) and, apart from it, one bounded force
+  probe (``evolution._force_probe``: the moved dislocation's row, column and
+  derivative row, the sums run on from the state's arrays and one corrector
+  solve) at n = 2, 16 and 64 dislocations;
+* one free-space force probe (one row of the sweep's pair table, in its
+  ``evolution._StepTable``, against the live abscissae) and one build of that
+  pair table (``evolution._pair_table`` of all rows) at n = 16 and 64, on 4
+  and 8 slip planes;
 * one landing search (``evolution._land_position``) on such a free-space
   probe: the leftmost dislocation of the lowest plane, under a shear set so
   that its force is 1.5 where it stands, toward its right neighbour;
-* one all-rows bounded force (``evolution._forces_at``: the same pass with n
-  derivative rows) at n = 2, 16 and 64;
+* one all-rows bounded force (``evolution._forces_at``: one state's sums, one
+  corrector solve and n derivative rows) at n = 2, 16 and 64, on a fresh
+  ``EnergyContext`` each time, which has kept no pass;
 * one corrector build (``CorrectorSolver``: stiffness, factorization and the
   resolution check; a tenth of the repeats, at least 3), the tracemalloc
   peak of one build, and one corrector solve (``CorrectorSolver._solve`` of a
@@ -49,8 +54,9 @@ import numpy as np
 
 from slipdyn.config import load_config
 from slipdyn.corrector import CorrectorSolver, RitzBasis, get_solver
-from slipdyn.evolution import (EnergyContext, LoadingProgram, SolverConfig, _force_probe,
-                               _forces_at, _land_position, _pair_table)
+from slipdyn.evolution import (EnergyContext, LoadingProgram, SolverConfig, _BoundaryState,
+                               _StepTable, _force_probe, _forces_at, _land_position,
+                               _pair_table)
 from slipdyn.geometry import Rect, unit_geometry
 from slipdyn.interaction import QuadratureConfig, _boundary_grid, _boundary_sums
 from slipdyn.kernels import K_offsets, Material
@@ -117,6 +123,8 @@ def main():
         t = _median_s(lambda: _boundary_sums(grid, pts[:m], weights, mat), args.repeat)
         _report(f"row + column, {m} source(s)", t, m)
     for n in (2, 16, 64):
+        t = _median_s(lambda: _BoundaryState(ctx, pts[:n]), args.repeat)
+        _report(f"bounded step state, n = {n}", t, n)
         probe = _force_probe(pts[:n].copy(), 0, 0.5, load, ctx)
         x = pts[0, 0] + 1e-3
         t = _median_s(lambda: probe(x), args.repeat)
@@ -125,8 +133,7 @@ def main():
     for n, planes in ((16, 4), (64, 8)):
         free = np.column_stack([pts[:n, 0], np.repeat(np.linspace(0.3, 0.7, planes),
                                                       n // planes)])
-        table = _pair_table(free, range(n))
-        probe = _force_probe(free, 0, 0.5, load, fctx, table)
+        probe = _force_probe(free, 0, 0.5, load, fctx, _StepTable(free, 0.5, load, fctx))
         x = free[0, 0] + 1e-3
         t = _median_s(lambda: probe(x), args.repeat)
         _report(f"free-space probe, n = {n}", t, n)
@@ -135,15 +142,16 @@ def main():
         plane = np.arange(n // planes)
         i, right = plane[np.argsort(free[plane, 0])[:2]]
         pull = _force_probe(free, i, 0.5, LoadingProgram.uniform_shear(
-            lambda t: 0.0, 1.0, lambda t: 0.0), fctx, table)(free[i, 0])
+            lambda t: 0.0, 1.0, lambda t: 0.0), fctx)(free[i, 0])
         push = LoadingProgram.uniform_shear(lambda t: 1.5 - pull, 1.0, lambda t: 0.0)
-        probe = _force_probe(free, i, 0.5, push, fctx, table)
+        probe = _force_probe(free, i, 0.5, push, fctx, _StepTable(free, 0.5, push, fctx))
         f0, barrier = probe(free[i, 0]), free[right, 0] - 1e-3
         t = _median_s(lambda: _land_position(probe, free[i, 0], f0, 1.0, barrier,
                                              SolverConfig().line_grid), args.repeat)
         _report(f"free-space landing, n = {n}", t, 1)
     for n in (2, 16, 64):
-        t = _median_s(lambda: _forces_at(pts[:n], 0.5, load, ctx), args.repeat)
+        t = _median_s(lambda: _forces_at(pts[:n], 0.5, load, EnergyContext(
+            "bounded", mat, geom, quad, basis)), args.repeat)
         _report(f"all-rows bounded force, n = {n}", t, n)
     measure = DiscreteMeasure.equal_weights(pts[:16])
     for degree in (8, 16, 24, 28):

@@ -18,9 +18,10 @@ gauge ball's points: no tensor basis is formed for either.  The boundary
 integral runs on the Gauss grid of the interaction route
 (``interaction._boundary_grid``), fixed at construction, so no solve depends on
 an earlier one.  Its weighted tractions are columns of the closed-form boundary
-rows summed by ``interaction._boundary_sums``, in ``linear_form`` or in the
-interaction's pass (``solve_traction``, ``boundary_displacement``); the forces
-contract the displacement with the sources' y_1-derivative tractions.  At
+rows, summed alone in ``linear_form`` (``interaction._row_sum``) or taken from
+the interaction's pass (``solve_traction``); the forces contract the
+displacement on the grid (``boundary_displacement``) with the sources'
+y_1-derivative tractions.  At
 construction the grid must resolve the tractions of the admitted sources
 closest to the boundary to ``quadrature.tol``; otherwise it raises.
 """
@@ -36,7 +37,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import lu_factor, lu_solve
 
 from .geometry import Geometry, Rect
-from .interaction import QuadratureConfig, _boundary_grid, _boundary_rows, _boundary_sums
+from .interaction import QuadratureConfig, _boundary_grid, _boundary_rows, _row_sum
 from .kernels import Material, K_many  # noqa: F401  (perfbench/tracing.py patches K_many here)
 from .measures import CellMeasure, DiscreteMeasure, DislocationConfig
 
@@ -201,12 +202,13 @@ class CorrectorSolver:
 
     def linear_form(self, measure) -> np.ndarray:
         """Boundary work of the measure's traction against the basis: the
-        first two columns of its summed boundary row (``_boundary_sums``) on
-        the Gauss grid of the interaction route, checked at construction.
+        first two columns of its summed boundary row (``_row_sum``, the rows
+        of ``_boundary_sums`` without the columns) on the Gauss grid of the
+        interaction route, checked at construction.
         """
         atoms, weights = as_weighted_atoms(measure, self.q)
         self._check_margin(atoms)
-        traction = _boundary_sums(self._grid, atoms, weights, self.mat)[0][:, :2]
+        traction = _row_sum(self._grid, atoms, weights, self.mat)[:, :2]
         return (self._vals.T @ traction).T.ravel()
 
     def solve(self, measure) -> CorrectorSolution:
@@ -221,8 +223,8 @@ class CorrectorSolver:
 
     def _solve(self, b) -> CorrectorSolution:
         rhs = np.zeros(self.n_dof + 3)
-        rhs[:self.n_dof] = -b
-        sol = lu_solve(self._lu, rhs)
+        rhs[:self.n_dof] = -np.asarray_chkfinite(b)
+        sol = lu_solve(self._lu, rhs, check_finite=False, overwrite_b=True)
         u = sol[:self.n_dof]
         energy = 0.5 * float(b @ u)
         gauge = float(np.max(np.abs(self.C @ u)))
@@ -230,13 +232,12 @@ class CorrectorSolver:
             raise RuntimeError(f"corrector energy {energy} positive; zero field is admissible")
         return CorrectorSolution(coefficients=u, energy=energy, gauge_residual=gauge)
 
-    def boundary_displacement(self, traction, support) -> np.ndarray:
-        """Corrector displacement on the boundary grid, shape (ng, 2), from
-        ``solve_traction``.  By the envelope theorem (dE/dz = (db/dz) . u at the
-        minimizer u), a source's horizontal force is minus its y_1-derivative
-        traction against it."""
-        u = self.solve_traction(traction, support).coefficients
-        return self._vals @ u.reshape(2, -1).T
+    def boundary_displacement(self, solution: CorrectorSolution) -> np.ndarray:
+        """Corrector displacement of a solution on the boundary grid, shape
+        (ng, 2).  By the envelope theorem (dE/dz = (db/dz) . u at the minimizer
+        u), a source's horizontal force is minus its y_1-derivative traction
+        against it."""
+        return self._vals @ solution.coefficients.reshape(2, -1).T
 
 
 @lru_cache(maxsize=None)

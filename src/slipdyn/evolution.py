@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corrector import RitzBasis, get_solver
+from .corrector import CorrectorSolution, RitzBasis, get_solver
 from .geometry import Geometry
 # interaction_cross_matrix stays bound here: perfbench/tracing.py patches it
-from .interaction import (QuadratureConfig, interaction_cross_matrix,  # noqa: F401
-                          _atom_energy, _boundary_grid, _boundary_rows, _boundary_sums,
-                          _continuum_energy, _stacked, _stress_potential_dy1,
+from .interaction import (BLOCK, QuadratureConfig, interaction_cross_matrix,  # noqa: F401
+                          _atom_energy, _boundary_data, _boundary_grid, _boundary_rows,
+                          _continuum_energy, _singular_sums, _stacked, _stress_potential_dy1,
                           interaction_of_points)
 from .kernels import Material
 from .measures import CellMeasure, DiscreteMeasure, DislocationConfig
@@ -113,20 +113,50 @@ class SolverConfig:
 
 
 @dataclass
+class _Pass:
+    """What the evaluations at one set of points have found, O(ng + n): the
+    summed rows and columns [A, B] and the self terms (``_boundary_sums``),
+    the corrector solution of the traction A[:, :2], the force parts of all
+    rows and the renormalized energy.  A field is None until computed."""
+
+    sums: tuple | None = None
+    solution: CorrectorSolution | None = None
+    forces: tuple | None = None
+    energy: float | None = None
+
+
+@dataclass
 class EnergyContext:
-    """Bundle of everything the energy and force evaluations need."""
+    """Bundle of everything the energy and force evaluations need.
+
+    It keeps the ``_Pass`` of the last points it evaluated, keyed by the
+    points' exact bytes and by its own fields, so all-rows forces and
+    energies asked again at unchanged points (a static step's start check,
+    ``driving_force``, ``renormalized_energy``) make no boundary pass.  The
+    pass holds no per-atom arrays.
+    """
 
     mode: str
     mat: Material
     geom: Geometry | None = None
     quad: QuadratureConfig = field(default_factory=QuadratureConfig)
     basis: RitzBasis | None = None
+    _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("bounded", "freespace"):
             raise ValueError(f"unknown interaction mode {self.mode!r}")
         if self.mode == "bounded" and (self.geom is None or self.basis is None):
             raise ValueError("bounded mode requires geometry and basis")
+
+    def _pass_at(self, pts: np.ndarray) -> _Pass:
+        """The kept pass if ``pts`` has its points' bytes, else a new empty one
+        that replaces it."""
+        key = (np.ascontiguousarray(pts, dtype=float).tobytes(), self.mode, self.mat,
+               self.geom, self.quad, self.basis)
+        if self._last[0] != key:
+            self._last = (key, _Pass())
+        return self._last[1]
 
     # -- energies ----------------------------------------------------------
     def interaction_of_points(self, pts: np.ndarray) -> float:
@@ -140,18 +170,27 @@ class EnergyContext:
 
     def renormalized_energy(self, measure: DislocationConfig | CellMeasure) -> float:
         """Interaction plus, when bounded, corrector energy of a configuration
-        (in canonical order) or a cell density, from one rows-first pass."""
+        (in canonical order) or a cell density, from one rows-first pass; a
+        configuration's pass is kept."""
         args = (self.mode, self.geom, self.mat, self.quad)
         if isinstance(measure, CellMeasure):
-            support = measure.gauss_nodes(self.quad.density_gauss)[0]
             energy, row = _continuum_energy(measure, *args)
-        else:
-            support = measure.canonical_order().points
-            energy, row = _atom_energy(support, *args)
-        if self.mode != "bounded":
-            return energy
-        solver = get_solver(self.geom, self.mat, self.basis, self.quad)
-        return energy + solver.solve_traction(row[:, :2], support).energy
+            if self.mode != "bounded":
+                return energy
+            solver = get_solver(self.geom, self.mat, self.basis, self.quad)
+            support = measure.gauss_nodes(self.quad.density_gauss)[0]
+            return energy + solver.solve_traction(row[:, :2], support).energy
+        support = measure.canonical_order().points
+        kept = self._pass_at(support)
+        if kept.energy is None:
+            energy, kept.sums = _atom_energy(support, *args, sums=kept.sums)
+            if self.mode == "bounded":
+                if kept.solution is None:
+                    kept.solution = get_solver(self.geom, self.mat, self.basis, self.quad) \
+                        .solve_traction(kept.sums[0][0][:, :2], support)
+                energy += kept.solution.energy
+            kept.energy = energy
+        return kept.energy
 
     def total_with_load(self, cfg: DislocationConfig, t: float,
                         load: LoadingProgram) -> float:
@@ -160,31 +199,29 @@ class EnergyContext:
                 - float(np.mean(load.potential(t, pts))))
 
     # -- per-dislocation horizontal forces ----------------------------------
-    def _force_parts(self, pts: np.ndarray, rows):
+    def _force_parts(self, pts: np.ndarray, rows, table=None):
         """Interaction and corrector parts of -n dE/dz_i1 on the dislocations
         ``rows``; a row's value does not depend on the other rows asked for.
 
-        Bounded, from one boundary pass: with w = 1/n, the summed weighted rows A
-        and columns B and the kept w b_i (``_boundary_sums``) and i's derivative
-        row d_i, the interaction part is -d_i . (B - w b_i) - w sum_{j != i}
-        s(z_i - z_j) with s = -d_1 psi, and the corrector part is
-        -d_i[:, :2] . u, u the displacement of the traction A[:, :2].
+        All rows are read from the kept pass when it has them, else computed
+        and kept; fewer rows are always computed, and kept nowhere.  ``table``
+        is the sweep's ``_StepTable`` of ``pts``, given with all rows: its
+        pair table in free space, its ``_BoundaryState`` bounded.  Bounded
+        forces come from a ``_BoundaryState`` of the points
+        (``_BoundaryState.parts``).
         """
         rows = np.asarray(rows, dtype=int)
-        if self.mode != "bounded":
-            return (_log_forces(pts[rows, :1], pts[:, 0], _pair_table(pts, rows),
-                                self.mat.log_coef), np.zeros(len(rows)))
-        n, w = len(pts), 1.0 / len(pts)
-        grid = _boundary_grid(self.geom.omega, self.quad.boundary_points)
-        A, B, _, kept = _boundary_sums(grid, pts, np.full(n, w), self.mat, set(rows))
-        u = get_solver(self.geom, self.mat, self.basis, self.quad) \
-            .boundary_displacement(A[:, :2], pts)
-        inter, corr = [], []
-        for i, d in zip(rows, _stacked(_boundary_rows, grid, pts[rows], self.mat, dy1=True)):
-            s = _stress_potential_dy1(pts[i] - np.delete(pts, i, 0), self.mat)
-            inter.append(-np.vdot(d, B - kept[i]) - w * s.sum())
-            corr.append(-np.vdot(d[:, :2], u))
-        return np.array(inter), np.array(corr)
+        every = np.array_equal(rows, np.arange(len(pts)))
+        kept = self._pass_at(pts) if every else _Pass()
+        if kept.forces is None:
+            if self.mode != "bounded":
+                pairs = _pair_table(pts, rows) if table is None else table.pairs
+                kept.forces = (_log_forces(pts[rows, :1], pts[:, 0], pairs, self.mat.log_coef),
+                               np.zeros(len(rows)))
+            else:
+                state = _BoundaryState(self, pts) if table is None else table.state()
+                kept.forces = state.parts(rows, kept)
+        return kept.forces[0].copy(), kept.forces[1].copy()    # the kept pass stays intact
 
     def interaction_forces(self, pts: np.ndarray) -> np.ndarray:
         """-n d/dz_i of the interaction energy, horizontal components."""
@@ -202,6 +239,73 @@ class EnergyContext:
     def corrector_force_single(self, pts: np.ndarray, i: int) -> float:
         """Row i of ``corrector_forces``, bit for bit."""
         return float(self._force_parts(pts, [i])[1][0])
+
+
+class _BoundaryState:
+    """Each equal-weight atom's weighted boundary row and column at the live
+    points ``pts``, evaluated once (``_boundary_data``); ``moved(i)``
+    re-evaluates atom i after it has moved.
+
+    ``atoms[0]`` is zero and ``atoms[j + 1]`` = w [a_j, b_j], w = 1/n.  numpy
+    adds along a slow axis in order, so ``np.add.reduce(atoms, axis=0)`` is the
+    sum from zero in atom order: the bits of ``_boundary_sums``.  With the
+    summed rows A and columns B, atom i's derivative row d_i and the
+    displacement u of the corrector solve from the traction A[:, :2], the
+    interaction part of its force is -d_i . (B - w b_i) - w sum_{j != i}
+    s(z_i - z_j), s = -d_1 psi, and the corrector part -d_i[:, :2] . u.
+    """
+
+    def __init__(self, ctx: EnergyContext, pts: np.ndarray):
+        self.ctx, self.pts, self.w = ctx, pts, 1.0 / len(pts)
+        self.grid = _boundary_grid(ctx.geom.omega, ctx.quad.boundary_points)
+        self.solver = get_solver(ctx.geom, ctx.mat, ctx.basis, ctx.quad)
+        self.atoms = np.zeros((len(pts) + 1, 2, len(self.grid["gauss_w"]), 3))
+        for s in range(0, len(pts), BLOCK):
+            np.multiply(self.w, _boundary_data(self.grid, pts[s:s + BLOCK], ctx.mat),
+                        out=self.atoms[s + 1:s + 1 + BLOCK])
+
+    def moved(self, i: int):
+        self.atoms[i + 1] = self.w * _boundary_data(self.grid, self.pts[i], self.ctx.mat)[0]
+
+    def _row(self, d, singular, total, own, u):
+        return -np.vdot(d, total[1] - own[1]) - self.w * singular, -np.vdot(d[:, :2], u)
+
+    def parts(self, rows, kept: _Pass):
+        """The force parts on ``rows``; the sums and the solution go into ``kept``."""
+        pts = self.pts
+        total = np.add.reduce(self.atoms, axis=0)
+        kept.sums = total, [np.vdot(a, b) for a, b in self.atoms[1:]]
+        kept.solution = self.solver.solve_traction(total[0][:, :2], pts)
+        u = self.solver.boundary_displacement(kept.solution)
+        d_rows = _stacked(_boundary_rows, self.grid, pts[rows], self.ctx.mat, dy1=True)
+        singular = _singular_sums(_stress_potential_dy1, pts, rows, self.ctx.mat)
+        parts = [self._row(d, s, total, self.atoms[i + 1], u)
+                 for i, d, s in zip(rows, d_rows, singular)]
+        return np.array([p[0] for p in parts]), np.array([p[1] for p in parts])
+
+    def probe(self, i: int):
+        """x -> ``parts([i])`` of the points with atom i moved to abscissa x,
+        bit for bit, from atom i's data at x alone: the sum runs on from the
+        other atoms' cached prefix and suffix arrays, and one corrector solve
+        follows.  Valid until an atom moves."""
+        pts, y = self.pts, self.pts[i, 1]
+        others = np.delete(pts, i, 0)
+        prefix = np.add.reduce(self.atoms[:i + 1], axis=0)
+        run = self.atoms[i + 1:].copy()        # run[0] becomes prefix + w [a_i, b_i](x)
+
+        def at(x):
+            z = np.array([x, y])
+            data = _boundary_data(self.grid, z, self.ctx.mat, dy1=True)[0]
+            own = self.w * data[:2]
+            np.add(prefix, own, out=run[0])
+            total = np.add.reduce(run, axis=0)
+            trial = pts.copy()
+            trial[i] = z
+            u = self.solver.boundary_displacement(
+                self.solver.solve_traction(total[0][:, :2], trial))
+            singular = _stress_potential_dy1(z - others, self.ctx.mat).sum()
+            return self._row(data[2], singular, total, own, u)
+        return at
 
 
 @dataclass(frozen=True)
@@ -260,29 +364,61 @@ def stability_excess(cfg: DislocationConfig, record: ForceRecord) -> float:
     return _residual_from_forces(cfg.points, record.values, cfg.box)
 
 
+class _StepTable:
+    """What one step's sweep reuses at its fixed time t: sigma(t) of a uniform
+    shear (else None) and, as only abscissae move within a step, in free space
+    the ``_pair_table`` of all rows, bounded the points' ``_BoundaryState``,
+    built when first needed.  ``moved(i)`` follows a landing of dislocation i."""
+
+    def __init__(self, pts, t, load, ctx):
+        self.pts, self.t, self.load, self.ctx = pts, t, load, ctx
+        self.shear = float(load.sigma(t)) if load.kind == "uniform_shear" else None
+        self.pairs = None if ctx.mode == "bounded" else _pair_table(pts, range(len(pts)))
+        self._state = None
+
+    def state(self) -> _BoundaryState:
+        if self._state is None:
+            self._state = _BoundaryState(self.ctx, self.pts)
+        return self._state
+
+    def moved(self, i):
+        if self._state is not None:
+            self._state.moved(i)
+
+    def forces(self) -> np.ndarray:
+        """``_forces_at`` of the live points, bit for bit, from this table."""
+        inter, corr = self.ctx._force_parts(self.pts, range(len(self.pts)), self)
+        return inter + corr + self.load.horizontal_gradient(self.t, self.pts)
+
+
 def _force_probe(pts, i, t, load, ctx, table=None):
     """``x -> _force_single`` of ``pts`` with dislocation i moved to abscissa x.
 
     The sweep's only single-dislocation force evaluation; every probe equals
-    ``_force_single`` of the moved configuration bit for bit.  In free space
-    it is ``_log_forces`` of row i of ``table`` (the sweep's ``_pair_table``;
-    row i alone when None) against the live view ``pts[:, 0]``, so it copies
-    nothing, plus the corrector's 0.0 and the load, as ``_force_single`` adds
-    them.  Bounded probes copy the points and call ``_force_single``: one
-    fused pass (``EnergyContext._force_parts``) with one derivative row and
-    one corrector solve, whose cost still grows with n through the summed
-    rows and columns of all atoms.
+    ``_force_single`` of the moved configuration bit for bit.  ``table`` is
+    the step's ``_StepTable`` of ``pts``, t and load; when None a new one is
+    built, at the cost of a whole table (the n x n pair table in free space,
+    every atom's boundary data bounded).
+    In free space a probe is ``_log_forces`` of row i of its pair table
+    against the live view ``pts[:, 0]``, so it copies nothing, plus the
+    corrector's 0.0 and the load, as ``_force_single`` adds them.  Bounded,
+    it evaluates only dislocation i's row, column and derivative row at x,
+    the singular terms against the others and one corrector solve
+    (``_BoundaryState.probe``); no source of the others is evaluated again.
     """
+    table = _StepTable(pts, t, load, ctx) if table is None else table
+    shear = table.shear
     if ctx.mode == "bounded":
+        parts, y = table.state().probe(i), pts[i, 1]
+
         def probe(x):
-            trial = pts.copy()
-            trial[i, 0] = x
-            return _force_single(trial, i, t, load, ctx)
+            inter, corr = parts(x)
+            return float(inter) + float(corr) + (
+                shear if shear is not None
+                else float(load.horizontal_gradient(t, np.array([[x, y]]))[0]))
         return probe
-    dy2 = _pair_table(pts, [i])[0] if table is None else table[i]
-    xs, y, c = pts[:, 0], pts[i, 1], ctx.mat.log_coef
-    if load.kind == "uniform_shear":
-        shear = float(load.sigma(t))
+    dy2, xs, y, c = table.pairs[i], pts[:, 0], pts[i, 1], ctx.mat.log_coef
+    if shear is not None:
         return lambda x: float(_log_forces(x, xs, dy2, c)) + 0.0 + shear
     return lambda x: (float(_log_forces(x, xs, dy2, c)) + 0.0
                       + float(load.horizontal_gradient(t, np.array([[x, y]]))[0]))
@@ -348,20 +484,23 @@ def _sweep_to_stability(pts, t, load, ctx, solver_cfg, box, r_n, planes):
 
     Each sweep visits the planes in order and each plane's dislocations from
     left to right.  Until the sweep's first landing the checks read one
-    all-rows ``_forces_at`` vector, taken at the start and after every sweep
-    that moved something (``test_single_force_equals_all_rows`` pins the two
+    all-rows force vector (``_StepTable.forces``, the bits of ``_forces_at``),
+    taken at the start (from the context's kept pass when the points are
+    unchanged) and after every sweep that moved something
+    (``test_single_force_equals_all_rows`` pins it to the single-row forces
     bit for bit); after it each check builds the dislocation's
     ``_force_probe`` and evaluates it where the dislocation stands, and a
-    landing reuses that probe and the force just checked; in free space all
-    probes read one ``_pair_table``.  The relaxation stops after a sweep that
-    moves nothing, since a repeat would move nothing either, and the residual
-    comes from that sweep's vector.
+    landing reuses that probe and the force just checked.  The vectors and
+    all probes of the step read one ``_StepTable``, which follows each
+    landing, so no atom's boundary data is evaluated twice at one place.  The
+    relaxation stops after a sweep that moves nothing, since a repeat would
+    move nothing either, and the residual comes from that sweep's vector.
     """
     # a landing stops at a neighbour -+ r_n, so no dislocation passes another
     # on its plane: the left-to-right order taken here holds for the whole step
     orders = [idx[np.argsort(pts[idx, 0])] for _, idx in planes]
-    table = None if ctx.mode == "bounded" else _pair_table(pts, range(len(pts)))
-    forces = _forces_at(pts, t, load, ctx)
+    table = _StepTable(pts, t, load, ctx)
+    forces = table.forces()
     for _ in range(solver_cfg.max_sweeps):
         moved = False
         for ordered in orders:
@@ -381,10 +520,11 @@ def _sweep_to_stability(pts, t, load, ctx, solver_cfg, box, r_n, planes):
                 pts[i, 0] = _land_position(
                     probe or _force_probe(pts, i, t, load, ctx, table), pts[i, 0], f,
                     direction, barrier, solver_cfg.line_grid)
+                table.moved(i)
                 moved = True
         if not moved:
             break
-        forces = _forces_at(pts, t, load, ctx)
+        forces = table.forces()
     return _residual_from_forces(pts, forces, box)
 
 

@@ -15,12 +15,16 @@ Two evaluation routes are implemented:
   turns V into -psi_y(z) plus the boundary row of y dotted with the boundary
   column of z, with no branch cut.  Rows (the closed-form stress traction and
   psi, or their y_1-derivatives) and columns (the displacement v and d_nu log)
-  are evaluated for blocks of ``BLOCK`` sources at once by ``_boundary_rows``
-  and ``_boundary_columns``, the only evaluation of a source's boundary data.
-  Pair matrices (``interaction_cross_matrix``), energies (weighted rows and
-  columns summed first, ``_boundary_sums``), the forces (each atom's
-  derivative row against the same sums, ``EnergyContext._force_parts``) and
-  the corrector (the summed row's traction) all read them.
+  are evaluated for blocks of ``BLOCK`` sources at once, the only evaluation
+  of a source's boundary data: ``_boundary_rows`` and ``_boundary_columns``
+  alone, or ``_boundary_data`` for both (and the derivative rows) from one
+  computation of the offsets, 1/r^2 and log r^2.  Pair matrices
+  (``interaction_cross_matrix``), energies (weighted rows and columns summed
+  first, ``_boundary_sums``), the corrector (the summed rows' traction,
+  ``_row_sum`` when it sums them alone) and the forces all read them; the
+  forces keep each atom's weighted row and column for the sweep
+  (``evolution._BoundaryState``), so a probe evaluates only the dislocation
+  it moves.
 
 ``v_pair`` shares no code with the boundary reduction and is kept as the
 independent oracle; agreement of the two routes is enforced in the tests.
@@ -322,6 +326,36 @@ def _offsets(grid, zs):
     return u1, u2, r2
 
 
+def _put_rows(out, grid, u1, u2, q, log_r2, mat: Material, dy1=False):
+    """Write the rows of ``_boundary_rows`` into ``out``, (m, ng, 3), from the
+    ``_offsets`` u1, u2, q = 1 / |u|^2 and log |u|^2 (not read with dy1)."""
+    cq, a1, a2 = mat.log_coef * q, u1 * u1 * q, u2 * u2 * q    # a_i = u_i^2 / r^2
+    if dy1:
+        e = 2.0 * cq * u1 * u2 * q
+        s11, s22 = -e * (3.0 * a1 - a2), -e * (3.0 * a2 - a1)
+        s12 = cq * (a1 * a1 - 6.0 * a1 * a2 + a2 * a2)
+        p = cq * u1 * (a2 - a1)
+    else:
+        cq1, cq2, d = cq * u1, cq * u2, a1 - a2
+        s11, s12, s22 = -cq2 * (3.0 * a1 + a2), cq1 * d, cq2 * d
+        p = mat.log_coef * (0.5 * log_r2 + a2)
+    w = grid["gauss_w"]
+    wnu = grid["gauss_nu"] * w[:, None]
+    out[..., 0] = s11 * wnu[:, 0] + s12 * wnu[:, 1]
+    out[..., 1] = s12 * wnu[:, 0] + s22 * wnu[:, 1]
+    out[..., 2] = p * (w / (2 * math.pi))
+
+
+def _put_columns(out, grid, u1, u2, q, log_r2, mat: Material):
+    """Write the columns of ``_boundary_columns`` into ``out``, (m, ng, 3),
+    from the same arguments as ``_put_rows``."""
+    a, b = mat.coef_a, mat.coef_b
+    nu1, nu2 = grid["gauss_nu"].T
+    out[..., 0] = 2.0 * b * u1 * u2 * q
+    out[..., 1] = -a * 0.5 * log_r2 - b * (u1 * u1 - u2 * u2) * q
+    out[..., 2] = (u1 * nu1 + u2 * nu2) * q
+
+
 def _boundary_rows(grid, zs, mat: Material, dy1=False) -> np.ndarray:
     """Weighted boundary rows w [sigma nu, psi / 2 pi], shape (m, ng, 3), of
     sources zs, (m, 2), with ``dy1`` their z_1-derivatives -d/du_1.
@@ -332,23 +366,8 @@ def _boundary_rows(grid, zs, mat: Material, dy1=False) -> np.ndarray:
     and sigma_22 = c u_2 (u_1^2 - u_2^2) / r^4; -d_1 psi = -sigma_12.
     """
     u1, u2, r2 = _offsets(grid, zs)
-    q = 1.0 / r2
-    cq, a1, a2 = mat.log_coef * q, u1 * u1 * q, u2 * u2 * q    # a_i = u_i^2 / r^2
-    if dy1:
-        e = 2.0 * cq * u1 * u2 * q
-        s11, s22 = -e * (3.0 * a1 - a2), -e * (3.0 * a2 - a1)
-        s12 = cq * (a1 * a1 - 6.0 * a1 * a2 + a2 * a2)
-        p = cq * u1 * (a2 - a1)
-    else:
-        cq1, cq2, d = cq * u1, cq * u2, a1 - a2
-        s11, s12, s22 = -cq2 * (3.0 * a1 + a2), cq1 * d, cq2 * d
-        p = mat.log_coef * (0.5 * np.log(r2) + a2)
-    w = grid["gauss_w"]
-    wnu = grid["gauss_nu"] * w[:, None]
     rows = np.empty(u1.shape + (3,))
-    rows[..., 0] = s11 * wnu[:, 0] + s12 * wnu[:, 1]
-    rows[..., 1] = s12 * wnu[:, 0] + s22 * wnu[:, 1]
-    rows[..., 2] = p * (w / (2 * math.pi))
+    _put_rows(rows, grid, u1, u2, 1.0 / r2, None if dy1 else np.log(r2), mat, dy1)
     return rows
 
 
@@ -357,13 +376,24 @@ def _boundary_columns(grid, zs, mat: Material) -> np.ndarray:
     (m, 2): the single-valued displacement v (``kernels.displacement_v``) and
     the normal derivative of the log."""
     u1, u2, r2 = _offsets(grid, zs)
-    a, b, q = mat.coef_a, mat.coef_b, 1.0 / r2
-    nu1, nu2 = grid["gauss_nu"].T
     cols = np.empty(u1.shape + (3,))
-    cols[..., 0] = 2.0 * b * u1 * u2 * q
-    cols[..., 1] = -a * 0.5 * np.log(r2) - b * (u1 * u1 - u2 * u2) * q
-    cols[..., 2] = (u1 * nu1 + u2 * nu2) * q
+    _put_columns(cols, grid, u1, u2, 1.0 / r2, np.log(r2), mat)
     return cols
+
+
+def _boundary_data(grid, zs, mat: Material, dy1=False) -> np.ndarray:
+    """Rows and columns of sources zs, (m, 2), shape (m, 2, ng, 3), from one
+    evaluation of the offsets, 1 / |u|^2 and log |u|^2: ``[:, 0]`` is
+    ``_boundary_rows`` and ``[:, 1]`` ``_boundary_columns``, bit for bit; with
+    ``dy1``, shape (m, 3, ng, 3), and ``[:, 2]`` the derivative rows."""
+    u1, u2, r2 = _offsets(grid, zs)
+    args = (grid, u1, u2, 1.0 / r2, np.log(r2))
+    data = np.empty((len(u1), 2 + dy1) + u1.shape[1:] + (3,))
+    _put_rows(data[:, 0], *args, mat)
+    _put_columns(data[:, 1], *args, mat)
+    if dy1:
+        _put_rows(data[:, 2], *args, mat, dy1=True)
+    return data
 
 
 def _stacked(boundary, grid, zs, mat: Material, **kw) -> np.ndarray:
@@ -411,30 +441,66 @@ def _log_kernel(u, mat: Material) -> np.ndarray:
     return mat.log_coef * 0.5 * np.log(u[..., 0] ** 2 + u[..., 1] ** 2)
 
 
-def _boundary_sums(grid, pts, weights, mat: Material, keep=()):
-    """A = sum_i w_i a_i and B = sum_i w_i b_i over the sources' boundary rows
-    and columns, each evaluated once and added in source order, the self
-    terms (w_i a_i) . (w_i b_i), and the weighted columns w_i b_i of the
-    sources ``keep`` by index."""
-    ng = len(grid["gauss_w"])
-    A, B, selfs, kept = np.zeros((ng, 3)), np.zeros((ng, 3)), [], {}
+def _boundary_sums(grid, pts, weights, mat: Material):
+    """[A, B], shape (2, ng, 3): A = sum_i w_i a_i and B = sum_i w_i b_i over
+    the sources' boundary rows and columns, each pair evaluated once
+    (``_boundary_data``) and added from zero in source order, and the self
+    terms (w_i a_i) . (w_i b_i)."""
+    total, selfs = np.zeros((2, len(grid["gauss_w"]), 3)), []
     for s in range(0, len(pts), BLOCK):
-        w = np.asarray(weights[s:s + BLOCK], dtype=float)[:, None, None]
-        a = w * _boundary_rows(grid, pts[s:s + BLOCK], mat)
-        b = w * _boundary_columns(grid, pts[s:s + BLOCK], mat)
-        for i, (ai, bi) in enumerate(zip(a, b), s):
-            A += ai
-            B += bi
-            selfs.append(np.vdot(ai, bi))
-            if i in keep:
-                kept[i] = bi
-    return A, B, selfs, kept
+        data = _boundary_data(grid, pts[s:s + BLOCK], mat)
+        data *= np.asarray(weights[s:s + BLOCK], dtype=float)[:, None, None, None]
+        for ab in data:
+            total += ab
+            selfs.append(np.vdot(ab[0], ab[1]))
+    return total, selfs
+
+
+def _row_sum(grid, pts, weights, mat: Material) -> np.ndarray:
+    """A alone, (ng, 3): the first three columns of ``_boundary_sums`` bit for
+    bit, added in the same order, with no column evaluated."""
+    A = np.zeros((len(grid["gauss_w"]), 3))
+    for s in range(0, len(pts), BLOCK):
+        rows = _boundary_rows(grid, pts[s:s + BLOCK], mat)
+        rows *= np.asarray(weights[s:s + BLOCK], dtype=float)[:, None, None]
+        for a in rows:
+            A += a
+    return A
+
+
+def _singular_sums(kernel, pts, rows, mat: Material) -> np.ndarray:
+    """sum_{j != i} kernel(z_i - z_j) for the atoms i of ``rows``: each a numpy
+    sum over the others in index order, the bits of ``np.delete``'s, taken
+    for blocks of ``BLOCK`` rows at once.  The offsets' two components are
+    stored as contiguous planes, so the kernel reads no strided array."""
+    rows, n = np.asarray(rows, dtype=int), len(pts)
+    x, y, j = pts[:, 0], pts[:, 1], np.arange(n - 1)
+    out = np.empty(len(rows))
+    for s in range(0, len(rows), BLOCK):
+        r = rows[s:s + BLOCK, None]
+        others = j + (j >= r)                   # column k of row i: the k-th j != i
+        u = np.empty((2,) + others.shape)
+        np.subtract(x[r], x[others], out=u[0])
+        np.subtract(y[r], y[others], out=u[1])
+        out[s:s + BLOCK] = kernel(u.transpose(1, 2, 0), mat).sum(axis=1)
+    return out
+
+
+def _pair_energy(pts, total, selfs, mat: Material) -> float:
+    """(1 / 2 n^2) sum_{i != j} V(z_i, z_j) of the equal-weight atoms pts from
+    their ``_boundary_sums``: with w = 1/n, w^2 sum_{i != j} V(z_i, z_j) =
+    A . B - sum_i [(w a_i) . (w b_i) + w^2 sum_{j != i} psi(z_j - z_i)], added
+    by fsum without a running total's drift (psi is even)."""
+    w = 1.0 / len(pts)
+    singular = -w * w * _singular_sums(_stress_potential, pts, range(len(pts)), mat)
+    return math.fsum([np.vdot(total[0], total[1])] + [-s for s in selfs]
+                     + list(singular)) / 2.0
 
 
 def _atom_energy(pts, mode: str, geom: Geometry | None, mat: Material,
-                 q: QuadratureConfig):
-    """``interaction_of_points`` and the summed boundary row A of the
-    equal-weight atoms (None in free space)."""
+                 q: QuadratureConfig, sums=None):
+    """``interaction_of_points`` of the equal-weight atoms and, bounded, their
+    ``_boundary_sums`` (None in free space), which ``sums`` supplies if given."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     n = len(pts)
     if min_distance(pts) < MIN_SEPARATION:
@@ -452,15 +518,10 @@ def _atom_energy(pts, mode: str, geom: Geometry | None, mat: Material,
         raise ValueError(f"unknown interaction mode {mode!r}")
     if geom is None:
         raise ValueError("bounded mode requires a geometry")
-    # w^2 sum_{i != j} V(z_i, z_j) = A . B - sum_i [(w a_i) . (w b_i) + w^2 sum_{j != i}
-    # psi(z_j - z_i)], w = 1/n; fsum adds the terms without a running total's drift
-    w = 1.0 / n
-    grid = _boundary_grid(geom.omega, q.boundary_points)
-    A, B, selfs, _ = _boundary_sums(grid, pts, np.full(n, w), mat)
-    terms = [np.vdot(A, B)] + [-s for s in selfs]
-    terms += [-w * w * _stress_potential(np.delete(pts, i, 0) - zi, mat).sum()
-              for i, zi in enumerate(pts)]
-    return math.fsum(terms) / 2.0, A
+    if sums is None:
+        grid = _boundary_grid(geom.omega, q.boundary_points)
+        sums = _boundary_sums(grid, pts, np.full(n, 1.0 / n), mat)
+    return _pair_energy(pts, *sums, mat), sums
 
 
 def interaction_of_points(pts, mode: str, geom: Geometry | None, mat: Material,
@@ -526,8 +587,9 @@ def _continuum_energy(density: CellMeasure, mode: str, geom: Geometry | None,
     m, idx, cells = density.masses, density.indices, density.n_cells
     if mode == "bounded":
         grid = _boundary_grid(geom.omega, q.boundary_points)
-        A, B, selfs, _ = zip(*(_boundary_sums(grid, p, w, mat) for p in nodes))
-        AB = np.reshape(A, (cells, -1)) @ np.reshape(B, (cells, -1)).T
+        totals, selfs = zip(*(_boundary_sums(grid, p, w, mat) for p in nodes))
+        A, B = np.array(totals).swapaxes(0, 1)
+        AB = A.reshape(cells, -1) @ B.reshape(cells, -1).T
         own, row = [sum(s) for s in selfs], sum(ma * Aa for ma, Aa in zip(m, A))
         kernel = _stress_potential
     else:

@@ -19,7 +19,7 @@ def test_zero_boundary_data_gives_zero_field(geom, mat, quad, basis):
     # signed harness: equal and opposite weights cancel the tractions exactly
     solver = get_solver(geom, mat, basis, quad)
     pts = np.array([[0.45, 0.5], [0.45, 0.5]])
-    T = _boundary_sums(solver._grid, pts, [0.5, -0.5], mat)[0][:, :2]
+    T = _boundary_sums(solver._grid, pts, [0.5, -0.5], mat)[0][0][:, :2]
     assert np.max(np.abs(T)) < 1e-14
     sol = solver.solve_traction(T, pts)
     assert np.max(np.abs(sol.coefficients)) == 0.0
@@ -196,13 +196,43 @@ def test_solve_independent_of_earlier_solves(geom, mat, quad, basis, monkeypatch
     again = used.solve(a)
     assert again.energy == fresh.energy
     assert np.array_equal(again.coefficients, fresh.coefficients)
-    # the forces' pass on a fresh solver and on the used one
-    ctx = EnergyContext("bounded", mat, geom, quad, basis)
+    # the forces' pass on a fresh solver and on the used one, each on a fresh
+    # context, which keeps no pass from the other solver
     forces = []
     for solver in (CorrectorSolver(geom, mat, basis, quad), used):
         monkeypatch.setattr(evolution, "get_solver", lambda *args: solver)
+        ctx = EnergyContext("bounded", mat, geom, quad, basis)
         forces.append(ctx._force_parts(a.points, [0, 2]))
     assert np.array_equal(forces[0], forces[1])
+
+
+@pytest.mark.parametrize("kind", ["atoms", "density"])
+def test_linear_form_sums_rows_only(kind, geom, mat, quad, basis, monkeypatch):
+    # the linear form sums the boundary rows alone: bit for bit Vals^T times the
+    # traction columns of the rows-and-columns pass, with no column evaluated
+    import slipdyn.corrector as corrector
+    import slipdyn.interaction as interaction
+    from slipdyn.corrector import as_weighted_atoms
+    solver = get_solver(geom, mat, basis, quad)
+    rng = np.random.default_rng(19)
+    if kind == "atoms":
+        w = rng.uniform(0.5, 1.5, 37)
+        measure = DiscreteMeasure(rng.uniform(0.25, 0.75, (37, 2)), w / w.sum())
+    else:
+        measure = CellMeasure(origin=(0.3, 0.3), spacing=0.1,
+                              indices=[[i, j] for i in range(3) for j in range(2)],
+                              masses=np.full(6, 1.0 / 6))
+    atoms, weights = as_weighted_atoms(measure, quad)
+    A = _boundary_sums(solver._grid, atoms, weights, mat)[0][0]
+    want = (solver._vals.T @ A[:, :2]).T.ravel()
+
+    def no_columns(*args, **kwargs):
+        raise AssertionError("the linear form evaluated a boundary column")
+
+    for name in ("_boundary_columns", "_boundary_data"):
+        for mod in (interaction, corrector):
+            monkeypatch.setattr(mod, name, no_columns, raising=False)
+    assert np.array_equal(solver.linear_form(measure), want)
 
 
 def test_boundary_resolution_checked_at_construction(geom, wide_geom, mat, basis):
@@ -281,19 +311,23 @@ def test_renormalized_energy_of_a_density(geom, mat, quad, basis):
 
 def test_one_boundary_row_per_source(geom, mat, quad, basis, schedule, monkeypatch):
     # one bounded energy of n atoms evaluates each atom's boundary row once,
-    # for the interaction and the corrector together
+    # for the interaction and the corrector together (a row is evaluated by
+    # _boundary_rows, or with its column by _boundary_data)
     import slipdyn.corrector as corrector
     import slipdyn.interaction as interaction
     get_solver(geom, mat, basis, quad)            # built before counting
     sources = [0]
-    rows = interaction._boundary_rows
 
-    def counted(grid, zs, *args, **kwargs):
-        sources[0] += len(np.reshape(zs, (-1, 2)))
-        return rows(grid, zs, *args, **kwargs)
+    def counter(evaluate):
+        def counted(grid, zs, *args, **kwargs):
+            sources[0] += len(np.reshape(zs, (-1, 2)))
+            return evaluate(grid, zs, *args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(interaction, "_boundary_rows", counted)
-    monkeypatch.setattr(corrector, "_boundary_rows", counted)
+    for name in ("_boundary_rows", "_boundary_data"):
+        counted = counter(getattr(interaction, name))
+        for mod in (interaction, corrector):
+            monkeypatch.setattr(mod, name, counted, raising=False)
     pts = np.column_stack([np.linspace(0.3, 0.7, 8), np.repeat([0.4, 0.6], 4)])
     cfg = DislocationConfig(pts, schedule, geom.r_box)
     EnergyContext("bounded", mat, geom, quad, basis).renormalized_energy(cfg)
@@ -301,22 +335,28 @@ def test_one_boundary_row_per_source(geom, mat, quad, basis, schedule, monkeypat
 
 
 def test_one_boundary_pass_per_force(geom, mat, quad, basis, monkeypatch):
-    # an all-rows bounded force evaluates each atom's boundary row once and its
-    # derivative row once, for the interaction and the corrector together; a
-    # single-row force makes one derivative row
+    # an all-rows bounded force evaluates each atom's boundary row once (by
+    # _boundary_rows, or with its column by _boundary_data) and its derivative
+    # row once, for the interaction and the corrector together; a single-row
+    # force, which the context always computes, makes one derivative row
     import slipdyn.corrector as corrector
     import slipdyn.evolution as evolution
     import slipdyn.interaction as interaction
     get_solver(geom, mat, basis, quad)            # built before counting
     seen = {False: [], True: []}
-    rows = interaction._boundary_rows
+    rows, data = interaction._boundary_rows, interaction._boundary_data
 
     def counted(grid, zs, mat, dy1=False):
         seen[dy1].extend(map(tuple, np.reshape(zs, (-1, 2))))
         return rows(grid, zs, mat, dy1=dy1)
 
+    def counted_data(grid, zs, mat):
+        seen[False].extend(map(tuple, np.reshape(zs, (-1, 2))))
+        return data(grid, zs, mat)
+
     for mod in (interaction, corrector, evolution):
         monkeypatch.setattr(mod, "_boundary_rows", counted, raising=False)
+        monkeypatch.setattr(mod, "_boundary_data", counted_data, raising=False)
     pts = np.column_stack([np.linspace(0.3, 0.7, 20), np.tile([0.4, 0.6], 10)])
     load = evolution.LoadingProgram.uniform_shear(lambda t: 0.0, 1.0, lambda t: 0.0)
     ctx = EnergyContext("bounded", mat, geom, quad, basis)
@@ -324,8 +364,10 @@ def test_one_boundary_pass_per_force(geom, mat, quad, basis, monkeypatch):
     atoms = sorted(map(tuple, pts))
     assert sorted(seen[False]) == atoms
     assert sorted(seen[True]) == atoms
+    seen[False].clear()
     seen[True].clear()
     evolution._force_single(pts, 3, 0.0, load, ctx)
+    assert sorted(seen[False]) == atoms
     assert seen[True] == [tuple(pts[3])]
 
 

@@ -209,11 +209,118 @@ def test_probe_equals_moved_force_single(mode, fctx, geom, mat, quad, basis):
                         _force_single(trial, i, 0.7, load, ctx))
 
 
+def _count_sources(monkeypatch, modules):
+    """Patch the boundary evaluators (data, rows, columns) seen from
+    ``modules`` to count the sources they are given; returns the counter."""
+    import slipdyn.interaction as interaction
+    sources = [0]
+
+    def counter(evaluate):
+        def counted(grid, zs, *args, **kwargs):
+            sources[0] += len(np.reshape(zs, (-1, 2)))
+            return evaluate(grid, zs, *args, **kwargs)
+        return counted
+
+    for name in ("_boundary_data", "_boundary_rows", "_boundary_columns"):
+        counted = counter(getattr(interaction, name))
+        for mod in modules:
+            monkeypatch.setattr(mod, name, counted, raising=False)
+    return sources
+
+
+@pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (0.7, 1.3)])
+@pytest.mark.parametrize("domain", ["unit", "wide"])
+def test_bounded_probe_evaluates_one_source(domain, lam, mu, geom, wide_geom, quad,
+                                            basis, monkeypatch):
+    # a bounded probe evaluates the boundary data of its own dislocation only,
+    # so it hands the same number of sources to the boundary evaluators at
+    # n = 16 and at n = 64; and it equals _force_single of the moved
+    # configuration bit for bit
+    import slipdyn.interaction as interaction
+    from slipdyn.corrector import get_solver
+    g = geom if domain == "unit" else wide_geom
+    m = Material(lam, mu)
+    ctx = EnergyContext("bounded", m, g, quad, basis)
+    get_solver(g, m, basis, quad)                 # built before counting
+    sources = _count_sources(monkeypatch, (interaction, evolution))
+    box, rng = g.r_box, np.random.default_rng(64)
+    loads = [ramp_load(),
+             LoadingProgram.custom(f=None, f_dot=None, time_horizon=1.0,
+                                   f_x1=lambda t, p: t * np.sin(7 * p[:, 0]) * p[:, 1])]
+    per_probe = {}
+    for n in (16, 64):
+        planes = np.linspace(box.y0, box.y1, n // 8)
+        pts = np.column_stack([
+            np.concatenate([np.sort(rng.choice(np.linspace(box.x0, box.x1, 40), 8,
+                                               replace=False)) for _ in planes]),
+            np.repeat(planes, 8)])
+        for load in loads:
+            for i in (0, n // 2 + 3, n - 1):
+                probe = evolution._force_probe(pts, i, 0.3, load, ctx)
+                for x in (pts[i, 0], pts[i, 0] + 1e-3, rng.uniform(box.x0, box.x1)):
+                    sources[0] = 0
+                    f = probe(x)
+                    per_probe.setdefault(n, set()).add(sources[0])
+                    trial = pts.copy()
+                    trial[i, 0] = x
+                    assert _bits(f) == _bits(evolution._force_single(trial, i, 0.3, load, ctx))
+    assert per_probe[16] == per_probe[64] == {1}
+
+
+def test_static_steps_make_no_boundary_pass(geom, mat, quad, basis, small_schedule,
+                                            monkeypatch):
+    # a bounded run whose load passes yield in its first step and then holds:
+    # every later step is a static re-check, whose start check, driving_force
+    # and renormalized_energy read the context's kept pass, so the run makes
+    # the same boundary evaluations over 3 steps as over 8.  Its records equal
+    # a fresh context's bit for bit, and a one-ulp move of any coordinate is
+    # evaluated afresh
+    import slipdyn.interaction as interaction
+    from slipdyn.corrector import get_solver
+    get_solver(geom, mat, basis, quad)            # built before counting
+    sources = _count_sources(monkeypatch, (interaction, evolution))
+    load = LoadingProgram.uniform_shear(lambda t: min(3.0, 60.0 * t), 1.0,
+                                        sigma_dot=lambda t: 60.0 if t < 0.05 else 0.0)
+    cfg = DislocationConfig([[0.45, 0.4], [0.55, 0.6]], small_schedule, geom.r_box)
+    solver_cfg = SolverConfig(sweep_tol=1e-6, mode="bounded")
+    counts, runs = [], []
+    for steps in (3, 8):
+        ctx = EnergyContext("bounded", mat, geom, quad, basis)
+        sources[0] = 0
+        trace = run_quasistatic(cfg, np.linspace(0.0, 1.0, steps + 1), load,
+                                solver_cfg, ctx, pre_relax=True)
+        counts.append(sources[0])
+        runs.append((ctx, trace))
+    assert counts[0] == counts[1]
+    ctx, trace = runs[1]
+    final = trace.configs[-1]
+    assert not np.array_equal(final.points, trace.configs[0].points)
+    assert all(np.array_equal(c.points, final.points) for c in trace.configs[2:])
+    for t, c, record, energy in zip(trace.times, trace.configs, trace.forces,
+                                    trace.energies):
+        fresh = EnergyContext("bounded", mat, geom, quad, basis)
+        assert np.array_equal(record.values, driving_force(c, t, load, fresh).values)
+        assert _bits(energy) == _bits(fresh.renormalized_energy(c))
+    for i in range(2):
+        for k in range(2):
+            moved = final.points.copy()
+            moved[i, k] = np.nextafter(moved[i, k], np.inf)
+            cfg_moved = final.with_points(moved)
+            fresh = EnergyContext("bounded", mat, geom, quad, basis)
+            sources[0] = 0
+            got = driving_force(cfg_moved, 1.0, load, ctx).values
+            assert sources[0] == 2 + 2               # rows and columns, derivative rows
+            assert np.array_equal(got, driving_force(cfg_moved, 1.0, load, fresh).values)
+            assert _bits(ctx.renormalized_energy(cfg_moved)) == _bits(
+                fresh.renormalized_energy(cfg_moved))
+            driving_force(final, 1.0, load, ctx)     # the kept pass is the final points'
+
+
 def test_probe_reads_the_live_table(fctx):
-    # the sweep builds one _pair_table per step, and its probes read the live
-    # abscissae: after in-place moves of a same-plane neighbour and of a
-    # dislocation on another plane, a probe built before them still equals
-    # _force_single of the current points bit for bit
+    # the sweep builds one _StepTable (its _pair_table and sigma(t)) per step,
+    # and its probes read the live abscissae: after in-place moves of a
+    # same-plane neighbour and of a dislocation on another plane, a probe built
+    # before them still equals _force_single of the current points bit for bit
     loads = [ramp_load(),
              LoadingProgram.custom(
                  f=None, f_dot=None, time_horizon=1.0,
@@ -225,8 +332,8 @@ def test_probe_reads_the_live_table(fctx):
     i, neighbour, other = 5, 6, 13
     for load in loads:
         pts = start.copy()
-        table = evolution._pair_table(pts, range(16))
-        assert np.array_equal(table[i], evolution._pair_table(pts, [i])[0])
+        table = evolution._StepTable(pts, 0.7, load, fctx)
+        assert np.array_equal(table.pairs[i], evolution._pair_table(pts, [i])[0])
         probe = evolution._force_probe(pts, i, 0.7, load, fctx, table)
         pts[neighbour, 0] += 0.013
         pts[other, 0] -= 0.021
