@@ -6,11 +6,17 @@ Sections:
 * one ``K_offsets`` batch of 4096 offsets, per offset;
 * one source's boundary row and column (``_boundary_sums`` of one source);
 * blocks of 16, 64 and 256 sources through the same sum, per source;
+* one source's and one in-place block of 16 sources' rows, columns and
+  derivative rows (``interaction._boundary_data`` with ``dy1``), per source;
 * one build of a sweep step's boundary state (``evolution._BoundaryState``:
   every atom's weighted row and column) and, apart from it, one bounded force
   probe (``evolution._force_probe``: the moved dislocation's row, column and
   derivative row, the sums run on from the state's arrays and one corrector
   solve) at n = 2, 16 and 64 dislocations;
+* one 48-point bounded march to the box edge (``evolution._land_position``
+  at n = 2, under a shear that keeps the force above 1 all the way), on the
+  probe's block method (chunks of 1, 2, 4, 8 and 16 points) and on the same
+  probe one point at a time;
 * one free-space force probe (one row of the sweep's pair table, in its
   ``evolution._StepTable``, against the live abscissae) and one build of that
   pair table (``evolution._pair_table`` of all rows) at n = 16 and 64, on 4
@@ -29,7 +35,8 @@ Sections:
   slip planes;
 * one ``snap_modification`` of the ``discretize_grid`` configuration of
   ``configs/gamma_uniform.json`` at n = 256 and 1024, with the snap pitch eta of
-  the ``gamma`` experiment, per atom;
+  the ``gamma`` experiment, per atom, and at n = 1024 with the nearest-node
+  shortcut switched off, so every plane runs the dynamic program;
 * one continuum energy (``EnergyContext.renormalized_energy``) of that config's
   cell density, bounded and in free space, per cell.
 
@@ -58,7 +65,8 @@ from slipdyn.evolution import (EnergyContext, LoadingProgram, SolverConfig, _Bou
                                _StepTable, _force_probe, _forces_at, _land_position,
                                _pair_table)
 from slipdyn.geometry import Rect, unit_geometry
-from slipdyn.interaction import QuadratureConfig, _boundary_grid, _boundary_sums
+from slipdyn import recovery
+from slipdyn.interaction import QuadratureConfig, _boundary_data, _boundary_grid, _boundary_sums
 from slipdyn.kernels import K_offsets, Material
 from slipdyn.measures import DiscreteMeasure
 from slipdyn.recovery import (ClassParams, UniformDensity, discretize_grid,
@@ -122,6 +130,9 @@ def main():
         weights = np.full(m, 1.0 / m)
         t = _median_s(lambda: _boundary_sums(grid, pts[:m], weights, mat), args.repeat)
         _report(f"row + column, {m} source(s)", t, m)
+    for m in (1, 16):
+        t = _median_s(lambda: _boundary_data(grid, pts[:m], mat, dy1=True), args.repeat)
+        _report(f"in-place data + dy1, {m} source(s)", t, m)
     for n in (2, 16, 64):
         t = _median_s(lambda: _BoundaryState(ctx, pts[:n]), args.repeat)
         _report(f"bounded step state, n = {n}", t, n)
@@ -129,6 +140,14 @@ def main():
         x = pts[0, 0] + 1e-3
         t = _median_s(lambda: probe(x), args.repeat)
         _report(f"bounded probe, n = {n}", t, n)
+    pair = np.array([[0.4, 0.35], [0.6, 0.65]])
+    shove = LoadingProgram.uniform_shear(lambda t: 10.0, 1.0, lambda t: 0.0)
+    probe = _force_probe(pair, 0, 0.5, shove, ctx)
+    f0, edge = probe(pair[0, 0]), geom.r_box.x1
+    for label, march in (("block", probe), ("one-point", lambda x: probe(x))):
+        t = _median_s(lambda: _land_position(march, pair[0, 0], f0, 1.0, edge,
+                                             SolverConfig().line_grid), args.repeat)
+        _report(f"bounded 48-point march, {label}", t, SolverConfig().line_grid)
     fctx = EnergyContext("freespace", mat)
     for n, planes in ((16, 4), (64, 8)):
         free = np.column_stack([pts[:n, 0], np.repeat(np.linspace(0.3, 0.7, planes),
@@ -182,6 +201,12 @@ def main():
         eta = min(params.min_plane_spacing(n), 0.5 * cfg.geometry.r_box.width)
         t = _median_s(lambda: snap_modification(config_n, eta), args.repeat)
         _report(f"snap_modification, n = {n}", t, n)
+    nearest, recovery._nearest_assignment = recovery._nearest_assignment, lambda xs, nodes: None
+    try:
+        t = _median_s(lambda: snap_modification(config_n, eta), args.repeat)
+        _report("snap_modification, n = 1024, DP", t, 1024)
+    finally:
+        recovery._nearest_assignment = nearest
     for mode in ("bounded", "freespace"):
         ctx_c = EnergyContext(mode, cfg.material, cfg.geometry, cfg.quadrature, cfg.basis)
         t = _median_s(lambda: ctx_c.renormalized_energy(density), args.repeat)

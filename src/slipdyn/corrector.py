@@ -37,7 +37,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import lu_factor, lu_solve
 
 from .geometry import Geometry, Rect
-from .interaction import QuadratureConfig, _boundary_grid, _boundary_rows, _row_sum
+from .interaction import (QuadratureConfig, _boundary_grid, _boundary_rows, _grid_arrays,
+                          _row_sum)
 from .kernels import Material, K_many  # noqa: F401  (perfbench/tracing.py patches K_many here)
 from .measures import CellMeasure, DiscreteMeasure, DislocationConfig
 
@@ -179,10 +180,9 @@ class CorrectorSolver:
         o, ell, grid = self.geom.omega, self.geom.ell, self._grid
         edge = np.repeat(np.arange(4), self.q.boundary_points)
         corners, pts = o.corners(), grid["gauss_pts"]
-        fine = {"gauss_pts": np.concatenate([(pts + corners[edge]) / 2,
-                                             (pts + corners[(edge + 1) % 4]) / 2]),
-                "gauss_w": np.tile(grid["gauss_w"] / 2, 2),
-                "gauss_nu": np.tile(grid["gauss_nu"], (2, 1))}
+        fine = _grid_arrays(np.concatenate([(pts + corners[edge]) / 2,
+                                            (pts + corners[(edge + 1) % 4]) / 2]),
+                            np.tile(grid["gauss_w"] / 2, 2), np.tile(grid["gauss_nu"], (2, 1)))
         fine_vals = self._scalar_basis(fine["gauss_pts"])
         corners = Rect(o.x0 + ell, o.y0 + ell, o.x1 - ell, o.y1 - ell).corners()
         for row, row2 in zip(_boundary_rows(grid, corners, self.mat),

@@ -287,24 +287,35 @@ class _BoundaryState:
         """x -> ``parts([i])`` of the points with atom i moved to abscissa x,
         bit for bit, from atom i's data at x alone: the sum runs on from the
         other atoms' cached prefix and suffix arrays, and one corrector solve
-        follows.  Valid until an atom moves."""
-        pts, y = self.pts, self.pts[i, 1]
+        follows.  Its ``block(xs)`` is ``[probe(x) for x in xs]``, bit for
+        bit, from one ``_boundary_data`` call for all xs, the sums run on for
+        all at once and the singular sums of all in one array; each x keeps
+        its own corrector solve, displacement and dot products, whose BLAS
+        calls could round differently batched.  Valid until an atom moves."""
+        pts, y, mat = self.pts, self.pts[i, 1], self.ctx.mat
         others = np.delete(pts, i, 0)
         prefix = np.add.reduce(self.atoms[:i + 1], axis=0)
-        run = self.atoms[i + 1:].copy()        # run[0] becomes prefix + w [a_i, b_i](x)
+
+        def block(xs):
+            zs = np.column_stack([xs, np.full(len(xs), y)])
+            data = _boundary_data(self.grid, zs, mat, dy1=True)
+            own = self.w * data[:, :2]
+            total = prefix + own                # np.add.reduce's order: on in atom order
+            for atom in self.atoms[i + 2:]:
+                total += atom
+            singular = _stress_potential_dy1(zs[:, None, :] - others, mat).sum(axis=1)
+            parts = []
+            for z, d, s, tot, ab in zip(zs, data[:, 2], singular, total, own):
+                trial = pts.copy()
+                trial[i] = z
+                u = self.solver.boundary_displacement(
+                    self.solver.solve_traction(tot[0][:, :2], trial))
+                parts.append(self._row(d, s, tot, ab, u))
+            return parts
 
         def at(x):
-            z = np.array([x, y])
-            data = _boundary_data(self.grid, z, self.ctx.mat, dy1=True)[0]
-            own = self.w * data[:2]
-            np.add(prefix, own, out=run[0])
-            total = np.add.reduce(run, axis=0)
-            trial = pts.copy()
-            trial[i] = z
-            u = self.solver.boundary_displacement(
-                self.solver.solve_traction(total[0][:, :2], trial))
-            singular = _stress_potential_dy1(z - others, self.ctx.mat).sum()
-            return self._row(data[2], singular, total, own, u)
+            return block([x])[0]
+        at.block = block
         return at
 
 
@@ -405,23 +416,50 @@ def _force_probe(pts, i, t, load, ctx, table=None):
     it evaluates only dislocation i's row, column and derivative row at x,
     the singular terms against the others and one corrector solve
     (``_BoundaryState.probe``); no source of the others is evaluated again.
+    Its ``block(xs)`` is ``[probe(x) for x in xs]`` bit for bit, with one
+    boundary evaluation for all xs; ``_land_position`` marches on it.
     """
     table = _StepTable(pts, t, load, ctx) if table is None else table
     shear = table.shear
     if ctx.mode == "bounded":
-        parts, y = table.state().probe(i), pts[i, 1]
+        parts, y = table.state().probe(i).block, pts[i, 1]
 
-        def probe(x):
-            inter, corr = parts(x)
-            return float(inter) + float(corr) + (
+        def block(xs):
+            return [float(inter) + float(corr) + (
                 shear if shear is not None
                 else float(load.horizontal_gradient(t, np.array([[x, y]]))[0]))
+                for x, (inter, corr) in zip(xs, parts(xs))]
+
+        def probe(x):
+            return block([x])[0]
+        probe.block = block
         return probe
     dy2, xs, y, c = table.pairs[i], pts[:, 0], pts[i, 1], ctx.mat.log_coef
     if shear is not None:
         return lambda x: float(_log_forces(x, xs, dy2, c)) + 0.0 + shear
     return lambda x: (float(_log_forces(x, xs, dy2, c)) + 0.0
                       + float(load.horizontal_gradient(t, np.array([[x, y]]))[0]))
+
+
+def _march(probe, x0, barrier, line_grid):
+    """(x, probe(x)) at the march points k (barrier - x0) / line_grid + x0,
+    k = 1, ..., line_grid, in order and lazily: a probe with a ``block``
+    method is evaluated in chunks of 1, 2, 4, 8 and then ``BLOCK`` points, so
+    a crossing early in the march wastes few evaluations; any other probe
+    one point at a time, and never past the point its caller stops at."""
+    step = (barrier - x0) / line_grid
+    block = getattr(probe, "block", None)
+    if block is None:
+        for k in range(1, line_grid + 1):
+            x = barrier if k == line_grid else k * step + x0
+            yield x, probe(x)
+        return
+    k, size = 1, 1
+    while k <= line_grid:
+        xs = [barrier if j == line_grid else j * step + x0
+              for j in range(k, min(k + size, line_grid + 1))]
+        yield from zip(xs, block(xs))
+        k, size = k + size, min(2 * size, BLOCK)
 
 
 def _land_position(probe, x0, f0, direction, barrier, line_grid):
@@ -431,24 +469,23 @@ def _land_position(probe, x0, f0, direction, barrier, line_grid):
 
     March over ``line_grid`` points k (barrier - x0) / line_grid + x0 toward
     the barrier, the last one the barrier itself (the bits of ``np.linspace``,
-    made one at a time); if the force along ``direction`` stays at or above 1
-    all the way, land on the barrier.  Otherwise the first crossing is
-    bracketed as f(lo) >= 1 > f(hi) and narrowed to |hi - lo| < 1e-13
-    max(1, |hi|) by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971):
-    the secant point of g = f - 1 replaces the end of its sign, and after two
-    steps in a row on one side the stale end's g is halved.  Safeguards: a
-    secant point outside the bracket or NaN, and every step after the 12th, is
-    the midpoint; no probe comes closer than half the tolerance to an end.
+    made one at a time), in the chunks of ``_march``; if the force along
+    ``direction`` stays at or above 1 all the way, land on the barrier.
+    Otherwise the first crossing is bracketed as f(lo) >= 1 > f(hi) and
+    narrowed to |hi - lo| < 1e-13 max(1, |hi|) by Illinois regula falsi
+    (Dowell & Jarratt, BIT 11, 1971): the secant point of g = f - 1 replaces
+    the end of its sign, and after two steps in a row on one side the stale
+    end's g is halved.  Safeguards: a secant point outside the bracket or
+    NaN, and every step after the 12th, is the midpoint; no probe comes
+    closer than half the tolerance to an end.
     The end below the threshold, hi, is returned, so the landing passes it.
     """
     def g_at(x):
         return probe(x) * direction - 1.0
 
-    step = (barrier - x0) / line_grid
     lo, g_lo, hi = x0, f0 * direction - 1.0, None
-    for k in range(1, line_grid + 1):
-        x = barrier if k == line_grid else k * step + x0
-        g = g_at(x)
+    for x, f in _march(probe, x0, barrier, line_grid):
+        g = f * direction - 1.0
         if not g >= 0.0:                            # NaN counts as below 1
             hi, g_hi = x, g
             break

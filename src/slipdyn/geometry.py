@@ -36,10 +36,16 @@ class Rect:
     def area(self) -> float:
         return self.width * self.height
 
-    def contains(self, p, tol: float = 0.0) -> bool:
-        x, y = float(p[0]), float(p[1])
-        return (self.x0 - tol <= x <= self.x1 + tol
-                and self.y0 - tol <= y <= self.y1 + tol)
+    def contains(self, p, tol: float = 0.0):
+        """Whether p lies in the rectangle widened by tol: one point gives a
+        bool, an (n, 2) array a mask.  NaN coordinates lie outside."""
+        if np.ndim(p) == 1:
+            x, y = float(p[0]), float(p[1])
+        else:
+            p = np.asarray(p, dtype=float)
+            x, y = p[:, 0], p[:, 1]
+        return ((self.x0 - tol <= x) & (x <= self.x1 + tol)
+                & (self.y0 - tol <= y) & (y <= self.y1 + tol))
 
     def contains_rect(self, other: "Rect", tol: float = 0.0) -> bool:
         return (self.x0 - tol <= other.x0 and other.x1 <= self.x1 + tol

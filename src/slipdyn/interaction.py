@@ -18,7 +18,8 @@ Two evaluation routes are implemented:
   are evaluated for blocks of ``BLOCK`` sources at once, the only evaluation
   of a source's boundary data: ``_boundary_rows`` and ``_boundary_columns``
   alone, or ``_boundary_data`` for both (and the derivative rows) from one
-  computation of the offsets, 1/r^2 and log r^2.  Pair matrices
+  computation of the offsets, 1/r^2 and log r^2, in place in one workspace
+  per block (``_Offsets``).  Pair matrices
   (``interaction_cross_matrix``), energies (weighted rows and columns summed
   first, ``_boundary_sums``), the corrector (the summed rows' traction,
   ``_row_sum`` when it sums them alone) and the forces all read them; the
@@ -269,9 +270,23 @@ def v_pair(y, z, geom: Geometry, mat: Material, q: QuadratureConfig) -> float:
 _NORMALS = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
 
 
+def _grid_arrays(pts, w, nu):
+    """A boundary grid of Gauss points, weights and outward normals, with the
+    constants the closed forms read stored contiguous: w nu_1, w nu_2,
+    w / 2 pi, nu_1 and nu_2."""
+    wnu = nu * w[:, None]
+    return {
+        "gauss_pts": pts, "gauss_w": w, "gauss_nu": nu,
+        "wnu1": np.ascontiguousarray(wnu[:, 0]), "wnu2": np.ascontiguousarray(wnu[:, 1]),
+        "w2pi": w / (2 * math.pi),
+        "nu1": np.ascontiguousarray(nu[:, 0]), "nu2": np.ascontiguousarray(nu[:, 1]),
+    }
+
+
 @lru_cache(maxsize=16)
 def _boundary_grid(rect: Rect, n_per_edge):
-    """Cached Gauss points, weights and outward normals on the domain boundary.
+    """Cached Gauss points, weights and outward normals on the domain boundary
+    (``_grid_arrays``).
 
     Edges run counterclockwise from the lower-left corner, ``n_per_edge``
     Gauss-Legendre points each.
@@ -286,11 +301,8 @@ def _boundary_grid(rect: Rect, n_per_edge):
         half = 0.5 * (b - a)
         g_pts.append(mid[None, :] + gx[:, None] * half[None, :])
         g_w.append(gw * length / 2)
-    return {
-        "gauss_pts": np.concatenate(g_pts),
-        "gauss_w": np.concatenate(g_w),
-        "gauss_nu": np.repeat(_NORMALS, n_per_edge, axis=0),
-    }
+    return _grid_arrays(np.concatenate(g_pts), np.concatenate(g_w),
+                        np.repeat(_NORMALS, n_per_edge, axis=0))
 
 
 def _stress_potential(u, mat: Material) -> np.ndarray:
@@ -314,46 +326,97 @@ def _stress_potential_dy1(u, mat: Material) -> np.ndarray:
 BLOCK = 16
 
 
-def _offsets(grid, zs):
-    """Offsets u = x - z of the grid points from sources zs, (m, 2): u_1, u_2
-    and |u|^2, each of shape (m, ng); a source on the grid raises."""
-    zs = np.asarray(zs, dtype=float).reshape(-1, 2)
-    x = grid["gauss_pts"]
-    u1 = x[:, 0] - zs[:, :1]
-    u2 = x[:, 1] - zs[:, 1:]
-    r2 = u1 * u1 + u2 * u2
-    _check_separation(r2)
-    return u1, u2, r2
+class _Offsets:
+    """Offsets u = x - z of the grid points from sources zs, (m, 2), and what
+    the closed forms read of them, each (m, ng), in one workspace: u_1, u_2,
+    s_i = u_i^2, q = 1 / |u|^2, log |u|^2 (only with ``log``), a_i = s_i q
+    and c q, c = ``mat.log_coef``; and ``tmp``, six scratch planes.  Each is
+    made by the plain expression's operations in its order, with ``out=``; a
+    source on the grid raises."""
+
+    def __init__(self, grid, zs, mat: Material, log=True):
+        zs = np.asarray(zs, dtype=float).reshape(-1, 2)
+        x = grid["gauss_pts"]
+        ws = np.empty((15, len(zs), len(x)))
+        (self.u1, self.u2, self.s1, self.s2, self.q, self.log_r2,
+         self.a1, self.a2, self.cq), self.tmp = ws[:9], ws[9:]
+        np.subtract(x[:, 0], zs[:, :1], out=self.u1)
+        np.subtract(x[:, 1], zs[:, 1:], out=self.u2)
+        np.multiply(self.u1, self.u1, out=self.s1)
+        np.multiply(self.u2, self.u2, out=self.s2)
+        r2 = np.add(self.s1, self.s2, out=self.q)
+        _check_separation(r2)
+        if log:
+            np.log(r2, out=self.log_r2)
+        np.divide(1.0, r2, out=self.q)
+        np.multiply(self.s1, self.q, out=self.a1)
+        np.multiply(self.s2, self.q, out=self.a2)
+        np.multiply(mat.log_coef, self.q, out=self.cq)
 
 
-def _put_rows(out, grid, u1, u2, q, log_r2, mat: Material, dy1=False):
+def _put_rows(out, grid, o: _Offsets, mat: Material, dy1=False):
     """Write the rows of ``_boundary_rows`` into ``out``, (m, ng, 3), from the
-    ``_offsets`` u1, u2, q = 1 / |u|^2 and log |u|^2 (not read with dy1)."""
-    cq, a1, a2 = mat.log_coef * q, u1 * u1 * q, u2 * u2 * q    # a_i = u_i^2 / r^2
+    ``_Offsets`` o (log |u|^2 is not read with dy1).  The plain
+    sigma_11 (w nu_1) + sigma_12 (w nu_2) is formed as
+    sigma_12 (w nu_2) - (-sigma_11) (w nu_1), the same bits, and so is the
+    dy1 rows' second column with -sigma_22."""
+    t0, t1, t2, t3, t4, t5 = o.tmp
+    a1, a2, cq = o.a1, o.a2, o.cq
     if dy1:
-        e = 2.0 * cq * u1 * u2 * q
-        s11, s22 = -e * (3.0 * a1 - a2), -e * (3.0 * a2 - a1)
-        s12 = cq * (a1 * a1 - 6.0 * a1 * a2 + a2 * a2)
-        p = cq * u1 * (a2 - a1)
+        e = np.multiply(2.0, cq, out=t0)                 # e = 2 c q u_1 u_2 q
+        e *= o.u1
+        e *= o.u2
+        e *= o.q
+        m11 = np.multiply(3.0, a1, out=t1)               # -s11 = e (3 a_1 - a_2)
+        m11 -= a2
+        m11 *= e
+        m22 = np.multiply(3.0, a2, out=t2)               # -s22 = e (3 a_2 - a_1)
+        m22 -= a1
+        m22 *= e
+        s12 = np.multiply(a1, a1, out=t3)                # c q (a_1^2 - 6 a_1 a_2 + a_2^2)
+        s12 -= np.multiply(np.multiply(6.0, a1, out=t4), a2, out=t4)
+        s12 += np.multiply(a2, a2, out=t4)
+        s12 *= cq
+        p = np.multiply(cq, o.u1, out=t0)                # p = c q u_1 (a_2 - a_1)
+        p *= np.subtract(a2, a1, out=t4)
+        np.subtract(np.multiply(s12, grid["wnu2"], out=t4),
+                    np.multiply(m11, grid["wnu1"], out=t5), out=out[..., 0])
+        np.subtract(np.multiply(s12, grid["wnu1"], out=t4),
+                    np.multiply(m22, grid["wnu2"], out=t5), out=out[..., 1])
     else:
-        cq1, cq2, d = cq * u1, cq * u2, a1 - a2
-        s11, s12, s22 = -cq2 * (3.0 * a1 + a2), cq1 * d, cq2 * d
-        p = mat.log_coef * (0.5 * log_r2 + a2)
-    w = grid["gauss_w"]
-    wnu = grid["gauss_nu"] * w[:, None]
-    out[..., 0] = s11 * wnu[:, 0] + s12 * wnu[:, 1]
-    out[..., 1] = s12 * wnu[:, 0] + s22 * wnu[:, 1]
-    out[..., 2] = p * (w / (2 * math.pi))
+        cq1 = np.multiply(cq, o.u1, out=t0)
+        cq2 = np.multiply(cq, o.u2, out=t1)
+        m11 = np.multiply(3.0, a1, out=t2)               # -s11 = c q u_2 (3 a_1 + a_2)
+        m11 += a2
+        m11 *= cq2
+        d = np.subtract(a1, a2, out=t3)
+        s12 = np.multiply(cq1, d, out=t0)
+        s22 = np.multiply(cq2, d, out=t1)
+        p = np.multiply(0.5, o.log_r2, out=t3)           # p = c (log |u|^2 / 2 + a_2)
+        p += a2
+        np.multiply(mat.log_coef, p, out=p)
+        np.subtract(np.multiply(s12, grid["wnu2"], out=t4),
+                    np.multiply(m11, grid["wnu1"], out=t5), out=out[..., 0])
+        np.add(np.multiply(s12, grid["wnu1"], out=t4),
+               np.multiply(s22, grid["wnu2"], out=t5), out=out[..., 1])
+    np.multiply(p, grid["w2pi"], out=out[..., 2])
 
 
-def _put_columns(out, grid, u1, u2, q, log_r2, mat: Material):
+def _put_columns(out, grid, o: _Offsets, mat: Material):
     """Write the columns of ``_boundary_columns`` into ``out``, (m, ng, 3),
-    from the same arguments as ``_put_rows``."""
+    from the ``_Offsets`` o."""
     a, b = mat.coef_a, mat.coef_b
-    nu1, nu2 = grid["gauss_nu"].T
-    out[..., 0] = 2.0 * b * u1 * u2 * q
-    out[..., 1] = -a * 0.5 * log_r2 - b * (u1 * u1 - u2 * u2) * q
-    out[..., 2] = (u1 * nu1 + u2 * nu2) * q
+    t0, t1 = o.tmp[:2]
+    v1 = np.multiply(2.0 * b, o.u1, out=t0)             # 2 b u_1 u_2 q
+    v1 *= o.u2
+    np.multiply(v1, o.q, out=out[..., 0])
+    v2 = np.subtract(o.s1, o.s2, out=t1)                # -a log|u|^2 / 2 - b (s_1 - s_2) q
+    np.multiply(b, v2, out=v2)
+    v2 *= o.q
+    np.subtract(np.multiply(-a * 0.5, o.log_r2, out=t0), v2, out=out[..., 1])
+    dn = np.multiply(o.u1, grid["nu1"], out=t0)         # (u_1 nu_1 + u_2 nu_2) q
+    dn += np.multiply(o.u2, grid["nu2"], out=t1)
+    np.multiply(dn, o.q, out=out[..., 2])
 
 
 def _boundary_rows(grid, zs, mat: Material, dy1=False) -> np.ndarray:
@@ -365,9 +428,9 @@ def _boundary_rows(grid, zs, mat: Material, dy1=False) -> np.ndarray:
     sigma_11 = -c u_2 (3 u_1^2 + u_2^2) / r^4, sigma_12 = c u_1 (u_1^2 - u_2^2) / r^4
     and sigma_22 = c u_2 (u_1^2 - u_2^2) / r^4; -d_1 psi = -sigma_12.
     """
-    u1, u2, r2 = _offsets(grid, zs)
-    rows = np.empty(u1.shape + (3,))
-    _put_rows(rows, grid, u1, u2, 1.0 / r2, None if dy1 else np.log(r2), mat, dy1)
+    o = _Offsets(grid, zs, mat, log=not dy1)
+    rows = np.empty(o.u1.shape + (3,))
+    _put_rows(rows, grid, o, mat, dy1)
     return rows
 
 
@@ -375,24 +438,23 @@ def _boundary_columns(grid, zs, mat: Material) -> np.ndarray:
     """Boundary columns [v_z, d_nu log|x - z|], shape (m, ng, 3), of sources zs,
     (m, 2): the single-valued displacement v (``kernels.displacement_v``) and
     the normal derivative of the log."""
-    u1, u2, r2 = _offsets(grid, zs)
-    cols = np.empty(u1.shape + (3,))
-    _put_columns(cols, grid, u1, u2, 1.0 / r2, np.log(r2), mat)
+    o = _Offsets(grid, zs, mat)
+    cols = np.empty(o.u1.shape + (3,))
+    _put_columns(cols, grid, o, mat)
     return cols
 
 
 def _boundary_data(grid, zs, mat: Material, dy1=False) -> np.ndarray:
     """Rows and columns of sources zs, (m, 2), shape (m, 2, ng, 3), from one
-    evaluation of the offsets, 1 / |u|^2 and log |u|^2: ``[:, 0]`` is
-    ``_boundary_rows`` and ``[:, 1]`` ``_boundary_columns``, bit for bit; with
-    ``dy1``, shape (m, 3, ng, 3), and ``[:, 2]`` the derivative rows."""
-    u1, u2, r2 = _offsets(grid, zs)
-    args = (grid, u1, u2, 1.0 / r2, np.log(r2))
-    data = np.empty((len(u1), 2 + dy1) + u1.shape[1:] + (3,))
-    _put_rows(data[:, 0], *args, mat)
-    _put_columns(data[:, 1], *args, mat)
+    ``_Offsets``: ``[:, 0]`` is ``_boundary_rows`` and ``[:, 1]``
+    ``_boundary_columns``, bit for bit; with ``dy1``, shape (m, 3, ng, 3), and
+    ``[:, 2]`` the derivative rows."""
+    o = _Offsets(grid, zs, mat)
+    data = np.empty((len(o.u1), 2 + dy1) + o.u1.shape[1:] + (3,))
+    _put_rows(data[:, 0], grid, o, mat)
+    _put_columns(data[:, 1], grid, o, mat)
     if dy1:
-        _put_rows(data[:, 2], *args, mat, dy1=True)
+        _put_rows(data[:, 2], grid, o, mat, dy1=True)
     return data
 
 

@@ -1,6 +1,7 @@
 """Measure-valued states: weighted atoms, cell densities, and dislocation configurations."""
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -53,28 +54,36 @@ def min_distance(points) -> float:
 def group_by_plane(points: np.ndarray, tol: float = PLANE_TOL):
     """Group point indices by (nearly) equal second coordinate.
 
-    Returns a list of (plane_y, index_array) sorted by plane_y, indices sorted
-    by first coordinate.  Representative plane_y is the first point's exact
-    stored value, so configs built from shared canonical plane coordinates
-    compare bit-exactly.
+    Returns a list of (plane_y, index_array) sorted by plane_y, indices in
+    (second, first coordinate) lexicographic order.  A plane starts at the
+    first point farther than ``tol`` above the plane before's first point,
+    whose exact stored value is its representative plane_y, so configs built
+    from shared canonical plane coordinates compare bit-exactly.  Points with
+    a NaN second coordinate sort last and join the last plane.
     """
     pts = np.asarray(points, dtype=float)
     order = np.lexsort((pts[:, 0], pts[:, 1]))
-    planes = []
-    current: list[int] = []
-    current_y = None
-    for idx in order:
-        y = pts[idx, 1]
-        if current_y is None or abs(y - current_y) > tol:
-            if current:
-                planes.append((current_y, np.array(current, dtype=int)))
-            current = [idx]
-            current_y = y
-        else:
-            current.append(idx)
-    if current:
-        planes.append((current_y, np.array(current, dtype=int)))
-    return planes
+    ys = pts[order, 1]
+    if len(ys) == 0:
+        return []
+    bounds = [*_plane_starts(ys, tol), len(ys)]
+    return [(ys[a], order[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _plane_starts(ys, tol):
+    """Plane starts of the sorted ys, NaNs last: past a plane's first y0 the
+    test ys[k] - y0 > tol is false and then true over the non-NaN ys (it
+    rounds monotonically), so each next start is bisected."""
+    finite = len(ys) - int(np.count_nonzero(np.isnan(ys)))
+    ys = ys.tolist()                            # the same bits as Python floats
+    starts = [0]
+    while True:
+        y0 = ys[starts[-1]]
+        k = bisect.bisect_left(range(finite), True, lo=starts[-1] + 1,
+                               key=lambda j: ys[j] - y0 > tol)
+        if k >= finite:
+            return starts
+        starts.append(k)
 
 
 @dataclass(frozen=True)
@@ -190,9 +199,10 @@ class DislocationConfig:
         n = len(pts)
         if n == 0:
             raise ValueError("configuration must contain at least one dislocation")
-        for p in pts:
-            if not self.box.contains(p, tol=1e-12):
-                raise ValueError(f"dislocation {p} outside the confinement box")
+        inside = self.box.contains(pts, tol=1e-12)
+        if not inside.all():
+            raise ValueError(f"dislocation {pts[np.argmin(inside)]} outside the "
+                             "confinement box")
         if n > 1:
             r_n = self.schedule.r(n)
             dmin = min_distance(pts)

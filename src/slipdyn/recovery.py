@@ -332,7 +332,9 @@ def snap_modification(cfg: DislocationConfig, eta: float) -> DislocationConfig:
     """Per-plane snap onto grids of pitch eta / m_s at minimal transport cost.
 
     The points of each plane are matched injectively and monotonically to the
-    plane's grid nodes inside the box (dynamic program, exact optimum).  The
+    plane's grid nodes inside the box at minimal cost: by the nearest nodes
+    where ``_nearest_assignment`` proves them the optimum, else by a dynamic
+    program (``_monotone_assignment``, exact optimum).  The
     vertical marginal is untouched, the move cost is at most eta, and the
     output has per-plane horizontal gaps of at least eta / m with m the
     maximal plane occupancy.
@@ -350,10 +352,41 @@ def snap_modification(cfg: DislocationConfig, eta: float) -> DislocationConfig:
         if len(nodes) < m_s:
             raise ValueError("snap grid has fewer nodes than plane occupancy")
         xs = np.sort(cfg.points[idx, 0])
-        assign = _monotone_assignment(xs, nodes)
+        assign = _nearest_assignment(xs, nodes)
+        if assign is None:
+            assign = _monotone_assignment(xs, nodes)
         order = np.argsort(cfg.points[idx, 0], kind="stable")
         new_pts[idx[order], 0] = nodes[assign]
     return DislocationConfig(new_pts, cfg.schedule, box, cfg.plane_tol)
+
+
+def _nearest_assignment(xs: np.ndarray, nodes: np.ndarray):
+    """The map of sorted xs to their nearest grid nodes when it is, bit for
+    bit, ``_monotone_assignment``'s answer; else None.
+
+    A strictly increasing nearest-node map is injective and monotone, and no
+    map costs less; when every atom's other nodes cost more than its nearest
+    one by at least a gap, no other map ties it.  The dynamic program adds
+    up to m float costs, each at most the span W of atoms and nodes, so its
+    sums err by less than m^2 eps W / 2; with every gap above 4 m^2 eps W
+    each of its comparisons falls on the exact side, and its backtrack takes
+    the nearest nodes.  Float costs grow away from x on either side, so an
+    atom's gap is read at the two nodes next to its nearest.  Ties, atoms
+    within the margin of a node midpoint and shared nodes return None.
+    """
+    m, g = len(xs), len(nodes)
+    if g < 2:
+        return None
+    k = np.clip(np.searchsorted(nodes, xs), 1, g - 1)      # the nodes around x
+    near = np.where(np.abs(xs - nodes[k - 1]) <= np.abs(xs - nodes[k]), k - 1, k)
+    cost = np.abs(xs - nodes[near])
+    left = np.where(near > 0, np.abs(xs - nodes[np.maximum(near - 1, 0)]), math.inf)
+    right = np.where(near < g - 1, np.abs(xs - nodes[np.minimum(near + 1, g - 1)]), math.inf)
+    span = max(xs[-1], nodes[-1]) - min(xs[0], nodes[0])
+    margin = 4.0 * m * m * np.finfo(float).eps * span
+    if np.all(np.diff(near) > 0) and np.all(np.minimum(left, right) - cost > margin):
+        return near
+    return None
 
 
 def _monotone_assignment(xs: np.ndarray, nodes: np.ndarray) -> np.ndarray:

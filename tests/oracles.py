@@ -7,6 +7,11 @@ those rows from it.  ``dy1_matrix`` is the pair matrix of dV/dy_1 that the
 bounded forces once summed by rows.  ``tensor_basis`` and
 ``gauge_rows`` are the 2-D route of the corrector's gauge constraints: every
 tensor Legendre product and both its gradients at every gauge-ball point.
+``boundary_data_plain`` evaluates the boundary route's closed forms as plain
+numpy expressions, one new array per operation; ``interaction._Offsets`` and
+its ``_put_rows`` and ``_put_columns`` must give the same bits in place.
+``group_by_plane_loop`` is the per-point scan that ``measures.group_by_plane``
+replaced.
 """
 import math
 
@@ -16,6 +21,70 @@ from numpy.polynomial import legendre as leg
 from slipdyn.interaction import (_boundary_columns, _boundary_grid, _boundary_rows,
                                  _stress_potential_dy1)
 from slipdyn.kernels import MIN_SEPARATION, Material, _as_offsets, _check_separation
+
+
+def _plain_rows(grid, u1, u2, q, log_r2, mat: Material, dy1):
+    cq, a1, a2 = mat.log_coef * q, u1 * u1 * q, u2 * u2 * q    # a_i = u_i^2 / r^2
+    if dy1:
+        e = 2.0 * cq * u1 * u2 * q
+        s11, s22 = -e * (3.0 * a1 - a2), -e * (3.0 * a2 - a1)
+        s12 = cq * (a1 * a1 - 6.0 * a1 * a2 + a2 * a2)
+        p = cq * u1 * (a2 - a1)
+    else:
+        cq1, cq2, d = cq * u1, cq * u2, a1 - a2
+        s11, s12, s22 = -cq2 * (3.0 * a1 + a2), cq1 * d, cq2 * d
+        p = mat.log_coef * (0.5 * log_r2 + a2)
+    w = grid["gauss_w"]
+    wnu = grid["gauss_nu"] * w[:, None]
+    return np.stack([s11 * wnu[:, 0] + s12 * wnu[:, 1],
+                     s12 * wnu[:, 0] + s22 * wnu[:, 1],
+                     p * (w / (2 * math.pi))], axis=-1)
+
+
+def _plain_columns(grid, u1, u2, q, log_r2, mat: Material):
+    a, b = mat.coef_a, mat.coef_b
+    nu1, nu2 = grid["gauss_nu"].T
+    return np.stack([2.0 * b * u1 * u2 * q,
+                     -a * 0.5 * log_r2 - b * (u1 * u1 - u2 * u2) * q,
+                     (u1 * nu1 + u2 * nu2) * q], axis=-1)
+
+
+def boundary_data_plain(grid, zs, mat: Material, dy1=False) -> np.ndarray:
+    """``interaction._boundary_data`` from plain expressions: rows, columns
+    and, with ``dy1``, derivative rows of sources zs, (m, 2 + dy1, ng, 3)."""
+    zs = np.asarray(zs, dtype=float).reshape(-1, 2)
+    x = grid["gauss_pts"]
+    u1 = x[:, 0] - zs[:, :1]
+    u2 = x[:, 1] - zs[:, 1:]
+    r2 = u1 * u1 + u2 * u2
+    _check_separation(r2)
+    args = (grid, u1, u2, 1.0 / r2, np.log(r2))
+    parts = [_plain_rows(*args, mat, False), _plain_columns(*args, mat)]
+    if dy1:
+        parts.append(_plain_rows(*args, mat, True))
+    return np.stack(parts, axis=1)
+
+
+def group_by_plane_loop(points, tol):
+    """The per-point scan of ``measures.group_by_plane``: points in (y, x)
+    lexicographic order, a new plane wherever |y - the plane's first y| > tol."""
+    pts = np.asarray(points, dtype=float)
+    order = np.lexsort((pts[:, 0], pts[:, 1]))
+    planes = []
+    current: list[int] = []
+    current_y = None
+    for idx in order:
+        y = pts[idx, 1]
+        if current_y is None or abs(y - current_y) > tol:
+            if current:
+                planes.append((current_y, np.array(current, dtype=int)))
+            current = [idx]
+            current_y = y
+        else:
+            current.append(idx)
+    if current:
+        planes.append((current_y, np.array(current, dtype=int)))
+    return planes
 
 
 def dK1_offsets(u, mat: Material) -> np.ndarray:

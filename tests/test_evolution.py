@@ -1,3 +1,4 @@
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -514,6 +515,83 @@ def test_landing_on_a_linear_force(geom, direction):
     hi = _land_position(probe, x0, probe.probe(x0), direction, barrier, LINE_GRID)
     assert 0 < (hi - xr) * direction < 1e-13
     assert probe.calls == 4
+
+
+class _Recorded:
+    """A force probe that records every value it returns, as x -> f; it
+    keeps the probe's ``block`` method when ``block`` is set."""
+
+    def __init__(self, probe, block):
+        self.probe, self.seen = probe, {}
+        if block:
+            self.block = self._block
+
+    def __call__(self, x):
+        f = self.seen[x] = self.probe(x)
+        return f
+
+    def _block(self, xs):
+        fs = self.probe.block(xs)
+        self.seen.update(zip(xs, fs))
+        return fs
+
+
+def _two_to_one_geometry():
+    from slipdyn.geometry import Disk, Geometry, Rect
+    return Geometry(omega=Rect(0.0, 0.0, 2.0, 1.0), r_box=Rect(0.3, 0.25, 1.7, 0.75),
+                    ball=Disk(0.08, 0.5, 0.04))
+
+
+@pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (0.7, 1.3)])
+@pytest.mark.parametrize("domain", ["unit", "two_to_one"])
+def test_block_march_matches_one_point_march(domain, lam, mu, geom, quad, basis):
+    # a bounded probe offers a block method, and the landing marches it in
+    # chunks of 1, 2, 4, 8 and 16 points; the landing equals the one-point
+    # march's bit for bit, the chunks hold every point that march probed,
+    # and every value at a point probed by both is the same bits
+    g = geom if domain == "unit" else _two_to_one_geometry()
+    ctx = EnergyContext("bounded", Material(lam, mu), g, quad, basis)
+    chunked = short = 0
+    for pts, i, f, d, barrier, load in itertools.islice(_landing_cases(ctx, g), 20):
+        runs = []
+        for block in (True, False):
+            probe = _Recorded(evolution._force_probe(pts, i, 0.0, load, ctx), block)
+            x = _land_position(probe, pts[i, 0], f, d, barrier, LINE_GRID)
+            runs.append((x, probe.seen))
+        (x_block, seen_block), (x_point, seen_point) = runs
+        assert _bits(x_block) == _bits(x_point)
+        short += x_point != barrier
+        assert set(seen_point) <= set(seen_block)
+        chunked += len(seen_block) - len(seen_point)
+        for x in seen_point:
+            assert _bits(seen_block[x]) == _bits(seen_point[x])
+    assert short > 0 and chunked > 0      # some chunk ran past a crossing
+
+
+def test_probe_block_equals_points(fctx, geom, mat, quad, basis):
+    # probe.block(xs) is [probe(x) for x in xs] bit for bit, for chunks of
+    # 1, 5 and 16 points, under loads whose zero signs and custom gradients
+    # depend on every term; a free-space probe has no block method
+    ctx = EnergyContext(mode="bounded", mat=mat, geom=geom, quad=quad, basis=basis)
+    loads = [ramp_load(),
+             LoadingProgram.uniform_shear(lambda t: -0.0, 1.0, sigma_dot=lambda t: 0.0),
+             LoadingProgram.custom(f=None, f_dot=None, time_horizon=1.0,
+                                   f_x1=lambda t, p: t * np.sin(7 * p[:, 0]) * p[:, 1])]
+    rng = np.random.default_rng(23)
+    planes = [0.3, 0.45, 0.6, 0.75]
+    for n in (1, 2, 16):
+        pts = np.column_stack([rng.uniform(0.3, 0.7, n), np.resize(planes, n)])
+        assert not hasattr(evolution._force_probe(pts, 0, 0.7, loads[0], fctx), "block")
+        for load in loads:
+            for i in sorted({0, n // 2, n - 1}):
+                probe = evolution._force_probe(pts, i, 0.7, load, ctx)
+                parts = evolution._StepTable(pts, 0.7, load, ctx).state().probe(i)
+                for m in (1, 5, 16):
+                    xs = list(rng.uniform(0.2, 0.8, m))
+                    assert [_bits(f) for f in probe.block(xs)] == \
+                        [_bits(probe(x)) for x in xs]
+                    assert [[_bits(v) for v in p] for p in parts.block(xs)] == \
+                        [[_bits(v) for v in parts(x)] for x in xs]
 
 
 def _checked_sweep(pts, t, load, ctx, solver_cfg, box, r_n, planes):

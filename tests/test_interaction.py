@@ -12,7 +12,7 @@ from slipdyn.interaction import (QuadratureConfig, continuum_interaction,
 from slipdyn.kernels import K_many, Material, apply_C
 from slipdyn.measures import CellMeasure, DislocationConfig
 
-from oracles import dK1_offsets, dy1_matrix
+from oracles import boundary_data_plain, dK1_offsets, dy1_matrix
 
 #: fixed instance Omega = (0,1)^2, y = (0.4, 0.5), z = (0.6, 0.5), lam = mu = 1,
 #: pinned by a uniform 4000^2 midpoint quadrature with Richardson extrapolation
@@ -639,3 +639,26 @@ def test_closed_form_boundary_data_matches_kernel_route(domain, lam, mu, geom, q
     for boundary in (_boundary_rows, _boundary_columns):
         with pytest.raises(ValueError, match="dislocation core"):
             boundary(grid, np.vstack([zs[:3], grid["gauss_pts"][7]]), mat)
+
+
+@pytest.mark.parametrize("m", [1, 5, 16])
+def test_boundary_data_in_place_matches_plain(m, geom):
+    # the in-place closed forms (one _Offsets workspace, out= arithmetic, the
+    # grid's contiguous constants) give the plain expressions' bits: data,
+    # rows, derivative rows and columns, with a source within 1e-6 of a grid
+    # point, on the unit square and the 2:1 rectangle, for both materials
+    from slipdyn.interaction import (_boundary_columns, _boundary_data, _boundary_grid,
+                                     _boundary_rows)
+    rng = np.random.default_rng(m)
+    for g, mat in [(geom, Material(1.0, 1.0)), _two_to_one()]:
+        for material in (mat, Material(0.7, 1.3)):
+            grid = _boundary_grid(g.omega, 128)
+            zs = rng.uniform(0.3, 0.7, (m, 2))
+            zs[0] = grid["gauss_pts"][rng.integers(len(grid["gauss_w"]))] \
+                + rng.uniform(-1e-6, 1e-6, 2)
+            for dy1 in (False, True):
+                plain = boundary_data_plain(grid, zs, material, dy1=dy1)
+                assert _boundary_data(grid, zs, material, dy1=dy1).tobytes() == plain.tobytes()
+                assert _boundary_rows(grid, zs, material, dy1=dy1).tobytes() == \
+                    plain[:, 2 if dy1 else 0].tobytes()
+            assert _boundary_columns(grid, zs, material).tobytes() == plain[:, 1].tobytes()

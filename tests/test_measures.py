@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import group_by_plane_loop
+
 from slipdyn.geometry import Rect
 from slipdyn.measures import (CellMeasure, DiscreteMeasure, DislocationConfig,
                               ScalingSchedule, group_by_plane, min_distance)
@@ -108,3 +110,57 @@ def test_min_distance_matches_dense(geom):
             assert not admitted
         else:
             assert admitted and cfg.min_separation() == dense
+
+
+def test_group_by_plane_matches_loop():
+    # the per-plane bisection gives the per-point scan's planes: the same
+    # representative y bits, index arrays and order, on random planes, on
+    # lattices with sub-tolerance jitter and chains of near-tolerance steps,
+    # and with NaN and infinite coordinates
+    rng = np.random.default_rng(12)
+    for trial in range(600):
+        n = int(rng.integers(0, 40))
+        kind = trial % 5
+        if kind == 0:
+            ys = rng.uniform(0, 1, n)
+        elif kind == 1:                  # lattice planes, jitter about tol
+            ys = rng.integers(0, 5, n) * 0.3 + rng.uniform(-1, 1, n) * 1e-9
+        elif kind == 2:                  # a lattice at half the tolerance
+            ys = rng.integers(0, 8, n) * 5e-10
+        elif kind == 3:                  # chains of sub-tolerance steps
+            ys = np.cumsum(rng.uniform(0, 6e-10, n))
+        else:
+            ys = rng.choice([0.1, 0.2, np.nan, np.inf, -np.inf, -0.0, 0.0, 0.1 + 1e-9], n)
+        xs = rng.choice([0.1, 0.3, np.nan], n) if trial % 3 == 0 else rng.uniform(0, 1, n)
+        pts = np.column_stack([xs, ys]).reshape(-1, 2)
+        for tol in (1e-9, 0.0, 0.25, -1.0, np.nan):
+            with np.errstate(invalid="ignore"):
+                got, ref = group_by_plane(pts, tol), group_by_plane_loop(pts, tol)
+            assert len(got) == len(ref)
+            for (y, idx), (y_ref, idx_ref) in zip(got, ref):
+                assert np.float64(y).tobytes() == np.float64(y_ref).tobytes()
+                assert idx.dtype == idx_ref.dtype and np.array_equal(idx, idx_ref)
+
+
+def test_config_box_check_names_first_point_outside():
+    # one comparison over all points, with Rect.contains's 1e-12 tolerance;
+    # the error names the first point outside, and NaN is outside
+    box, sched = Rect(0.2, 0.2, 0.8, 0.8), ScalingSchedule(r_coef=0.01)
+    DislocationConfig([[0.2 - 1e-12, 0.5], [0.8 + 1e-12, 0.8]], sched, box)
+    for bad in ([0.3, 0.8 + 2e-12], [np.nan, 0.5], [0.1, 0.5]):
+        pts = np.array([[0.5, 0.5], bad, [0.9, 0.9]])
+        with pytest.raises(ValueError) as err:
+            DislocationConfig(pts, sched, box)
+        assert str(err.value) == f"dislocation {pts[1]} outside the confinement box"
+
+
+def test_rect_contains_mask_matches_points():
+    # the (n, 2) form of Rect.contains is the per-point test, NaN outside
+    box, rng = Rect(0.2, 0.2, 0.8, 0.8), np.random.default_rng(3)
+    pts = rng.choice([0.2 - 2e-12, 0.2 - 1e-12, 0.5, 0.8 + 1e-12, 0.8 + 2e-12,
+                      np.nan, -np.inf], (200, 2))
+    for tol in (0.0, 1e-12):
+        mask = box.contains(pts, tol=tol)
+        assert mask.dtype == bool
+        assert mask.tolist() == [box.contains(p, tol=tol) for p in pts]
+        assert all(type(box.contains(p, tol=tol)) is bool for p in pts[:5])

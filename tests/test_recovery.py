@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from slipdyn.geometry import Rect
 from slipdyn.measures import (CellMeasure, DiscreteMeasure, DislocationConfig,
                               ScalingSchedule)
 from slipdyn.recovery import (ClassParams, LineDensity, UniformDensity,
-                              _monotone_assignment, class_membership, discretize_grid,
+                              _monotone_assignment, _nearest_assignment, class_membership, discretize_grid,
                               grid_approximation, slipclass_discretize,
                               snap_modification)
 from slipdyn.transport import slip_distance, w1_distance
@@ -207,6 +208,69 @@ def test_monotone_assignment_bruteforce():
         assert abs(sum(abs(xs - nodes[assign])) - best) <= 1e-12
     # among equal-cost choices the later node wins
     assert _monotone_assignment(np.array([0.5]), np.array([0.0, 1.0])).tolist() == [1]
+
+
+def test_nearest_assignment_matches_dp():
+    # the snap's shortcut returns the dynamic program's answer bit for bit
+    # whenever it returns one; on the half-integer lattices of
+    # test_monotone_assignment_bruteforce, an atom on a node midpoint (a tie)
+    # or two atoms nearest to one node take the fallback
+    rng = np.random.default_rng(9)
+    taken = 0
+    for _ in range(2000):
+        g = int(rng.integers(1, 40))
+        m = int(rng.integers(1, g + 1))
+        k0 = int(rng.integers(-20, 20))
+        nodes = rng.uniform(1e-3, 0.1) * np.arange(k0, k0 + g)
+        span = nodes[-1] - nodes[0] if g > 1 else 0.1
+        xs = np.sort(rng.uniform(nodes[0] - 0.1 * span, nodes[-1] + 0.1 * span, m))
+        got = _nearest_assignment(xs, nodes)
+        if got is not None:
+            taken += 1
+            assert np.array_equal(got, _monotone_assignment(xs, nodes))
+    assert taken > 500
+    for _ in range(500):
+        g = int(rng.integers(1, 8))
+        m = int(rng.integers(1, g + 1))
+        xs = np.sort(rng.integers(-2, 2 * g + 2, m) / 2.0)
+        nodes = np.arange(g, dtype=float)
+        got = _nearest_assignment(xs, nodes)
+        tie = np.any((xs % 1.0 == 0.5) & (xs > 0) & (xs < g - 1))
+        shared = len(np.unique(np.clip(np.rint(xs), 0, g - 1))) < m
+        if tie or shared:
+            assert got is None
+        elif got is not None:
+            assert np.array_equal(got, _monotone_assignment(xs, nodes))
+    # one ulp off a midpoint is within the margin; a thousandth is not
+    assert _nearest_assignment(np.array([np.nextafter(1.5, 2.0)]), np.arange(3.0)) is None
+    assert _nearest_assignment(np.array([1.501]), np.arange(3.0)).tolist() == [2]
+
+
+def test_snap_shortcut_on_the_gamma_ladder(monkeypatch):
+    # every plane of the gamma ladder's configurations takes the shortcut,
+    # and the snap equals the snap with the dynamic program forced, bit for bit
+    import slipdyn.recovery as recovery
+    from slipdyn.config import load_config
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "gamma_uniform.json")
+    sec = cfg.section
+    (cx, cy), side = sec["target"]["center"], sec["target"]["side"]
+    target = UniformDensity(Rect(cx - side / 2, cy - side / 2, cx + side / 2, cy + side / 2))
+    density = grid_approximation(target, sec["h"], cfg.geometry, origin=sec["origin"])
+    params = ClassParams(*sec["gamma_c"])
+    nearest, answers, results = recovery._nearest_assignment, [], []
+
+    def spy(xs, nodes):
+        answers.append(nearest(xs, nodes))
+        return answers[-1]
+    monkeypatch.setattr(recovery, "_nearest_assignment", spy)
+    for n in sec["n_ladder"]:
+        config_n = discretize_grid(density, n, cfg.schedule, cfg.geometry)
+        eta = min(params.min_plane_spacing(n), 0.5 * cfg.geometry.r_box.width)
+        results.append((config_n, eta, snap_modification(config_n, eta)))
+    assert len(answers) > 3 and all(a is not None for a in answers)
+    monkeypatch.setattr(recovery, "_nearest_assignment", lambda xs, nodes: None)
+    for config_n, eta, snapped in results:
+        assert snapped.points.tobytes() == snap_modification(config_n, eta).points.tobytes()
 
 
 def test_snap_on_grid_unchanged(geom):
