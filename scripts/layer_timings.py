@@ -9,10 +9,14 @@ Sections:
 * one source's and one in-place block of 16 sources' rows, columns and
   derivative rows (``interaction._boundary_data`` with ``dy1``), per source;
 * one build of a sweep step's boundary state (``evolution._BoundaryState``:
-  every atom's weighted row and column) and, apart from it, one bounded force
-  probe (``evolution._force_probe``: the moved dislocation's row, column and
-  derivative row, the sums run on from the state's arrays and one corrector
-  solve) at n = 2, 16 and 64 dislocations;
+  every atom's weighted row and column and its derivative row) and, apart
+  from it, one bounded force probe (``evolution._force_probe``: the moved
+  dislocation's row, column and derivative row, the sums run on from the
+  state's arrays and one corrector solve) at n = 2, 16 and 64 dislocations;
+* one landing's update of that state and the step's next all-rows force
+  (``evolution._StepTable.moved(i)``, then its ``forces()``: one atom's
+  boundary data, the state's sums, one corrector solve and the kept
+  derivative rows' dot products) at n = 2, 16 and 64;
 * one 48-point bounded march to the box edge (``evolution._land_position``
   at n = 2, under a shear that keeps the force above 1 all the way), on the
   probe's block method (chunks of 1, 2, 4, 8 and 16 points) and on the same
@@ -24,9 +28,10 @@ Sections:
 * one landing search (``evolution._land_position``) on such a free-space
   probe: the leftmost dislocation of the lowest plane, under a shear set so
   that its force is 1.5 where it stands, toward its right neighbour;
-* one all-rows bounded force (``evolution._forces_at``: one state's sums, one
-  corrector solve and n derivative rows) at n = 2, 16 and 64, on a fresh
-  ``EnergyContext`` each time, which has kept no pass;
+* one all-rows bounded force (``evolution._forces_at``: one state's build,
+  with every atom's derivative row, its sums and one corrector solve) at
+  n = 2, 16 and 64, on a fresh ``EnergyContext`` each time, which has kept no
+  pass;
 * one corrector build (``CorrectorSolver``: stiffness, factorization and the
   resolution check; a tenth of the repeats, at least 3), the tracemalloc
   peak of one build, and one corrector solve (``CorrectorSolver._solve`` of a
@@ -140,6 +145,16 @@ def main():
         x = pts[0, 0] + 1e-3
         t = _median_s(lambda: probe(x), args.repeat)
         _report(f"bounded probe, n = {n}", t, n)
+        live = pts[:n].copy()
+        table, spots = _StepTable(live, 0.5, load, ctx), (live[0, 0], live[0, 0] + 1e-3)
+        table.forces()
+
+        def landing():               # alternate spots: the kept pass never serves it
+            live[0, 0] = spots[1] if live[0, 0] == spots[0] else spots[0]
+            table.moved(0)
+            return table.forces()
+        t = _median_s(landing, args.repeat)
+        _report(f"bounded landing update, n = {n}", t, n)
     pair = np.array([[0.4, 0.35], [0.6, 0.65]])
     shove = LoadingProgram.uniform_shear(lambda t: 10.0, 1.0, lambda t: 0.0)
     probe = _force_probe(pair, 0, 0.5, shove, ctx)

@@ -38,7 +38,7 @@ def _common_options(fn):
     fn = click.option("--threads", type=int, default=None,
                       help="Worker hint recorded in metadata; execution is "
                            "deterministic regardless.")(fn)
-    fn = click.option("--seed", type=int, default=None,
+    fn = click.option("--seed", type=click.IntRange(min=0), default=None,
                       help="Override the config seed.")(fn)
     fn = click.option("--out", type=click.Path(file_okay=False), default=None,
                       help="Output directory (default: config, then "

@@ -256,7 +256,7 @@ class ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     raw = json.loads(Path(path).read_text())
     top = _take(raw, "", {
-        "experiment": (_REQUIRED, _choice(*EXPERIMENTS)), "seed": (0, _as(int)),
+        "experiment": (_REQUIRED, _choice(*EXPERIMENTS)), "seed": (0, _number(int, 0)),
         "output_dir": (None, _optional(_text)),
         "material": ({}, _table({"lam": (1.0, _as(float)), "mu": (1.0, _as(float))}, Material)),
         "geometry": ({}, _table({

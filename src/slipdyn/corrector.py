@@ -17,13 +17,13 @@ are (d + 1) x (d + 1) products of 1-D Legendre values and derivatives at the
 gauge ball's points: no tensor basis is formed for either.  The boundary
 integral runs on the Gauss grid of the interaction route
 (``interaction._boundary_grid``), fixed at construction, so no solve depends on
-an earlier one.  Its weighted tractions are columns of the closed-form boundary
-rows, summed alone in ``linear_form`` (``interaction._row_sum``) or taken from
-the interaction's pass (``solve_traction``); the forces contract the
-displacement on the grid (``boundary_displacement``) with the sources'
-y_1-derivative tractions.  At
-construction the grid must resolve the tractions of the admitted sources
-closest to the boundary to ``quadrature.tol``; otherwise it raises.
+an earlier one.  Its weighted tractions are columns of the sources' summed
+closed-form boundary rows (``interaction._boundary_sums``), summed in
+``linear_form`` or taken from the interaction's pass (``solve_traction``); the
+forces contract the displacement on the grid (``boundary_displacement``) with
+the sources' y_1-derivative tractions.  At construction the grid must
+resolve the tractions of the admitted sources closest to the boundary to
+``quadrature.tol``; otherwise it raises.
 """
 from __future__ import annotations
 
@@ -37,8 +37,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import lu_factor, lu_solve
 
 from .geometry import Geometry, Rect
-from .interaction import (QuadratureConfig, _boundary_grid, _boundary_rows, _grid_arrays,
-                          _row_sum)
+from .interaction import (QuadratureConfig, _boundary_data, _boundary_grid, _boundary_sums,
+                          _grid_arrays)
 from .kernels import Material, K_many  # noqa: F401  (perfbench/tracing.py patches K_many here)
 from .measures import CellMeasure, DiscreteMeasure, DislocationConfig
 
@@ -185,8 +185,8 @@ class CorrectorSolver:
                             np.tile(grid["gauss_w"] / 2, 2), np.tile(grid["gauss_nu"], (2, 1)))
         fine_vals = self._scalar_basis(fine["gauss_pts"])
         corners = Rect(o.x0 + ell, o.y0 + ell, o.x1 - ell, o.y1 - ell).corners()
-        for row, row2 in zip(_boundary_rows(grid, corners, self.mat),
-                             _boundary_rows(fine, corners, self.mat)):
+        for row, row2 in zip(_boundary_data(grid, corners, self.mat)[:, 0],
+                             _boundary_data(fine, corners, self.mat)[:, 0]):
             b = (self._vals.T @ row[:, :2]).T.ravel()
             b2 = (fine_vals.T @ row2[:, :2]).T.ravel()
             if np.max(np.abs(b2 - b)) > self.q.tol * max(1.0, np.max(np.abs(b2))):
@@ -202,13 +202,12 @@ class CorrectorSolver:
 
     def linear_form(self, measure) -> np.ndarray:
         """Boundary work of the measure's traction against the basis: the
-        first two columns of its summed boundary row (``_row_sum``, the rows
-        of ``_boundary_sums`` without the columns) on the Gauss grid of the
-        interaction route, checked at construction.
+        first two columns of its summed boundary row (``_boundary_sums``) on
+        the Gauss grid of the interaction route, checked at construction.
         """
         atoms, weights = as_weighted_atoms(measure, self.q)
         self._check_margin(atoms)
-        traction = _row_sum(self._grid, atoms, weights, self.mat)[:, :2]
+        traction = _boundary_sums(self._grid, atoms, weights, self.mat)[0][0][:, :2]
         return (self._vals.T @ traction).T.ravel()
 
     def solve(self, measure) -> CorrectorSolution:

@@ -21,9 +21,8 @@ from .corrector import CorrectorSolution, RitzBasis, get_solver
 from .geometry import Geometry
 # interaction_cross_matrix stays bound here: perfbench/tracing.py patches it
 from .interaction import (BLOCK, QuadratureConfig, interaction_cross_matrix,  # noqa: F401
-                          _atom_energy, _boundary_data, _boundary_grid, _boundary_rows,
-                          _continuum_energy, _singular_sums, _stacked, _stress_potential_dy1,
-                          interaction_of_points)
+                          _atom_energy, _boundary_data, _boundary_grid, _continuum_energy,
+                          _singular_sums, _stress_potential_dy1, interaction_of_points)
 from .kernels import Material
 from .measures import CellMeasure, DiscreteMeasure, DislocationConfig
 from .transport import slip_distance
@@ -106,7 +105,8 @@ class SolverConfig:
     mode: str = "freespace"
 
     def __post_init__(self):
-        if not self.sweep_tol > 0 or self.max_sweeps < 1 or self.line_grid < 4:
+        if (not self.sweep_tol > 0 or self.max_sweeps < 1 or self.restarts < 0
+                or self.line_grid < 4):
             raise ValueError("invalid solver configuration")
         if self.mode not in ("freespace", "bounded"):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -242,30 +242,38 @@ class EnergyContext:
 
 
 class _BoundaryState:
-    """Each equal-weight atom's weighted boundary row and column at the live
-    points ``pts``, evaluated once (``_boundary_data``); ``moved(i)``
-    re-evaluates atom i after it has moved.
+    """Each equal-weight atom's weighted boundary row and column and its
+    derivative row at the live points ``pts``, evaluated once per placement
+    (``_boundary_data`` with ``dy1``); ``moved(i)`` re-evaluates atom i after
+    it has moved.
 
-    ``atoms[0]`` is zero and ``atoms[j + 1]`` = w [a_j, b_j], w = 1/n.  numpy
+    ``atoms[0]`` is zero and ``atoms[j + 1]`` = w [a_j, b_j], w = 1/n; numpy
     adds along a slow axis in order, so ``np.add.reduce(atoms, axis=0)`` is the
-    sum from zero in atom order: the bits of ``_boundary_sums``.  With the
-    summed rows A and columns B, atom i's derivative row d_i and the
-    displacement u of the corrector solve from the traction A[:, :2], the
-    interaction part of its force is -d_i . (B - w b_i) - w sum_{j != i}
-    s(z_i - z_j), s = -d_1 psi, and the corrector part -d_i[:, :2] . u.
+    sum from zero in atom order: the bits of ``_boundary_sums``.  ``derivs[j]``
+    is atom j's derivative row d_j, unweighted.  With the summed rows A and
+    columns B and the displacement u of the corrector solve from the traction
+    A[:, :2], the interaction part of atom i's force is -d_i . (B - w b_i)
+    - w sum_{j != i} s(z_i - z_j), s = -d_1 psi, and the corrector part
+    -d_i[:, :2] . u.
     """
 
     def __init__(self, ctx: EnergyContext, pts: np.ndarray):
         self.ctx, self.pts, self.w = ctx, pts, 1.0 / len(pts)
         self.grid = _boundary_grid(ctx.geom.omega, ctx.quad.boundary_points)
         self.solver = get_solver(ctx.geom, ctx.mat, ctx.basis, ctx.quad)
-        self.atoms = np.zeros((len(pts) + 1, 2, len(self.grid["gauss_w"]), 3))
+        ng = len(self.grid["gauss_w"])
+        self.atoms = np.zeros((len(pts) + 1, 2, ng, 3))
+        self.derivs = np.empty((len(pts), ng, 3))
         for s in range(0, len(pts), BLOCK):
-            np.multiply(self.w, _boundary_data(self.grid, pts[s:s + BLOCK], ctx.mat),
-                        out=self.atoms[s + 1:s + 1 + BLOCK])
+            self._put(s, _boundary_data(self.grid, pts[s:s + BLOCK], ctx.mat, dy1=True))
+
+    def _put(self, s, data):
+        """Keep the data of the atoms from s on, copied out of ``data``."""
+        np.multiply(self.w, data[:, :2], out=self.atoms[s + 1:s + 1 + len(data)])
+        self.derivs[s:s + len(data)] = data[:, 2]
 
     def moved(self, i: int):
-        self.atoms[i + 1] = self.w * _boundary_data(self.grid, self.pts[i], self.ctx.mat)[0]
+        self._put(i, _boundary_data(self.grid, self.pts[i], self.ctx.mat, dy1=True))
 
     def _row(self, d, singular, total, own, u):
         return -np.vdot(d, total[1] - own[1]) - self.w * singular, -np.vdot(d[:, :2], u)
@@ -277,10 +285,9 @@ class _BoundaryState:
         kept.sums = total, [np.vdot(a, b) for a, b in self.atoms[1:]]
         kept.solution = self.solver.solve_traction(total[0][:, :2], pts)
         u = self.solver.boundary_displacement(kept.solution)
-        d_rows = _stacked(_boundary_rows, self.grid, pts[rows], self.ctx.mat, dy1=True)
         singular = _singular_sums(_stress_potential_dy1, pts, rows, self.ctx.mat)
-        parts = [self._row(d, s, total, self.atoms[i + 1], u)
-                 for i, d, s in zip(rows, d_rows, singular)]
+        parts = [self._row(self.derivs[i], s, total, self.atoms[i + 1], u)
+                 for i, s in zip(rows, singular)]
         return np.array([p[0] for p in parts]), np.array([p[1] for p in parts])
 
     def probe(self, i: int):

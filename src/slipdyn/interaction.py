@@ -13,19 +13,17 @@ Two evaluation routes are implemented:
 * a boundary reduction: the first row of the stress C K(.; y) is the rotated
   gradient of a single-valued stress potential psi_y, and Green's identity
   turns V into -psi_y(z) plus the boundary row of y dotted with the boundary
-  column of z, with no branch cut.  Rows (the closed-form stress traction and
-  psi, or their y_1-derivatives) and columns (the displacement v and d_nu log)
-  are evaluated for blocks of ``BLOCK`` sources at once, the only evaluation
-  of a source's boundary data: ``_boundary_rows`` and ``_boundary_columns``
-  alone, or ``_boundary_data`` for both (and the derivative rows) from one
+  column of z, with no branch cut.  ``_boundary_data`` is the only
+  evaluation of a source's boundary data: its row (the closed-form stress
+  traction and psi), its column (the displacement v and d_nu log) and, when
+  asked, its derivative row, for blocks of ``BLOCK`` sources from one
   computation of the offsets, 1/r^2 and log r^2, in place in one workspace
-  per block (``_Offsets``).  Pair matrices
-  (``interaction_cross_matrix``), energies (weighted rows and columns summed
-  first, ``_boundary_sums``), the corrector (the summed rows' traction,
-  ``_row_sum`` when it sums them alone) and the forces all read them; the
-  forces keep each atom's weighted row and column for the sweep
-  (``evolution._BoundaryState``), so a probe evaluates only the dislocation
-  it moves.
+  per block (``_Offsets``).  Pair matrices (``interaction_cross_matrix``),
+  energies and the corrector's linear form (weighted rows and columns summed
+  first, ``_boundary_sums``) and the forces all read it; the forces keep each
+  atom's weighted row and column and its derivative row for the sweep
+  (``evolution._BoundaryState``), so a probe or a landing evaluates only the
+  dislocation it moves.
 
 ``v_pair`` shares no code with the boundary reduction and is kept as the
 independent oracle; agreement of the two routes is enforced in the tests.
@@ -322,20 +320,19 @@ def _stress_potential_dy1(u, mat: Material) -> np.ndarray:
     return mat.log_coef * u[..., 0] * (u[..., 1] ** 2 - u[..., 0] ** 2) / (r2 * r2)
 
 
-#: sources per call of the boundary functions: bounds their (m, ng) temporaries
+#: sources per block of the blocked evaluations: bounds their (m, ng) temporaries
 BLOCK = 16
 
 
 class _Offsets:
     """Offsets u = x - z of the grid points from sources zs, (m, 2), and what
     the closed forms read of them, each (m, ng), in one workspace: u_1, u_2,
-    s_i = u_i^2, q = 1 / |u|^2, log |u|^2 (only with ``log``), a_i = s_i q
-    and c q, c = ``mat.log_coef``; and ``tmp``, six scratch planes.  Each is
-    made by the plain expression's operations in its order, with ``out=``; a
-    source on the grid raises."""
+    s_i = u_i^2, q = 1 / |u|^2, log |u|^2, a_i = s_i q and c q,
+    c = ``mat.log_coef``; and ``tmp``, six scratch planes.  Each is made by
+    the plain expression's operations in its order, with ``out=``; a source
+    on the grid raises."""
 
-    def __init__(self, grid, zs, mat: Material, log=True):
-        zs = np.asarray(zs, dtype=float).reshape(-1, 2)
+    def __init__(self, grid, zs, mat: Material):
         x = grid["gauss_pts"]
         ws = np.empty((15, len(zs), len(x)))
         (self.u1, self.u2, self.s1, self.s2, self.q, self.log_r2,
@@ -346,8 +343,7 @@ class _Offsets:
         np.multiply(self.u2, self.u2, out=self.s2)
         r2 = np.add(self.s1, self.s2, out=self.q)
         _check_separation(r2)
-        if log:
-            np.log(r2, out=self.log_r2)
+        np.log(r2, out=self.log_r2)
         np.divide(1.0, r2, out=self.q)
         np.multiply(self.s1, self.q, out=self.a1)
         np.multiply(self.s2, self.q, out=self.a2)
@@ -355,8 +351,8 @@ class _Offsets:
 
 
 def _put_rows(out, grid, o: _Offsets, mat: Material, dy1=False):
-    """Write the rows of ``_boundary_rows`` into ``out``, (m, ng, 3), from the
-    ``_Offsets`` o (log |u|^2 is not read with dy1).  The plain
+    """Write the rows of ``_boundary_data`` (with ``dy1`` its derivative rows)
+    into ``out``, (m, ng, 3), from the ``_Offsets`` o.  The plain
     sigma_11 (w nu_1) + sigma_12 (w nu_2) is formed as
     sigma_12 (w nu_2) - (-sigma_11) (w nu_1), the same bits, and so is the
     dy1 rows' second column with -sigma_22."""
@@ -403,8 +399,8 @@ def _put_rows(out, grid, o: _Offsets, mat: Material, dy1=False):
 
 
 def _put_columns(out, grid, o: _Offsets, mat: Material):
-    """Write the columns of ``_boundary_columns`` into ``out``, (m, ng, 3),
-    from the ``_Offsets`` o."""
+    """Write the columns of ``_boundary_data`` into ``out``, (m, ng, 3), from
+    the ``_Offsets`` o."""
     a, b = mat.coef_a, mat.coef_b
     t0, t1 = o.tmp[:2]
     v1 = np.multiply(2.0 * b, o.u1, out=t0)             # 2 b u_1 u_2 q
@@ -419,51 +415,29 @@ def _put_columns(out, grid, o: _Offsets, mat: Material):
     np.multiply(dn, o.q, out=out[..., 2])
 
 
-def _boundary_rows(grid, zs, mat: Material, dy1=False) -> np.ndarray:
-    """Weighted boundary rows w [sigma nu, psi / 2 pi], shape (m, ng, 3), of
-    sources zs, (m, 2), with ``dy1`` their z_1-derivatives -d/du_1.
+def _boundary_data(grid, zs, mat: Material, dy1=False) -> np.ndarray:
+    """Boundary data of sources zs, (m, 2), shape (m, 2, ng, 3): the weighted
+    rows w [sigma nu, psi / 2 pi] as ``[:, 0]`` and the columns
+    [v_z, d_nu log|x - z|] as ``[:, 1]``; with ``dy1``, shape (m, 3, ng, 3),
+    and ``[:, 2]`` the rows' z_1-derivatives -d/du_1.  The only evaluation of
+    boundary data: one ``_Offsets`` per block of ``BLOCK`` sources, whose
+    bits do not depend on the block.
 
     sigma = C K(x; z) is the closed-form edge-dislocation stress (Hirth and
     Lothe), with u = x - z, r = |u| and c = ``mat.log_coef``:
     sigma_11 = -c u_2 (3 u_1^2 + u_2^2) / r^4, sigma_12 = c u_1 (u_1^2 - u_2^2) / r^4
-    and sigma_22 = c u_2 (u_1^2 - u_2^2) / r^4; -d_1 psi = -sigma_12.
+    and sigma_22 = c u_2 (u_1^2 - u_2^2) / r^4; -d_1 psi = -sigma_12.  v is the
+    single-valued displacement (``kernels.displacement_v``).
     """
-    o = _Offsets(grid, zs, mat, log=not dy1)
-    rows = np.empty(o.u1.shape + (3,))
-    _put_rows(rows, grid, o, mat, dy1)
-    return rows
-
-
-def _boundary_columns(grid, zs, mat: Material) -> np.ndarray:
-    """Boundary columns [v_z, d_nu log|x - z|], shape (m, ng, 3), of sources zs,
-    (m, 2): the single-valued displacement v (``kernels.displacement_v``) and
-    the normal derivative of the log."""
-    o = _Offsets(grid, zs, mat)
-    cols = np.empty(o.u1.shape + (3,))
-    _put_columns(cols, grid, o, mat)
-    return cols
-
-
-def _boundary_data(grid, zs, mat: Material, dy1=False) -> np.ndarray:
-    """Rows and columns of sources zs, (m, 2), shape (m, 2, ng, 3), from one
-    ``_Offsets``: ``[:, 0]`` is ``_boundary_rows`` and ``[:, 1]``
-    ``_boundary_columns``, bit for bit; with ``dy1``, shape (m, 3, ng, 3), and
-    ``[:, 2]`` the derivative rows."""
-    o = _Offsets(grid, zs, mat)
-    data = np.empty((len(o.u1), 2 + dy1) + o.u1.shape[1:] + (3,))
-    _put_rows(data[:, 0], grid, o, mat)
-    _put_columns(data[:, 1], grid, o, mat)
-    if dy1:
-        _put_rows(data[:, 2], grid, o, mat, dy1=True)
-    return data
-
-
-def _stacked(boundary, grid, zs, mat: Material, **kw) -> np.ndarray:
-    """``boundary(grid, block, mat, **kw)`` over zs in blocks of ``BLOCK``, stacked."""
-    out = np.empty((len(zs), len(grid["gauss_w"]), 3))
+    zs = np.asarray(zs, dtype=float).reshape(-1, 2)
+    data = np.empty((len(zs), 2 + dy1, len(grid["gauss_w"]), 3))
     for s in range(0, len(zs), BLOCK):
-        out[s:s + BLOCK] = boundary(grid, zs[s:s + BLOCK], mat, **kw)
-    return out
+        o, block = _Offsets(grid, zs[s:s + BLOCK], mat), data[s:s + BLOCK]
+        _put_rows(block[:, 0], grid, o, mat)
+        _put_columns(block[:, 1], grid, o, mat)
+        if dy1:
+            _put_rows(block[:, 2], grid, o, mat, dy1=True)
+    return data
 
 
 def interaction_cross_matrix(ys, zs, geom: Geometry, mat: Material,
@@ -483,8 +457,8 @@ def interaction_cross_matrix(ys, zs, geom: Geometry, mat: Material,
     ys = np.asarray(ys, dtype=float).reshape(-1, 2)
     zs = np.asarray(zs, dtype=float).reshape(-1, 2)
     grid = _boundary_grid(geom.omega, q.boundary_points)
-    A = _stacked(_boundary_rows, grid, ys, mat).reshape(len(ys), -1)
-    M = A @ _stacked(_boundary_columns, grid, zs, mat).reshape(len(zs), -1).T
+    A = _boundary_data(grid, ys, mat)[:, 0].reshape(len(ys), -1)
+    M = A @ _boundary_data(grid, zs, mat)[:, 1].reshape(len(zs), -1).T
     for i, yi in enumerate(ys):
         u = zs - yi
         coincident = np.hypot(u[:, 0], u[:, 1]) < MIN_SEPARATION
@@ -516,18 +490,6 @@ def _boundary_sums(grid, pts, weights, mat: Material):
             total += ab
             selfs.append(np.vdot(ab[0], ab[1]))
     return total, selfs
-
-
-def _row_sum(grid, pts, weights, mat: Material) -> np.ndarray:
-    """A alone, (ng, 3): the first three columns of ``_boundary_sums`` bit for
-    bit, added in the same order, with no column evaluated."""
-    A = np.zeros((len(grid["gauss_w"]), 3))
-    for s in range(0, len(pts), BLOCK):
-        rows = _boundary_rows(grid, pts[s:s + BLOCK], mat)
-        rows *= np.asarray(weights[s:s + BLOCK], dtype=float)[:, None, None]
-        for a in rows:
-            A += a
-    return A
 
 
 def _singular_sums(kernel, pts, rows, mat: Material) -> np.ndarray:

@@ -4,12 +4,14 @@
 coordinate, the field behind the y_1-derivative boundary rows; the tests
 check it against finite differences of K and assemble the kernel route of
 those rows from it.  ``dy1_matrix`` is the pair matrix of dV/dy_1 that the
-bounded forces once summed by rows.  ``tensor_basis`` and
+bounded forces once summed by rows, from slices of ``boundary_data_plain``.
+``tensor_basis`` and
 ``gauge_rows`` are the 2-D route of the corrector's gauge constraints: every
 tensor Legendre product and both its gradients at every gauge-ball point.
 ``boundary_data_plain`` evaluates the boundary route's closed forms as plain
-numpy expressions, one new array per operation; ``interaction._Offsets`` and
-its ``_put_rows`` and ``_put_columns`` must give the same bits in place.
+numpy expressions, one new array per operation, for all sources at once;
+``interaction._boundary_data``, in place in blocks (``_Offsets``,
+``_put_rows`` and ``_put_columns``), must give the same bits.
 ``group_by_plane_loop`` is the per-point scan that ``measures.group_by_plane``
 replaced.
 """
@@ -18,8 +20,7 @@ import math
 import numpy as np
 from numpy.polynomial import legendre as leg
 
-from slipdyn.interaction import (_boundary_columns, _boundary_grid, _boundary_rows,
-                                 _stress_potential_dy1)
+from slipdyn.interaction import _boundary_grid, _stress_potential_dy1
 from slipdyn.kernels import MIN_SEPARATION, Material, _as_offsets, _check_separation
 
 
@@ -112,8 +113,8 @@ def dy1_matrix(ys, zs, geom, mat: Material, quad) -> np.ndarray:
     boundary rows of the y_i against the boundary columns of the z_j, minus
     d_1 psi(y_i - z_j)."""
     grid = _boundary_grid(geom.omega, quad.boundary_points)
-    rows = _boundary_rows(grid, ys, mat, dy1=True).reshape(len(ys), -1)
-    cols = _boundary_columns(grid, zs, mat).reshape(len(zs), -1)
+    rows = boundary_data_plain(grid, ys, mat, dy1=True)[:, 2].reshape(len(ys), -1)
+    cols = boundary_data_plain(grid, zs, mat)[:, 1].reshape(len(zs), -1)
     d = ys[:, None, :] - zs[None, :, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         M = _stress_potential_dy1(d, mat) + rows @ cols.T

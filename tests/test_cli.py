@@ -168,6 +168,17 @@ def test_simulate_determinism(tmp_path):
     assert (a / "metadata.json").read_bytes() == (b / "metadata.json").read_bytes()
 
 
+def test_negative_seed_option_rejected(tmp_path):
+    # numpy's generators take no negative seed: the option is a usage error
+    # (exit 2) before any output directory is made
+    out = tmp_path / "out"
+    res = CliRunner().invoke(main, ["simulate", str(CONFIG_DIR / "zero_load.json"),
+                                    "--out", str(out), "--seed", "-1"])
+    assert res.exit_code == 2, res.output
+    assert "--seed" in res.output
+    assert not out.exists()
+
+
 def test_simulate_zero_load_trace(tmp_path):
     import csv
     runner = CliRunner()
@@ -232,7 +243,8 @@ def test_module_error_exits_nonzero(tmp_path):
     ("material", "lam", math.nan), ("material", "lam", math.inf),
     ("material", "mu", math.inf), ("schedule", "eps_coef", math.nan),
     ("schedule", "r_coef", math.nan), ("loading", "time_horizon", math.nan),
-    ("loading", "time_horizon", math.inf), ("loading", "time_horizon", 0.0)])
+    ("loading", "time_horizon", math.inf), ("loading", "time_horizon", 0.0),
+    ("solver", "restarts", -1)])
 def test_nan_and_out_of_range_values_rejected(tmp_path, section, key, value):
     # JSON NaN and Infinity parse, and NaN passes any check written as
     # `x <= 0`; a NaN tolerance would switch off the check it sets, a NaN or
@@ -360,12 +372,12 @@ def _rejected_naming(tmp_path, payload, key):
 @pytest.mark.parametrize("path, value", [
     ("material.lam", "0.5"), ("material.lam", "abc"), ("material.mu", True),
     ("solver.max_sweeps", 2.7), ("quadrature.boundary_points", True),
-    ("basis.degree", "8"), ("seed", 1.5), ("seed", True),
+    ("basis.degree", "8"), ("seed", 1.5), ("seed", True), ("seed", -1),
     ("geometry.box", [0.2, 0.2, "0.8", 0.8]), ("geometry.box", [0.8, 0.2, 0.2, 0.8]),
     ("loading.sigma", {"kind": "ramp", "rate": "1"}),
 ], ids=["lam-numeric-string", "lam-string", "mu-bool", "max_sweeps-fraction",
         "boundary_points-bool", "degree-string", "seed-fraction", "seed-bool",
-        "box-string-entry", "box-degenerate", "sigma-rate-string"])
+        "seed-negative", "box-string-entry", "box-degenerate", "sigma-rate-string"])
 def test_strings_booleans_and_fractions_rejected(tmp_path, path, value):
     # a numeric string or a boolean used to be read as a number, a fractional
     # int was truncated, and a value the cast rejected exited 2 with a message

@@ -207,11 +207,9 @@ def test_solve_independent_of_earlier_solves(geom, mat, quad, basis, monkeypatch
 
 
 @pytest.mark.parametrize("kind", ["atoms", "density"])
-def test_linear_form_sums_rows_only(kind, geom, mat, quad, basis, monkeypatch):
-    # the linear form sums the boundary rows alone: bit for bit Vals^T times the
-    # traction columns of the rows-and-columns pass, with no column evaluated
-    import slipdyn.corrector as corrector
-    import slipdyn.interaction as interaction
+def test_linear_form_sums_rows_only(kind, geom, mat, quad, basis):
+    # the linear form is bit for bit Vals^T times the traction columns of the
+    # rows-and-columns pass
     from slipdyn.corrector import as_weighted_atoms
     solver = get_solver(geom, mat, basis, quad)
     rng = np.random.default_rng(19)
@@ -225,13 +223,6 @@ def test_linear_form_sums_rows_only(kind, geom, mat, quad, basis, monkeypatch):
     atoms, weights = as_weighted_atoms(measure, quad)
     A = _boundary_sums(solver._grid, atoms, weights, mat)[0][0]
     want = (solver._vals.T @ A[:, :2]).T.ravel()
-
-    def no_columns(*args, **kwargs):
-        raise AssertionError("the linear form evaluated a boundary column")
-
-    for name in ("_boundary_columns", "_boundary_data"):
-        for mod in (interaction, corrector):
-            monkeypatch.setattr(mod, name, no_columns, raising=False)
     assert np.array_equal(solver.linear_form(measure), want)
 
 
@@ -311,8 +302,8 @@ def test_renormalized_energy_of_a_density(geom, mat, quad, basis):
 
 def test_one_boundary_row_per_source(geom, mat, quad, basis, schedule, monkeypatch):
     # one bounded energy of n atoms evaluates each atom's boundary row once,
-    # for the interaction and the corrector together (a row is evaluated by
-    # _boundary_rows, or with its column by _boundary_data)
+    # for the interaction and the corrector together (with its column, by
+    # _boundary_data)
     import slipdyn.corrector as corrector
     import slipdyn.interaction as interaction
     get_solver(geom, mat, basis, quad)            # built before counting
@@ -324,10 +315,9 @@ def test_one_boundary_row_per_source(geom, mat, quad, basis, schedule, monkeypat
             return evaluate(grid, zs, *args, **kwargs)
         return counted
 
-    for name in ("_boundary_rows", "_boundary_data"):
-        counted = counter(getattr(interaction, name))
-        for mod in (interaction, corrector):
-            monkeypatch.setattr(mod, name, counted, raising=False)
+    counted = counter(interaction._boundary_data)
+    for mod in (interaction, corrector):
+        monkeypatch.setattr(mod, "_boundary_data", counted, raising=False)
     pts = np.column_stack([np.linspace(0.3, 0.7, 8), np.repeat([0.4, 0.6], 4)])
     cfg = DislocationConfig(pts, schedule, geom.r_box)
     EnergyContext("bounded", mat, geom, quad, basis).renormalized_energy(cfg)
@@ -335,40 +325,34 @@ def test_one_boundary_row_per_source(geom, mat, quad, basis, schedule, monkeypat
 
 
 def test_one_boundary_pass_per_force(geom, mat, quad, basis, monkeypatch):
-    # an all-rows bounded force evaluates each atom's boundary row once (by
-    # _boundary_rows, or with its column by _boundary_data) and its derivative
-    # row once, for the interaction and the corrector together; a single-row
-    # force, which the context always computes, makes one derivative row
+    # an all-rows bounded force evaluates each atom's boundary row, column
+    # and derivative row once, in one _boundary_data call per block, for the
+    # interaction and the corrector together; so does a single-row force,
+    # which the context always computes afresh
     import slipdyn.corrector as corrector
     import slipdyn.evolution as evolution
     import slipdyn.interaction as interaction
     get_solver(geom, mat, basis, quad)            # built before counting
     seen = {False: [], True: []}
-    rows, data = interaction._boundary_rows, interaction._boundary_data
+    data = interaction._boundary_data
 
     def counted(grid, zs, mat, dy1=False):
         seen[dy1].extend(map(tuple, np.reshape(zs, (-1, 2))))
-        return rows(grid, zs, mat, dy1=dy1)
-
-    def counted_data(grid, zs, mat):
-        seen[False].extend(map(tuple, np.reshape(zs, (-1, 2))))
-        return data(grid, zs, mat)
+        return data(grid, zs, mat, dy1=dy1)
 
     for mod in (interaction, corrector, evolution):
-        monkeypatch.setattr(mod, "_boundary_rows", counted, raising=False)
-        monkeypatch.setattr(mod, "_boundary_data", counted_data, raising=False)
+        monkeypatch.setattr(mod, "_boundary_data", counted, raising=False)
     pts = np.column_stack([np.linspace(0.3, 0.7, 20), np.tile([0.4, 0.6], 10)])
     load = evolution.LoadingProgram.uniform_shear(lambda t: 0.0, 1.0, lambda t: 0.0)
     ctx = EnergyContext("bounded", mat, geom, quad, basis)
     evolution._forces_at(pts, 0.0, load, ctx)
     atoms = sorted(map(tuple, pts))
-    assert sorted(seen[False]) == atoms
+    assert seen[False] == []
     assert sorted(seen[True]) == atoms
-    seen[False].clear()
     seen[True].clear()
     evolution._force_single(pts, 3, 0.0, load, ctx)
-    assert sorted(seen[False]) == atoms
-    assert seen[True] == [tuple(pts[3])]
+    assert seen[False] == []
+    assert sorted(seen[True]) == atoms
 
 
 def test_density_margin_checked_on_the_shared_path(geom, mat, quad, basis):

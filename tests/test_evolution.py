@@ -147,13 +147,13 @@ def _pair_route_forces(pts, ctx):
     displacement of ``CorrectorSolver.solve`` of the equal-weight measure."""
     from oracles import dy1_matrix
     from slipdyn.corrector import get_solver
-    from slipdyn.interaction import _boundary_grid, _boundary_rows
+    from slipdyn.interaction import _boundary_data, _boundary_grid
     from slipdyn.measures import DiscreteMeasure
     grid = _boundary_grid(ctx.geom.omega, ctx.quad.boundary_points)
     solver = get_solver(ctx.geom, ctx.mat, ctx.basis, ctx.quad)
     u = solver.solve(DiscreteMeasure.equal_weights(pts)).coefficients
     disp = solver._vals @ u.reshape(2, -1).T
-    rows = _boundary_rows(grid, pts, ctx.mat, dy1=True)
+    rows = _boundary_data(grid, pts, ctx.mat, dy1=True)[:, 2]
     return (-dy1_matrix(pts, pts, ctx.geom, ctx.mat, ctx.quad).sum(axis=1) / len(pts),
             -np.einsum("iqk,qk->i", rows[:, :, :2], disp))
 
@@ -211,21 +211,20 @@ def test_probe_equals_moved_force_single(mode, fctx, geom, mat, quad, basis):
 
 
 def _count_sources(monkeypatch, modules):
-    """Patch the boundary evaluators (data, rows, columns) seen from
-    ``modules`` to count the sources they are given; returns the counter."""
+    """Patch the boundary evaluator ``_boundary_data`` seen from ``modules``
+    to count the sources it is given; returns the counter, [sources, of
+    which with their derivative rows]."""
     import slipdyn.interaction as interaction
-    sources = [0]
+    sources, evaluate = [0, 0], interaction._boundary_data
 
-    def counter(evaluate):
-        def counted(grid, zs, *args, **kwargs):
-            sources[0] += len(np.reshape(zs, (-1, 2)))
-            return evaluate(grid, zs, *args, **kwargs)
-        return counted
+    def counted(grid, zs, mat, dy1=False):
+        m = len(np.reshape(zs, (-1, 2)))
+        sources[0] += m
+        sources[1] += m if dy1 else 0
+        return evaluate(grid, zs, mat, dy1=dy1)
 
-    for name in ("_boundary_data", "_boundary_rows", "_boundary_columns"):
-        counted = counter(getattr(interaction, name))
-        for mod in modules:
-            monkeypatch.setattr(mod, name, counted, raising=False)
+    for mod in modules:
+        monkeypatch.setattr(mod, "_boundary_data", counted, raising=False)
     return sources
 
 
@@ -266,6 +265,32 @@ def test_bounded_probe_evaluates_one_source(domain, lam, mu, geom, wide_geom, qu
                     trial[i, 0] = x
                     assert _bits(f) == _bits(evolution._force_single(trial, i, 0.3, load, ctx))
     assert per_probe[16] == per_probe[64] == {1}
+
+
+def test_landing_costs_one_evaluation(geom, mat, quad, basis, monkeypatch):
+    # after a landing of dislocation i the step's _StepTable re-evaluates only
+    # i: moved(i) hands one source, with its derivative row, to the boundary
+    # evaluator and the step's next all-rows force none, and that force equals
+    # _forces_at of the moved points on a fresh context bit for bit
+    import slipdyn.interaction as interaction
+    from slipdyn.corrector import get_solver
+    get_solver(geom, mat, basis, quad)            # built before counting
+    sources = _count_sources(monkeypatch, (interaction, evolution))
+    rng = np.random.default_rng(16)
+    pts = np.column_stack([rng.uniform(0.3, 0.7, 16), np.repeat([0.3, 0.45, 0.6, 0.75], 4)])
+    load = ramp_load()
+    ctx = EnergyContext("bounded", mat, geom, quad, basis)
+    table = evolution._StepTable(pts, 0.5, load, ctx)
+    table.forces()
+    for i in (0, 9, 15):
+        pts[i, 0] += 0.004
+        sources[:] = [0, 0]
+        table.moved(i)
+        assert sources == [1, 1]
+        got = table.forces()
+        assert sources == [1, 1]
+        fresh = EnergyContext("bounded", mat, geom, quad, basis)
+        assert np.array_equal(got, evolution._forces_at(pts, 0.5, load, fresh))
 
 
 def test_static_steps_make_no_boundary_pass(geom, mat, quad, basis, small_schedule,
@@ -310,7 +335,7 @@ def test_static_steps_make_no_boundary_pass(geom, mat, quad, basis, small_schedu
             fresh = EnergyContext("bounded", mat, geom, quad, basis)
             sources[0] = 0
             got = driving_force(cfg_moved, 1.0, load, ctx).values
-            assert sources[0] == 2 + 2               # rows and columns, derivative rows
+            assert sources[0] == 2                   # rows, columns and derivative rows
             assert np.array_equal(got, driving_force(cfg_moved, 1.0, load, fresh).values)
             assert _bits(ctx.renormalized_energy(cfg_moved)) == _bits(
                 fresh.renormalized_energy(cfg_moved))

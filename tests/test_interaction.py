@@ -587,7 +587,7 @@ def test_continuum_matches_node_pair_assembly(case, domain, lam, mu, geom, quad)
 def _kernel_route_boundary_data(grid, z, mat):
     """Row, y_1-derivative row and column of one source assembled from the
     general-purpose kernels (strain, its z_1-derivative, C and v): the oracle
-    of the closed-form ``_boundary_rows`` and ``_boundary_columns``."""
+    of the closed-form ``_boundary_data``."""
     from slipdyn.interaction import _stress_potential, _stress_potential_dy1
     from slipdyn.kernels import displacement_v
     x, nu, w = grid["gauss_pts"], grid["gauss_nu"], grid["gauss_w"][:, None]
@@ -606,8 +606,7 @@ def _kernel_route_boundary_data(grid, z, mat):
 @pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (0.7, 1.3)])
 @pytest.mark.parametrize("domain", ["square", "wide"])
 def test_closed_form_boundary_data_matches_kernel_route(domain, lam, mu, geom, quad):
-    from slipdyn.interaction import (BLOCK, _boundary_columns, _boundary_grid,
-                                     _boundary_rows)
+    from slipdyn.interaction import BLOCK, _boundary_data, _boundary_grid
     if domain == "wide":
         geom = _two_to_one()[0]
     mat = Material(lam, mu)
@@ -618,37 +617,36 @@ def test_closed_form_boundary_data_matches_kernel_route(domain, lam, mu, geom, q
                                 rng.uniform(o.y0 + ell, o.y1 - ell, BLOCK - 4)])
     corners = Rect(o.x0 + ell, o.y0 + ell, o.x1 - ell, o.y1 - ell).corners()
     zs = np.concatenate([interior, corners])
-    got = (_boundary_rows(grid, zs, mat), _boundary_rows(grid, zs, mat, dy1=True),
-           _boundary_columns(grid, zs, mat))
+
+    def data(block):
+        rows, cols, d_rows = _boundary_data(grid, block, mat, dy1=True).swapaxes(0, 1)
+        return rows, d_rows, cols
+
+    got = data(zs)
     want = [np.stack(parts) for parts in
             zip(*(_kernel_route_boundary_data(grid, z, mat) for z in zs))]
     for g, r in zip(got, want):
         assert np.max(np.abs(g - r)) <= 1e-14 * np.max(np.abs(r))
     # a source's data do not depend on the block it is evaluated in: alone and
     # at every position of a block of BLOCK sources they are bit-identical
-    def data(block):
-        return (_boundary_rows(grid, block, mat), _boundary_rows(grid, block, mat, dy1=True),
-                _boundary_columns(grid, block, mat))
-
     for k, z in enumerate(zs):
         for full, alone in zip(got, data(z)):
             assert np.array_equal(full[k], alone[0])
     for shift in range(1, BLOCK):
         for full, rolled in zip(got, data(np.roll(zs, shift, axis=0))):
             assert np.array_equal(np.roll(rolled, -shift, axis=0), full)
-    for boundary in (_boundary_rows, _boundary_columns):
-        with pytest.raises(ValueError, match="dislocation core"):
-            boundary(grid, np.vstack([zs[:3], grid["gauss_pts"][7]]), mat)
+    with pytest.raises(ValueError, match="dislocation core"):
+        _boundary_data(grid, np.vstack([zs[:3], grid["gauss_pts"][7]]), mat)
 
 
-@pytest.mark.parametrize("m", [1, 5, 16])
+@pytest.mark.parametrize("m", [1, 5, 16, 17, 40])
 def test_boundary_data_in_place_matches_plain(m, geom):
-    # the in-place closed forms (one _Offsets workspace, out= arithmetic, the
-    # grid's contiguous constants) give the plain expressions' bits: data,
-    # rows, derivative rows and columns, with a source within 1e-6 of a grid
-    # point, on the unit square and the 2:1 rectangle, for both materials
-    from slipdyn.interaction import (_boundary_columns, _boundary_data, _boundary_grid,
-                                     _boundary_rows)
+    # the in-place closed forms (one _Offsets workspace per block of BLOCK
+    # sources, out= arithmetic, the grid's contiguous constants) give the
+    # plain expressions' bits: rows, columns and derivative rows, in one
+    # block or several, with a source within 1e-6 of a grid point, on the
+    # unit square and the 2:1 rectangle, for both materials
+    from slipdyn.interaction import _boundary_data, _boundary_grid
     rng = np.random.default_rng(m)
     for g, mat in [(geom, Material(1.0, 1.0)), _two_to_one()]:
         for material in (mat, Material(0.7, 1.3)):
@@ -659,6 +657,3 @@ def test_boundary_data_in_place_matches_plain(m, geom):
             for dy1 in (False, True):
                 plain = boundary_data_plain(grid, zs, material, dy1=dy1)
                 assert _boundary_data(grid, zs, material, dy1=dy1).tobytes() == plain.tobytes()
-                assert _boundary_rows(grid, zs, material, dy1=dy1).tobytes() == \
-                    plain[:, 2 if dy1 else 0].tobytes()
-            assert _boundary_columns(grid, zs, material).tobytes() == plain[:, 1].tobytes()
