@@ -28,6 +28,12 @@ Sections:
 * one landing search (``evolution._land_position``) on such a free-space
   probe: the leftmost dislocation of the lowest plane, under a shear set so
   that its force is 1.5 where it stands, toward its right neighbour;
+* one bounded sweep step: the first moving ``evolution.incremental_step`` of
+  the 16-dislocation ramp of ROADMAP item 2 (4 planes from y = 0.35 to 0.65,
+  4 lattice abscissae from 0.4 to 0.6 each, sigma = t, the step to t = 0.8,
+  ``sweep_tol`` 1e-6) on a fresh ``EnergyContext`` each time (a tenth of the
+  repeats, at least 3), printed with its landings (``_StepTable.moved``
+  calls) and placements (all-rows vectors, ``_BoundaryState.parts`` calls);
 * one all-rows bounded force (``evolution._forces_at``: one state's build,
   with every atom's derivative row, its sums and one corrector solve) at
   n = 2, 16 and 64, on a fresh ``EnergyContext`` each time, which has kept no
@@ -66,14 +72,15 @@ import numpy as np
 
 from slipdyn.config import load_config
 from slipdyn.corrector import CorrectorSolver, RitzBasis, get_solver
+from slipdyn import evolution
 from slipdyn.evolution import (EnergyContext, LoadingProgram, SolverConfig, _BoundaryState,
                                _StepTable, _force_probe, _forces_at, _land_position,
-                               _pair_table)
+                               _pair_table, incremental_step)
 from slipdyn.geometry import Rect, unit_geometry
 from slipdyn import recovery
 from slipdyn.interaction import QuadratureConfig, _boundary_data, _boundary_grid, _boundary_sums
 from slipdyn.kernels import K_offsets, Material
-from slipdyn.measures import DiscreteMeasure
+from slipdyn.measures import DiscreteMeasure, DislocationConfig, ScalingSchedule
 from slipdyn.recovery import (ClassParams, UniformDensity, discretize_grid,
                               grid_approximation, snap_modification)
 from slipdyn.transport import slip_distance
@@ -183,6 +190,31 @@ def main():
         t = _median_s(lambda: _land_position(probe, free[i, 0], f0, 1.0, barrier,
                                              SolverConfig().line_grid), args.repeat)
         _report(f"free-space landing, n = {n}", t, 1)
+    ramp = DislocationConfig(np.column_stack([np.tile(np.linspace(0.4, 0.6, 4), 4),
+                                              np.repeat(np.linspace(0.35, 0.65, 4), 4)]),
+                             ScalingSchedule(), geom.r_box)
+    unit_ramp = LoadingProgram.uniform_shear(lambda t: t, 1.0, lambda t: 1.0)
+    counts, moved, parts = [0, 0], _StepTable.moved, _BoundaryState.parts
+
+    def counted_moved(table, i):
+        counts[0] += 1
+        return moved(table, i)
+
+    def counted_parts(state, rows, kept):
+        counts[1] += 1
+        return parts(state, rows, kept)
+
+    def sweep_step():
+        counts[:] = [0, 0]
+        incremental_step(ramp, 0.8, unit_ramp, SolverConfig(sweep_tol=1e-6, mode="bounded"),
+                         EnergyContext("bounded", mat, geom, quad, basis))
+    evolution._StepTable.moved, evolution._BoundaryState.parts = counted_moved, counted_parts
+    try:
+        t = _median_s(sweep_step, max(3, args.repeat // 10))
+    finally:
+        evolution._StepTable.moved, evolution._BoundaryState.parts = moved, parts
+    _report("bounded sweep step, n = 16", t, 16)
+    print(f"{'  its landings, placements':<34} {counts[0]:12d} {counts[1]:12d}")
     for n in (2, 16, 64):
         t = _median_s(lambda: _forces_at(pts[:n], 0.5, load, EnergyContext(
             "bounded", mat, geom, quad, basis)), args.repeat)

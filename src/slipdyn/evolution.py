@@ -5,10 +5,12 @@ the previous state.  The solver operates in the per-dislocation scaling where
 the yield threshold equals one: a dislocation moves only when the magnitude of
 its configurational force exceeds 1, and it lands where the force magnitude
 falls back to 1, at a neighbor separation barrier, or at the confinement box
-edge.  Cyclic per-plane sweeps repeat until one moves nothing, and the step
-fails unless the stability residual is then within the solver tolerance;
-optional multi-start perturbations probe for deeper minima and warn when they
-find one.
+edge.  Cyclic per-plane sweeps repeat until one moves nothing, checking every
+dislocation against one all-rows force vector per placement, and the step
+fails unless the stability residual (the largest mean force excess of a group
+that can move together, one-sided at the box edges and at neighbours in
+contact) is then within the solver tolerance; optional multi-start
+perturbations probe for deeper minima and warn when they find one.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from .interaction import (BLOCK, QuadratureConfig, interaction_cross_matrix,  # 
                           _atom_energy, _boundary_data, _boundary_grid, _continuum_energy,
                           _singular_sums, _stress_potential_dy1, interaction_of_points)
 from .kernels import Material
-from .measures import CellMeasure, DiscreteMeasure, DislocationConfig
+from .measures import CellMeasure, DiscreteMeasure, DislocationConfig, left_to_right
 from .transport import slip_distance
 
 __all__ = ["LoadingProgram", "SolverConfig", "EnergyContext", "ForceRecord",
@@ -105,9 +107,12 @@ class SolverConfig:
     mode: str = "freespace"
 
     def __post_init__(self):
-        if (not self.sweep_tol > 0 or self.max_sweeps < 1 or self.restarts < 0
-                or self.line_grid < 4):
-            raise ValueError("invalid solver configuration")
+        for key, bound, ok in (("sweep_tol", "> 0", self.sweep_tol > 0),   # NaN fails too
+                               ("max_sweeps", ">= 1", self.max_sweeps >= 1),
+                               ("restarts", ">= 0", self.restarts >= 0),
+                               ("line_grid", ">= 4", self.line_grid >= 4)):
+            if not ok:
+                raise ValueError(f"{key} must be {bound}, got {getattr(self, key)!r}")
         if self.mode not in ("freespace", "bounded"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -131,9 +136,10 @@ class EnergyContext:
 
     It keeps the ``_Pass`` of the last points it evaluated, keyed by the
     points' exact bytes and by its own fields, so all-rows forces and
-    energies asked again at unchanged points (a static step's start check,
-    ``driving_force``, ``renormalized_energy``) make no boundary pass.  The
-    pass holds no per-atom arrays.
+    energies asked again at unchanged points (a step's start check,
+    ``driving_force``, ``renormalized_energy``) make no boundary pass; a
+    sweep hands it the pass of the points it ends at.  The pass holds no
+    per-atom arrays.
     """
 
     mode: str
@@ -149,13 +155,13 @@ class EnergyContext:
         if self.mode == "bounded" and (self.geom is None or self.basis is None):
             raise ValueError("bounded mode requires geometry and basis")
 
-    def _pass_at(self, pts: np.ndarray) -> _Pass:
-        """The kept pass if ``pts`` has its points' bytes, else a new empty one
-        that replaces it."""
+    def _pass_at(self, pts: np.ndarray, new: _Pass | None = None) -> _Pass:
+        """The kept pass if ``pts`` has its points' bytes, else ``new`` (by
+        default a new empty pass), which replaces it."""
         key = (np.ascontiguousarray(pts, dtype=float).tobytes(), self.mode, self.mat,
                self.geom, self.quad, self.basis)
         if self._last[0] != key:
-            self._last = (key, _Pass())
+            self._last = (key, _Pass() if new is None else new)
         return self._last[1]
 
     # -- energies ----------------------------------------------------------
@@ -199,14 +205,12 @@ class EnergyContext:
                 - float(np.mean(load.potential(t, pts))))
 
     # -- per-dislocation horizontal forces ----------------------------------
-    def _force_parts(self, pts: np.ndarray, rows, table=None):
+    def _force_parts(self, pts: np.ndarray, rows):
         """Interaction and corrector parts of -n dE/dz_i1 on the dislocations
         ``rows``; a row's value does not depend on the other rows asked for.
 
         All rows are read from the kept pass when it has them, else computed
-        and kept; fewer rows are always computed, and kept nowhere.  ``table``
-        is the sweep's ``_StepTable`` of ``pts``, given with all rows: its
-        pair table in free space, its ``_BoundaryState`` bounded.  Bounded
+        and kept; fewer rows are always computed, and kept nowhere.  Bounded
         forces come from a ``_BoundaryState`` of the points
         (``_BoundaryState.parts``).
         """
@@ -215,12 +219,10 @@ class EnergyContext:
         kept = self._pass_at(pts) if every else _Pass()
         if kept.forces is None:
             if self.mode != "bounded":
-                pairs = _pair_table(pts, rows) if table is None else table.pairs
-                kept.forces = (_log_forces(pts[rows, :1], pts[:, 0], pairs, self.mat.log_coef),
-                               np.zeros(len(rows)))
+                kept.forces = (_log_forces(pts[rows, :1], pts[:, 0], _pair_table(pts, rows),
+                                           self.mat.log_coef), np.zeros(len(rows)))
             else:
-                state = _BoundaryState(self, pts) if table is None else table.state()
-                kept.forces = state.parts(rows, kept)
+                kept.forces = _BoundaryState(self, pts).parts(rows, kept)
         return kept.forces[0].copy(), kept.forces[1].copy()    # the kept pass stays intact
 
     def interaction_forces(self, pts: np.ndarray) -> np.ndarray:
@@ -355,44 +357,112 @@ def driving_force(cfg: DislocationConfig, t: float, load: LoadingProgram,
     return ForceRecord(values=_forces_at(cfg.points, t, load, ctx))
 
 
-def _edge_clamped(x: np.ndarray, forces: np.ndarray, box) -> np.ndarray:
-    """Forces with the outward part clamped to the threshold at the box edges
-    (left edge first): a pinned dislocation may feel any outward push."""
-    return np.where(x - box.x0 <= EDGE_TOL, np.maximum(forces, -1.0),
-                    np.where(box.x1 - x <= EDGE_TOL, np.minimum(forces, 1.0),
-                             forces))
+def _barriers(x, order, k: int, box, r_n: float):
+    """The two barriers (lower, upper) of the k-th dislocation from the left
+    in its plane's ``order``, at the abscissae x (an array or a list): the
+    box edge on the side where it is the outermost of its plane, else the
+    neighbour's abscissa +- r_n.  A landing stops at them."""
+    return (box.x0 if k == 0 else x[order[k - 1]] + r_n,
+            box.x1 if k == len(order) - 1 else x[order[k + 1]] - r_n)
 
 
-def _residual_from_forces(pts: np.ndarray, forces: np.ndarray, box) -> float:
-    """max_i of the force excess over 1, one-sided at the box edges; a NaN
-    force gives a NaN residual, which fails every ``<= tol`` check."""
-    excess = np.abs(_edge_clamped(pts[:, 0], forces, box)) - 1.0
-    return float(np.max(np.maximum(excess, 0.0), initial=0.0))
+def _all_barriers(x: np.ndarray, orders, box, r_n: float):
+    """``_barriers`` of every dislocation, as the arrays (lower, upper); the
+    rule runs on Python floats, the same doubles at a fraction of the cost."""
+    lower, upper, xs = np.empty(len(x)), np.empty(len(x)), x.tolist()
+    for order in orders:
+        for k, i in enumerate(order):
+            lower[i], upper[i] = _barriers(xs, order, k, box, r_n)
+    return lower, upper
+
+
+def _one_sided(x: np.ndarray, forces: np.ndarray, barriers) -> np.ndarray:
+    """Forces with the part toward a barrier within EDGE_TOL clamped to the
+    threshold (lower barrier first): a dislocation stopped at a box edge or
+    at a plane neighbour may feel any push toward it."""
+    lower, upper = barriers
+    forces = np.where(x - lower <= EDGE_TOL, np.maximum(forces, -1.0), forces)
+    return np.where(upper - x <= EDGE_TOL, np.minimum(forces, 1.0), forces)
+
+
+def _residual_from_forces(x: np.ndarray, forces: np.ndarray, orders, box,
+                          r_n: float) -> float:
+    """The largest force excess over 1, per dislocation, of a group that can
+    move together, over the planes' left-to-right ``orders``.
+
+    A dislocation at its upper barrier (``_barriers``, within EDGE_TOL) to a
+    neighbour is in contact with it; pushed toward it, it takes it along.
+    So each run of contacts can move left by a leading group and right by a
+    trailing one, each counting its summed force toward that side over its
+    size, less 1, but not toward a box edge that the run stands at.  A lone
+    dislocation counts |force| - 1, or only its pull away from the box edge
+    it stands at; a run pinned at a box edge counts only its pulls away from
+    it, and one pressing on a free neighbour the mean push of the two.  A NaN
+    force gives a NaN residual, which fails every ``<= tol`` check.
+    """
+    if np.isnan(forces).any():
+        return float("nan")
+    xs, fs, worst = x.tolist(), forces.tolist(), 0.0
+    for order in orders:
+        run, last = [], len(order) - 1
+        for k, i in enumerate(order):
+            lower, upper = _barriers(xs, order, k, box, r_n)
+            at_upper = upper - xs[i] <= EDGE_TOL
+            if not run:
+                free_left = k > 0 or not xs[i] - lower <= EDGE_TOL
+            run.append(fs[i])
+            if k < last and at_upper:
+                continue                                # in contact with the next
+            if free_left:
+                worst = _leading_excess(worst, [-f for f in run])
+            if k < last or not at_upper:                # free to the right
+                worst = _leading_excess(worst, run[::-1])
+            run = []
+    return worst
+
+
+def _leading_excess(worst: float, pushes) -> float:
+    """The larger of ``worst`` and the largest mean, less 1, of a leading
+    group of ``pushes`` (the forces of a run toward one side, from there)."""
+    total = 0.0
+    for q, f in enumerate(pushes, 1):
+        total += f
+        worst = max(worst, total / q - 1.0)
+    return worst
 
 
 def stability_residual(cfg: DislocationConfig, t: float, load: LoadingProgram,
                        ctx: EnergyContext) -> float:
-    """max_i (|force_i| - 1)_+ with one-sided treatment at the box edges."""
-    forces = _forces_at(cfg.points, t, load, ctx)
-    return _residual_from_forces(cfg.points, forces, cfg.box)
+    """``stability_excess`` of the forces at time t."""
+    return stability_excess(cfg, ForceRecord(_forces_at(cfg.points, t, load, ctx)))
 
 
 def stability_excess(cfg: DislocationConfig, record: ForceRecord) -> float:
-    """Stability residual from an already-computed force record."""
-    return _residual_from_forces(cfg.points, record.values, cfg.box)
+    """Stability residual from an already-computed force record: the largest
+    excess over 1 of a group's mean force, one-sided at the box edges and at
+    plane neighbours in contact (``_residual_from_forces``)."""
+    return _residual_from_forces(cfg.points[:, 0], record.values, cfg.plane_orders(),
+                                 cfg.box, cfg.r_n)
 
 
 class _StepTable:
-    """What one step's sweep reuses at its fixed time t: sigma(t) of a uniform
-    shear (else None) and, as only abscissae move within a step, in free space
-    the ``_pair_table`` of all rows, bounded the points' ``_BoundaryState``,
-    built when first needed.  ``moved(i)`` follows a landing of dislocation i."""
+    """The one force source of a step's sweep at its fixed time t: the live
+    points' all-rows force vector (``forces()``, the bits of ``_forces_at``),
+    computed at most once per placement, from the context's kept pass at the
+    step's start and invalidated by ``moved(i)``, which follows a landing of
+    dislocation i; ``hand_back()`` gives the context the last pass.  In free
+    space the vector is ``_log_forces`` of the step's ``_pair_table`` (only
+    abscissae move within a step), as in ``_force_parts``; bounded,
+    ``_BoundaryState.parts`` of all rows, from the points' ``_BoundaryState``,
+    built when first needed.  Landings probe both (``_force_probe``).
+    ``shear`` is sigma(t) of a uniform shear, else None.
+    """
 
     def __init__(self, pts, t, load, ctx):
         self.pts, self.t, self.load, self.ctx = pts, t, load, ctx
         self.shear = float(load.sigma(t)) if load.kind == "uniform_shear" else None
         self.pairs = None if ctx.mode == "bounded" else _pair_table(pts, range(len(pts)))
-        self._state = None
+        self._state = self._pass = self._forces = None
 
     def state(self) -> _BoundaryState:
         if self._state is None:
@@ -400,19 +470,35 @@ class _StepTable:
         return self._state
 
     def moved(self, i):
+        self._pass, self._forces = _Pass(), None
         if self._state is not None:
             self._state.moved(i)
 
     def forces(self) -> np.ndarray:
-        """``_forces_at`` of the live points, bit for bit, from this table."""
-        inter, corr = self.ctx._force_parts(self.pts, range(len(self.pts)), self)
-        return inter + corr + self.load.horizontal_gradient(self.t, self.pts)
+        """``_forces_at`` of the live points, bit for bit."""
+        if self._forces is None:
+            pts, n = self.pts, len(self.pts)
+            if self._pass is None:                      # the step's start points
+                self._pass = self.ctx._pass_at(pts)
+            kept = self._pass
+            if kept.forces is None and self.ctx.mode == "bounded":
+                kept.forces = self.state().parts(np.arange(n), kept)
+            elif kept.forces is None:
+                kept.forces = (_log_forces(pts[:, :1], pts[:, 0], self.pairs,
+                                           self.ctx.mat.log_coef), np.zeros(n))
+            inter, corr = kept.forces
+            self._forces = inter + corr + self.load.horizontal_gradient(self.t, pts)
+        return self._forces
+
+    def hand_back(self):
+        if self._pass is not None:
+            self.ctx._pass_at(self.pts, self._pass)
 
 
 def _force_probe(pts, i, t, load, ctx, table=None):
     """``x -> _force_single`` of ``pts`` with dislocation i moved to abscissa x.
 
-    The sweep's only single-dislocation force evaluation; every probe equals
+    The sweep builds one for each landing; every probe equals
     ``_force_single`` of the moved configuration bit for bit.  ``table`` is
     the step's ``_StepTable`` of ``pts``, t and load; when None a new one is
     built, at the cost of a whole table (the n x n pair table in free space,
@@ -523,53 +609,47 @@ def _land_position(probe, x0, f0, direction, barrier, line_grid):
     return hi
 
 
-def _sweep_to_stability(pts, t, load, ctx, solver_cfg, box, r_n, planes):
+def _sweep_to_stability(pts, t, load, ctx, solver_cfg, box, r_n, orders):
     """Cyclic per-dislocation relaxation; mutates pts, returns the final residual.
 
-    Each sweep visits the planes in order and each plane's dislocations from
-    left to right.  Until the sweep's first landing the checks read one
-    all-rows force vector (``_StepTable.forces``, the bits of ``_forces_at``),
-    taken at the start (from the context's kept pass when the points are
-    unchanged) and after every sweep that moved something
-    (``test_single_force_equals_all_rows`` pins it to the single-row forces
-    bit for bit); after it each check builds the dislocation's
-    ``_force_probe`` and evaluates it where the dislocation stands, and a
-    landing reuses that probe and the force just checked.  The vectors and
-    all probes of the step read one ``_StepTable``, which follows each
-    landing, so no atom's boundary data is evaluated twice at one place.  The
-    relaxation stops after a sweep that moves nothing, since a repeat would
-    move nothing either, and the residual comes from that sweep's vector.
+    Each sweep visits the planes' left-to-right ``orders`` (``left_to_right``
+    of pts) in turn, and checks each dislocation against its row of the step's
+    ``_StepTable`` vector (the bits of ``_forces_at``, which
+    ``test_single_force_equals_all_rows`` pins to the single-row forces).  A
+    dislocation whose force exceeds the threshold lands toward its barrier
+    on that side (``_barriers``) unless it stands there, on a
+    ``_force_probe`` of the same table built for that landing alone, and the
+    table follows the landing, so no atom's boundary data is evaluated twice
+    at one place.  The relaxation stops after a sweep that moves nothing,
+    since a repeat would move nothing either; the residual
+    (``_residual_from_forces``) comes from the last vector, and the table
+    hands its pass to the context.  A landing stops at a neighbour -+ r_n, so
+    no dislocation passes another on its plane and the orders hold for the
+    whole step.
     """
-    # a landing stops at a neighbour -+ r_n, so no dislocation passes another
-    # on its plane: the left-to-right order taken here holds for the whole step
-    orders = [idx[np.argsort(pts[idx, 0])] for _, idx in planes]
     table = _StepTable(pts, t, load, ctx)
-    forces = table.forces()
     for _ in range(solver_cfg.max_sweeps):
         moved = False
         for ordered in orders:
             for k, i in enumerate(ordered):
-                probe = _force_probe(pts, i, t, load, ctx, table) if moved else None
-                f = probe(pts[i, 0]) if moved else forces[i]
-                direction = 1.0 if f > 0 else -1.0
+                f = table.forces()[i]
                 if abs(f) <= 1.0 + 1e-12:
                     continue
-                if direction > 0:
-                    barrier = box.x1 if k == len(ordered) - 1 else \
-                        pts[ordered[k + 1], 0] - r_n
-                else:
-                    barrier = box.x0 if k == 0 else pts[ordered[k - 1], 0] + r_n
+                direction = 1.0 if f > 0 else -1.0
+                lower, upper = _barriers(pts[:, 0], ordered, k, box, r_n)
+                barrier = upper if direction > 0 else lower
                 if (barrier - pts[i, 0]) * direction <= 1e-15:
                     continue
                 pts[i, 0] = _land_position(
-                    probe or _force_probe(pts, i, t, load, ctx, table), pts[i, 0], f,
+                    _force_probe(pts, i, t, load, ctx, table), pts[i, 0], f,
                     direction, barrier, solver_cfg.line_grid)
                 table.moved(i)
                 moved = True
         if not moved:
             break
-        forces = table.forces()
-    return _residual_from_forces(pts, forces, box)
+    forces = table.forces()
+    table.hand_back()
+    return _residual_from_forces(pts[:, 0], forces, orders, box, r_n)
 
 
 def incremental_step(prev: DislocationConfig, t: float, load: LoadingProgram,
@@ -585,21 +665,20 @@ def incremental_step(prev: DislocationConfig, t: float, load: LoadingProgram,
     prev = prev.canonical_order()
     box = prev.box
     r_n = prev.r_n
-    planes = prev.planes()
 
-    def relax(start_pts):
+    def relax(start_pts, orders):
         pts = start_pts.copy()
-        resid = _sweep_to_stability(pts, t, load, ctx, solver_cfg, box, r_n, planes)
+        resid = _sweep_to_stability(pts, t, load, ctx, solver_cfg, box, r_n, orders)
         return pts, resid
 
-    pts, resid = relax(prev.points)
+    pts, resid = relax(prev.points, prev.plane_orders())
     if not resid <= solver_cfg.sweep_tol:
         raise RuntimeError(
             f"incremental step failed to reach stability (residual {resid:.3e})")
     best = DislocationConfig(pts, prev.schedule, box, prev.plane_tol)
     if solver_cfg.restarts > 0:
         rng = rng or np.random.default_rng(0)
-        prev_measure = prev.measure()
+        prev_measure, planes = prev.measure(), prev.planes()
         best_obj = (ctx.total_with_load(best, t, load)
                     + slip_distance(best.measure(), prev_measure))
         improved = False
@@ -613,7 +692,7 @@ def incremental_step(prev: DislocationConfig, t: float, load: LoadingProgram,
                     xs[k] = max(xs[k], xs[k - 1] + r_n)
                 trial[idx, 0] = np.clip(xs, box.x0, box.x1)
             try:
-                cand_pts, cand_resid = relax(trial)
+                cand_pts, cand_resid = relax(trial, left_to_right(trial, planes))
                 if not cand_resid <= solver_cfg.sweep_tol:
                     continue
                 cand = DislocationConfig(cand_pts, prev.schedule, box,
@@ -709,15 +788,17 @@ def energy_balance_residual(trace: EvolutionTrace, load: LoadingProgram) -> floa
 def flow_rule_steps(trace: EvolutionTrace, motion_tol: float = 1e-9) -> np.ndarray:
     """Per-step complementarity defect: moving dislocations must see unit force.
 
-    Forces are taken at the arrival state; at the box edges the outward force
-    is clamped to the threshold (one-sided convention for pinned dislocations).
+    Forces are taken at the arrival state; at a barrier reached (a box edge
+    or a plane neighbour +- r_n, ``_barriers``) the force toward it is
+    clamped to the threshold (one-sided convention for pinned dislocations).
     """
-    box = trace.configs[0].box
     out = np.zeros(len(trace.times))
     for k in range(1, len(trace.times)):
-        x = trace.configs[k].points[:, 0]
+        config = trace.configs[k]
+        x = config.points[:, 0]
         dx = x - trace.configs[k - 1].points[:, 0]
-        f = _edge_clamped(x, trace.forces[k].values, box)
+        f = _one_sided(x, trace.forces[k].values,
+                       _all_barriers(x, config.plane_orders(), config.box, config.r_n))
         defect = np.abs(f * dx - np.abs(dx))
         out[k] = np.max(defect[np.abs(dx) > motion_tol], initial=0.0)
     return out

@@ -70,6 +70,13 @@ def group_by_plane(points: np.ndarray, tol: float = PLANE_TOL):
     return [(ys[a], order[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
+def left_to_right(points: np.ndarray, planes) -> tuple:
+    """The index arrays of ``planes`` (``group_by_plane``) sorted by the points'
+    first coordinate, as tuples of ints (cheaper to walk and index with)."""
+    x = np.asarray(points)[:, 0].tolist()
+    return tuple(tuple(sorted(idx.tolist(), key=x.__getitem__)) for _, idx in planes)
+
+
 def _plane_starts(ys, tol):
     """Plane starts of the sorted ys, NaNs last: past a plane's first y0 the
     test ys[k] - y0 > tol is false and then true over the non-NaN ys (it
@@ -220,6 +227,16 @@ class DislocationConfig:
 
     def planes(self):
         return group_by_plane(self.points, self.plane_tol)
+
+    def plane_orders(self) -> tuple:
+        """Each slip plane's indices from left to right (``left_to_right``),
+        computed once, as a configuration's points do not change, and shared
+        by every caller."""
+        orders = self.__dict__.get("_orders")
+        if orders is None:
+            orders = left_to_right(self.points, self.planes())
+            object.__setattr__(self, "_orders", orders)
+        return orders
 
     def measure(self) -> DiscreteMeasure:
         return DiscreteMeasure.equal_weights(self.points)

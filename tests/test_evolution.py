@@ -7,12 +7,12 @@ import pytest
 
 import slipdyn.evolution as evolution
 from slipdyn.kernels import Material
-from slipdyn.measures import DislocationConfig, ScalingSchedule
+from slipdyn.measures import DislocationConfig, ScalingSchedule, group_by_plane, left_to_right
 from slipdyn.evolution import (EnergyContext, LoadingProgram, SolverConfig,
                                _force_single, _land_position, driving_force,
                                energy_balance_residual, flow_rule_residual,
                                flow_rule_steps, incremental_step,
-                               run_quasistatic, stability_residual)
+                               run_quasistatic, stability_excess, stability_residual)
 
 
 LINE_GRID = SolverConfig().line_grid
@@ -340,6 +340,15 @@ def test_static_steps_make_no_boundary_pass(geom, mat, quad, basis, small_schedu
             assert _bits(ctx.renormalized_energy(cfg_moved)) == _bits(
                 fresh.renormalized_energy(cfg_moved))
             driving_force(final, 1.0, load, ctx)     # the kept pass is the final points'
+    # a moving step hands the pass of its end points to the context, so their
+    # driving_force and renormalized_energy evaluate nothing
+    ctx = EnergyContext("bounded", mat, geom, quad, basis)
+    new = incremental_step(cfg, 0.5, load, solver_cfg, ctx)
+    assert not np.array_equal(new.points, cfg.points)
+    sources[0] = 0
+    driving_force(new, 0.5, load, ctx)
+    ctx.renormalized_energy(new)
+    assert sources[0] == 0
 
 
 def test_probe_reads_the_live_table(fctx):
@@ -643,12 +652,50 @@ def _checked_sweep(pts, t, load, ctx, solver_cfg, box, r_n, planes):
                     evolution._force_probe(pts, i, t, load, ctx), pts[i, 0], f,
                     direction, barrier, solver_cfg.line_grid)
                 moved = True
-        resid = evolution._residual_from_forces(
-            pts, evolution._forces_at(pts, t, load, ctx), box)
+        resid = _group_residual_oracle(pts, evolution._forces_at(pts, t, load, ctx),
+                                       planes, box, r_n)
         if resid <= solver_cfg.sweep_tol and not moved:
             return resid
-    return evolution._residual_from_forces(
-        pts, evolution._forces_at(pts, t, load, ctx), box)
+    return _group_residual_oracle(pts, evolution._forces_at(pts, t, load, ctx), planes, box, r_n)
+
+
+def _barrier_oracle(pts, planes, box, r_n):
+    """Oracle: each dislocation's (lower, upper) barriers, written out per
+    dislocation from its plane's order, as the oracle sweep takes them."""
+    lower, upper = np.empty(len(pts)), np.empty(len(pts))
+    for _, idx in planes:
+        ordered = idx[np.argsort(pts[idx, 0])]
+        for k, i in enumerate(ordered):
+            lower[i] = box.x0 if k == 0 else pts[ordered[k - 1], 0] + r_n
+            upper[i] = box.x1 if k == len(ordered) - 1 else pts[ordered[k + 1], 0] - r_n
+    return lower, upper
+
+
+def _group_residual_oracle(pts, forces, planes, box, r_n):
+    """Oracle: the stability residual over every group of consecutive
+    dislocations of a plane, each pair of them in contact (at most EDGE_TOL
+    beyond r_n apart): pushed left, the group moves if no contact or box edge
+    holds its first dislocation; pushed right, if none holds its last.  Each
+    such group counts its mean force toward that side less 1."""
+    if np.isnan(forces).any():
+        return math.nan
+    tol, worst = evolution.EDGE_TOL, 0.0
+    for _, idx in planes:
+        ordered = idx[np.argsort(pts[idx, 0], kind="stable")]
+        x, f, m = pts[ordered, 0], forces[ordered], len(ordered)
+        contact = [x[k + 1] - r_n - x[k] <= tol for k in range(m - 1)]
+        for a in range(m):
+            for b in range(a, m):
+                if not all(contact[a:b]):
+                    break
+                mean = np.mean(f[a:b + 1])
+                held_left = x[a] - box.x0 <= tol if a == 0 else contact[a - 1]
+                held_right = box.x1 - x[b] <= tol if b == m - 1 else contact[b]
+                if not held_left:
+                    worst = max(worst, -mean - 1.0)
+                if not held_right:
+                    worst = max(worst, mean - 1.0)
+    return float(worst)
 
 
 def _copy_probe(pts, i, t, load, ctx):
@@ -660,12 +707,17 @@ def _copy_probe(pts, i, t, load, ctx):
     return probe
 
 
-def test_step_matches_checked_sweep(fctx, geom, small_schedule, monkeypatch):
-    # 20 ramps of 16 dislocations on 4 planes past yield: every step lands
-    # every dislocation exactly where the oracle sweep, with its
-    # copy-and-_force_single probes, lands it, with fewer single-dislocation
-    # force evaluations: probe calls plus _force_single calls (free-space
-    # probes make none, and the oracle's uncounted probes one each)
+def test_step_matches_checked_sweep(fctx, geom, mat, quad, basis, small_schedule,
+                                    monkeypatch):
+    # 20 free-space ramps of 16 dislocations on 4 planes past yield and 3
+    # bounded ones of 6 on 2 planes: every step lands every dislocation
+    # exactly where the oracle sweep lands it, on a fresh context, with its
+    # _force_single checks, so the step table's per-placement vectors are
+    # pinned bit for bit.  In free space the oracle probes by copy and
+    # _force_single, and the step makes fewer single-dislocation force
+    # evaluations: probe calls plus _force_single calls (free-space probes
+    # make none, and the oracle's uncounted probes one each); bounded, it
+    # lands on fresh _force_probe probes, equal to _force_single bit for bit
     calls = [0]
     single = evolution._force_single
     build = evolution._force_probe
@@ -680,36 +732,77 @@ def test_step_matches_checked_sweep(fctx, geom, small_schedule, monkeypatch):
         def counted_probe(x):
             calls[0] += 1
             return probe(x)
+        if hasattr(probe, "block"):
+            def block(xs):
+                calls[0] += len(xs)
+                return probe.block(xs)
+            counted_probe.block = block
         return counted_probe
 
     monkeypatch.setattr(evolution, "_force_single", counted)
     monkeypatch.setattr(evolution, "_force_probe", counted_build)
     load = ramp_load()
     solver_cfg = SolverConfig()
-    ys = np.repeat([0.3, 0.4333, 0.5667, 0.7], 4)
-    moves = 0
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        xs = np.tile(np.linspace(0.3, 0.7, 4), 4) + rng.uniform(-0.02, 0.02, 16)
-        cfg = DislocationConfig(np.column_stack([xs, ys]), small_schedule,
-                                geom.r_box)
-        for t in (0.9, 1.15, 1.4):
-            calls[0] = 0
-            new = incremental_step(cfg, t, load, solver_cfg, fctx)
-            fast = calls[0]
-            prev = cfg.canonical_order()
-            pts = prev.points.copy()
-            calls[0] = 0
-            with monkeypatch.context() as m:
-                m.setattr(evolution, "_force_probe", _copy_probe)
-                resid = _checked_sweep(pts, t, load, fctx, solver_cfg, prev.box,
-                                       prev.r_n, prev.planes())
-            assert resid <= solver_cfg.sweep_tol
-            assert np.array_equal(new.points, pts)
-            assert fast < calls[0]
-            moves += not np.array_equal(new.points, prev.points)
-            cfg = new
-    assert moves >= 40
+    bctx = EnergyContext("bounded", mat, geom, quad, basis)
+    cases = [(fctx, [0.3, 0.4333, 0.5667, 0.7], 4, range(20), (0.9, 1.15, 1.4)),
+             (bctx, [0.4, 0.6], 3, range(3), (0.9, 1.15))]
+    for ctx, planes, per_plane, seeds, times in cases:
+        ys = np.repeat(planes, per_plane)
+        moves = 0
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            xs = (np.tile(np.linspace(0.3, 0.7, per_plane), len(planes))
+                  + rng.uniform(-0.02, 0.02, len(ys)))
+            cfg = DislocationConfig(np.column_stack([xs, ys]), small_schedule,
+                                    geom.r_box)
+            for t in times:
+                calls[0] = 0
+                new = incremental_step(cfg, t, load, solver_cfg, ctx)
+                fast = calls[0]
+                prev = cfg.canonical_order()
+                pts = prev.points.copy()
+                fresh = EnergyContext(ctx.mode, mat, ctx.geom, quad, ctx.basis)
+                calls[0] = 0
+                with monkeypatch.context() as m:
+                    m.setattr(evolution, "_force_probe",
+                              _copy_probe if ctx is fctx else build)
+                    resid = _checked_sweep(pts, t, load, fresh, solver_cfg, prev.box,
+                                           prev.r_n, prev.planes())
+                assert resid <= solver_cfg.sweep_tol
+                assert np.array_equal(new.points, pts)
+                assert fast < calls[0] or ctx is bctx
+                moves += not np.array_equal(new.points, prev.points)
+                cfg = new
+        assert moves >= (40 if ctx is fctx else 6)
+
+
+def test_every_probe_lands(fctx, geom, mat, quad, basis, small_schedule, monkeypatch):
+    # the sweep checks against its table's vector and builds a _force_probe
+    # only to land: as many builds as landings, in both modes
+    counts, build, land = [0, 0], evolution._force_probe, evolution._land_position
+
+    def counted_build(*args):
+        counts[0] += 1
+        return build(*args)
+
+    def counted_land(*args):
+        counts[1] += 1
+        return land(*args)
+
+    monkeypatch.setattr(evolution, "_force_probe", counted_build)
+    monkeypatch.setattr(evolution, "_land_position", counted_land)
+    load = ramp_load()
+    ctxs = (fctx, EnergyContext("bounded", mat, geom, quad, basis))
+    for ctx, per_plane in zip(ctxs, (4, 3)):
+        xs = np.tile(np.linspace(0.3, 0.7, per_plane), 2) + np.random.default_rng(5).uniform(
+            -0.02, 0.02, 2 * per_plane)
+        cfg = DislocationConfig(np.column_stack([xs, np.repeat([0.4, 0.6], per_plane)]),
+                                small_schedule, geom.r_box)
+        counts[:] = [0, 0]
+        for t in (0.9, 1.15):
+            cfg = incremental_step(cfg, t, load, SolverConfig(), ctx)
+        assert counts[1] >= 4
+        assert counts[0] == counts[1]
 
 
 def test_step_below_threshold_is_static(fctx, geom, small_schedule):
@@ -806,6 +899,13 @@ def _residual_oracle(pts, forces, box):
     return float(np.max(np.maximum(excess, 0.0), initial=0.0))
 
 
+def _lone_config(points, box):
+    """A trace state whose dislocations each sit alone on a slip plane, so
+    that their barriers are the box edges."""
+    lone = [[k] for k in range(len(points))]
+    return SimpleNamespace(points=points, box=box, r_n=0.0, plane_orders=lambda: lone)
+
+
 def _flow_rule_oracle(trace, motion_tol=1e-9):
     """Oracle: the per-dislocation flow-rule loop."""
     box = trace.configs[0].box
@@ -831,10 +931,14 @@ def _flow_rule_oracle(trace, motion_tol=1e-9):
 
 
 def test_edge_clamp_matches_oracles(geom):
-    # the one clamp helper behind the stability residual and the flow rule,
-    # bit for bit against the per-edge formulas it replaced: on both edges,
-    # within and just beyond EDGE_TOL of them, in the interior, at exactly
-    # +-1 and its neighbours, signed zeros, and NaN (residual only)
+    # dislocations alone on their planes: the stability residual and the
+    # flow-rule clamp, bit for bit against the per-edge formulas they
+    # replaced, on both edges, within and just beyond EDGE_TOL of them, in
+    # the interior, at exactly +-1 and its neighbours, signed zeros, and NaN
+    # (residual only).  Then planes shared by up to 6, with runs of contacts
+    # (r_n apart, within and just beyond EDGE_TOL) that may stand at a box
+    # edge: the barriers against the per-dislocation loop, and the residual
+    # against the oracle over every group of consecutive dislocations
     box = geom.r_box
     tol = evolution.EDGE_TOL
     xs = np.array([box.x0, box.x0 + 0.5 * tol, box.x0 + 2 * tol, 0.5,
@@ -848,11 +952,12 @@ def test_edge_clamp_matches_oracles(geom):
     cases += [(xs, rng.choice(fs, len(xs))) for _ in range(50)]
     for x, f in cases:
         pts = np.column_stack([x, np.full(len(x), 0.5)])
-        assert _bits(evolution._residual_from_forces(pts, f, box)) == \
+        lone = [[k] for k in range(len(x))]
+        assert _bits(evolution._residual_from_forces(x, f, lone, box, 0.0)) == \
             _bits(_residual_oracle(pts, f, box))
         # a NaN force gives a NaN residual in both (the sign of a NaN differs)
         nan_f = np.where(rng.random(len(f)) < 0.3, np.nan, f)
-        r, r_oracle = (evolution._residual_from_forces(pts, nan_f, box),
+        r, r_oracle = (evolution._residual_from_forces(x, nan_f, lone, box, 0.0),
                        _residual_oracle(pts, nan_f, box))
         assert _bits(r) == _bits(r_oracle) or math.isnan(r) and math.isnan(r_oracle)
         # a trace alternating between pts moved back by dx and pts: every
@@ -862,14 +967,92 @@ def test_edge_clamp_matches_oracles(geom):
             step = dx if len(x) == 1 else rng.choice(dxs, len(x))
             back = pts.copy()
             back[:, 0] -= step
-            configs += [SimpleNamespace(points=back, box=box),
-                        SimpleNamespace(points=pts, box=box)]
+            configs += [_lone_config(back, box), _lone_config(pts, box)]
         trace = evolution.EvolutionTrace(
             times=np.arange(len(configs), dtype=float), configs=configs,
             step_d=None, energies=None,
             forces=[evolution.ForceRecord(f)] * len(configs))
         assert flow_rule_steps(trace).tobytes() == \
             _flow_rule_oracle(trace).tobytes()
+    pushes = np.concatenate([fs, [-2.5, -1.5, 1.5, 2.5, 6.0]])
+    gaps, edges, runs = [0.0, 0.5 * tol, 2 * tol, 0.02, 0.1], [0.0, 0.5 * tol, 2 * tol], 0
+    for _ in range(60):
+        r_n, planes_x = float(rng.uniform(0.005, 0.05)), []
+        for _ in range(int(rng.integers(1, 4))):
+            x = box.x0 + rng.choice(edges + [0.05]) + np.cumsum(
+                np.concatenate([[0.0], r_n + rng.choice(gaps, int(rng.integers(0, 6)))]))
+            if rng.random() < 0.4:
+                x += box.x1 - rng.choice(edges) - x[-1]
+            planes_x.append(x)
+        pts = np.concatenate([np.column_stack([x, np.full(len(x), y)]) for x, y in zip(
+            planes_x, np.linspace(0.3, 0.7, len(planes_x)))])
+        assert np.all((pts[:, 0] >= box.x0) & (pts[:, 0] <= box.x1))
+        planes = group_by_plane(pts)
+        orders = left_to_right(pts, planes)
+        lower, upper = evolution._all_barriers(pts[:, 0], orders, box, r_n)
+        ref = _barrier_oracle(pts, planes, box, r_n)
+        assert lower.tobytes() == ref[0].tobytes() and upper.tobytes() == ref[1].tobytes()
+        runs += any(upper[i] - pts[i, 0] <= tol for order in orders for i in order[:-1])
+        for f in (rng.choice(pushes, len(pts)), rng.choice(np.append(pushes, np.nan), len(pts))):
+            r, r_oracle = (evolution._residual_from_forces(pts[:, 0], f, orders, box, r_n),
+                           _group_residual_oracle(pts, f, planes, box, r_n))
+            assert r == pytest.approx(r_oracle, rel=1e-14, abs=1e-15) or \
+                math.isnan(r) and math.isnan(r_oracle)
+    assert runs >= 30
+
+
+@pytest.mark.parametrize("shear", [2.0, 5.0, 10.0])
+def test_pinned_neighbour_is_stable(fctx, geom, small_schedule, shear):
+    # a pair on one plane under a constant shear: the right dislocation lands
+    # on the box edge and the left one runs into it and stops r_n short,
+    # pinned there with a force above 1 toward it at shear 10 (4.0); the
+    # step, the stability residual and the flow rule treat that separation
+    # barrier one-sided, as the box edge
+    box = geom.r_box
+    cfg = DislocationConfig([[0.45, 0.5], [0.55, 0.5]], small_schedule, box)
+    load = LoadingProgram.uniform_shear(lambda t: shear, 1.0, sigma_dot=lambda t: 0.0)
+    new = incremental_step(cfg, 0.5, load, SolverConfig(), fctx)
+    assert new.points[1, 0] == box.x1
+    assert stability_residual(new, 0.5, load, fctx) == 0.0
+    force = driving_force(new, 0.5, load, fctx).values[0]
+    if shear == 10.0:
+        assert new.points[0, 0] == box.x1 - cfg.r_n
+        assert force > 3.9
+    ramp = LoadingProgram.uniform_shear(lambda t: 2 * shear * t, 1.0,
+                                        sigma_dot=lambda t: 2 * shear)
+    trace = run_quasistatic(cfg, [0.0, 0.5], ramp, SolverConfig(), fctx, pre_relax=True)
+    assert trace.configs[-1].points[1, 0] == box.x1
+    assert flow_rule_residual(trace) <= 1e-10
+    assert all(stability_excess(c, f) == 0.0 for c, f in zip(trace.configs, trace.forces))
+
+
+@pytest.mark.parametrize("push", [7.5, 10.0])
+def test_push_on_a_free_neighbour(fctx, geom, small_schedule, push):
+    # a pair in contact (r_n apart) on one plane: the load pushes the left
+    # dislocation right by `push` and pulls the right one left by 5.7, and
+    # their repulsion is 6.002, so the left one presses on a free neighbour
+    # with force push - 6.002 > 1.  Only the pair can move, so it is stable
+    # as long as its mean force is within 1 (push 7.5: 0.900), and otherwise
+    # (push 10: 2.150) the residual is the mean's excess and the step fails,
+    # as the sweep moves one dislocation at a time
+    r_n = small_schedule.r(2)
+    cfg = DislocationConfig([[0.45, 0.5], [0.45 + r_n, 0.5]], small_schedule, geom.r_box)
+    load = LoadingProgram.custom(f=None, f_dot=None, time_horizon=1.0,
+                                 f_x1=lambda t, p: np.where(p[:, 0] < 0.46, push, -5.7))
+    forces = driving_force(cfg, 0.5, load, fctx).values
+    assert forces[0] > 1.4 and abs(forces[1]) < 1.0
+    excess = max(np.mean(forces) - 1.0, 0.0)
+    assert stability_residual(cfg, 0.5, load, fctx) == pytest.approx(excess, abs=1e-15)
+    if push == 7.5:
+        assert excess == 0.0
+        new = incremental_step(cfg, 0.5, load, SolverConfig(), fctx)
+        assert np.array_equal(new.points, cfg.points)
+    else:
+        assert excess > 1.1
+        with pytest.raises(RuntimeError, match="failed to reach stability"):
+            incremental_step(cfg, 0.5, load, SolverConfig(), fctx)
+        with pytest.raises(ValueError, match="initial configuration unstable"):
+            run_quasistatic(cfg, [0.5, 0.6], load, SolverConfig(), fctx)
 
 
 def test_rate_independence(fctx, geom, small_schedule):
