@@ -23,8 +23,8 @@ Sections:
   probe one point at a time;
 * one free-space force probe (one row of the sweep's pair table, in its
   ``evolution._StepTable``, against the live abscissae) and one build of that
-  pair table (``evolution._pair_table`` of all rows) at n = 16 and 64, on 4
-  and 8 slip planes;
+  pair table (``evolution._pair_table``) at n = 16 and 64, on 4 and 8 slip
+  planes;
 * one landing search (``evolution._land_position``) on such a free-space
   probe: the leftmost dislocation of the lowest plane, under a shear set so
   that its force is 1.5 where it stands, toward its right neighbour;
@@ -148,7 +148,8 @@ def main():
     for n in (2, 16, 64):
         t = _median_s(lambda: _BoundaryState(ctx, pts[:n]), args.repeat)
         _report(f"bounded step state, n = {n}", t, n)
-        probe = _force_probe(pts[:n].copy(), 0, 0.5, load, ctx)
+        fixed = pts[:n].copy()
+        probe = _force_probe(fixed, 0, 0.5, load, ctx, _StepTable(fixed, 0.5, load, ctx))
         x = pts[0, 0] + 1e-3
         t = _median_s(lambda: probe(x), args.repeat)
         _report(f"bounded probe, n = {n}", t, n)
@@ -164,7 +165,7 @@ def main():
         _report(f"bounded landing update, n = {n}", t, n)
     pair = np.array([[0.4, 0.35], [0.6, 0.65]])
     shove = LoadingProgram.uniform_shear(lambda t: 10.0, 1.0, lambda t: 0.0)
-    probe = _force_probe(pair, 0, 0.5, shove, ctx)
+    probe = _force_probe(pair, 0, 0.5, shove, ctx, _StepTable(pair, 0.5, shove, ctx))
     f0, edge = probe(pair[0, 0]), geom.r_box.x1
     for label, march in (("block", probe), ("one-point", lambda x: probe(x))):
         t = _median_s(lambda: _land_position(march, pair[0, 0], f0, 1.0, edge,
@@ -178,12 +179,13 @@ def main():
         x = free[0, 0] + 1e-3
         t = _median_s(lambda: probe(x), args.repeat)
         _report(f"free-space probe, n = {n}", t, n)
-        t = _median_s(lambda: _pair_table(free, range(n)), args.repeat)
+        t = _median_s(lambda: _pair_table(free), args.repeat)
         _report(f"free-space pair table, n = {n}", t, n)
         plane = np.arange(n // planes)
         i, right = plane[np.argsort(free[plane, 0])[:2]]
-        pull = _force_probe(free, i, 0.5, LoadingProgram.uniform_shear(
-            lambda t: 0.0, 1.0, lambda t: 0.0), fctx)(free[i, 0])
+        still = LoadingProgram.uniform_shear(lambda t: 0.0, 1.0, lambda t: 0.0)
+        pull = _force_probe(free, i, 0.5, still, fctx,
+                            _StepTable(free, 0.5, still, fctx))(free[i, 0])
         push = LoadingProgram.uniform_shear(lambda t: 1.5 - pull, 1.0, lambda t: 0.0)
         probe = _force_probe(free, i, 0.5, push, fctx, _StepTable(free, 0.5, push, fctx))
         f0, barrier = probe(free[i, 0]), free[right, 0] - 1e-3
@@ -200,9 +202,9 @@ def main():
         counts[0] += 1
         return moved(table, i)
 
-    def counted_parts(state, rows, kept):
+    def counted_parts(state, kept):
         counts[1] += 1
-        return parts(state, rows, kept)
+        return parts(state, kept)
 
     def sweep_step():
         counts[:] = [0, 0]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,19 +39,19 @@ __all__ = ["LoadingProgram", "SolverConfig", "EnergyContext", "ForceRecord",
 EDGE_TOL = 1e-10
 
 
-def _pair_table(pts: np.ndarray, rows) -> np.ndarray:
-    """Squared vertical offsets (y_i - y_j)^2, shape (len(rows), n), of the
-    dislocations ``rows`` from all n, inf on each row's own column."""
-    dy = pts[rows, 1:] - pts[:, 1]
+def _pair_table(pts: np.ndarray) -> np.ndarray:
+    """Squared vertical offsets (y_i - y_j)^2 of the n dislocations, n x n,
+    inf on the diagonal."""
+    dy = pts[:, 1:] - pts[:, 1]
     dy2 = dy * dy
-    dy2[np.arange(len(rows)), rows] = np.inf
+    np.fill_diagonal(dy2, np.inf)
     return dy2
 
 
 def _log_forces(x, xs: np.ndarray, dy2: np.ndarray, log_coef: float):
     """Free-space log force: c dx / (dx^2 + dy2), dx = x - xs, summed over the
     last axis over n = len(xs).  The inf self offset of ``_pair_table`` makes the
-    self term exactly 0, so one row and all rows sum the same terms alike."""
+    self term exactly 0, so a probe's row and all rows sum the same terms alike."""
     dx = x - xs
     return np.add.reduce(log_coef * dx / (dx * dx + dy2), axis=-1) / len(xs)
 
@@ -135,8 +136,8 @@ class EnergyContext:
     """Bundle of everything the energy and force evaluations need.
 
     It keeps the ``_Pass`` of the last points it evaluated, keyed by the
-    points' exact bytes and by its own fields, so all-rows forces and
-    energies asked again at unchanged points (a step's start check,
+    points' exact bytes and by its own fields, so forces (all rows or one)
+    and energies asked again at unchanged points (a step's start check,
     ``driving_force``, ``renormalized_energy``) make no boundary pass; a
     sweep hands it the pass of the points it ends at.  The pass holds no
     per-atom arrays.
@@ -205,42 +206,29 @@ class EnergyContext:
                 - float(np.mean(load.potential(t, pts))))
 
     # -- per-dislocation horizontal forces ----------------------------------
-    def _force_parts(self, pts: np.ndarray, rows):
-        """Interaction and corrector parts of -n dE/dz_i1 on the dislocations
-        ``rows``; a row's value does not depend on the other rows asked for.
-
-        All rows are read from the kept pass when it has them, else computed
-        and kept; fewer rows are always computed, and kept nowhere.  Bounded
-        forces come from a ``_BoundaryState`` of the points
-        (``_BoundaryState.parts``).
-        """
-        rows = np.asarray(rows, dtype=int)
-        every = np.array_equal(rows, np.arange(len(pts)))
-        kept = self._pass_at(pts) if every else _Pass()
-        if kept.forces is None:
-            if self.mode != "bounded":
-                kept.forces = (_log_forces(pts[rows, :1], pts[:, 0], _pair_table(pts, rows),
-                                           self.mat.log_coef), np.zeros(len(rows)))
-            else:
-                kept.forces = _BoundaryState(self, pts).parts(rows, kept)
-        return kept.forces[0].copy(), kept.forces[1].copy()    # the kept pass stays intact
+    def _force_parts(self, pts: np.ndarray):
+        """Interaction and corrector parts of -n dE/dz_i1 on every dislocation,
+        as copies of the kept pass's, which a ``_StepTable`` of the points
+        (``_StepTable.parts``) computes into it when it has none."""
+        inter, corr = _StepTable(pts, None, None, self).parts()
+        return inter.copy(), corr.copy()                # the kept pass stays intact
 
     def interaction_forces(self, pts: np.ndarray) -> np.ndarray:
         """-n d/dz_i of the interaction energy, horizontal components."""
-        return self._force_parts(pts, range(len(pts)))[0]
+        return self._force_parts(pts)[0]
 
     def interaction_force_single(self, pts: np.ndarray, i: int) -> float:
-        """Row i of ``interaction_forces``, bit for bit."""
-        return float(self._force_parts(pts, [i])[0][0])
+        """Row i of ``interaction_forces``."""
+        return float(self._force_parts(pts)[0][i])
 
     def corrector_forces(self, pts: np.ndarray) -> np.ndarray:
         """-n d/dz_i of the corrector energy, horizontal components (envelope
         theorem; see ``CorrectorSolver.boundary_displacement``)."""
-        return self._force_parts(pts, range(len(pts)))[1]
+        return self._force_parts(pts)[1]
 
     def corrector_force_single(self, pts: np.ndarray, i: int) -> float:
-        """Row i of ``corrector_forces``, bit for bit."""
-        return float(self._force_parts(pts, [i])[1][0])
+        """Row i of ``corrector_forces``."""
+        return float(self._force_parts(pts)[1][i])
 
 
 class _BoundaryState:
@@ -280,27 +268,25 @@ class _BoundaryState:
     def _row(self, d, singular, total, own, u):
         return -np.vdot(d, total[1] - own[1]) - self.w * singular, -np.vdot(d[:, :2], u)
 
-    def parts(self, rows, kept: _Pass):
-        """The force parts on ``rows``; the sums and the solution go into ``kept``."""
+    def parts(self, kept: _Pass):
+        """Every atom's force parts; the sums and the solution go into ``kept``."""
         pts = self.pts
         total = np.add.reduce(self.atoms, axis=0)
         kept.sums = total, [np.vdot(a, b) for a, b in self.atoms[1:]]
         kept.solution = self.solver.solve_traction(total[0][:, :2], pts)
         u = self.solver.boundary_displacement(kept.solution)
-        singular = _singular_sums(_stress_potential_dy1, pts, rows, self.ctx.mat)
-        parts = [self._row(self.derivs[i], s, total, self.atoms[i + 1], u)
-                 for i, s in zip(rows, singular)]
+        singular = _singular_sums(_stress_potential_dy1, pts, self.ctx.mat)
+        parts = [self._row(d, s, total, own, u)
+                 for d, s, own in zip(self.derivs, singular, self.atoms[1:])]
         return np.array([p[0] for p in parts]), np.array([p[1] for p in parts])
 
     def probe(self, i: int):
-        """x -> ``parts([i])`` of the points with atom i moved to abscissa x,
-        bit for bit, from atom i's data at x alone: the sum runs on from the
-        other atoms' cached prefix and suffix arrays, and one corrector solve
-        follows.  Its ``block(xs)`` is ``[probe(x) for x in xs]``, bit for
-        bit, from one ``_boundary_data`` call for all xs, the sums run on for
-        all at once and the singular sums of all in one array; each x keeps
-        its own corrector solve, displacement and dot products, whose BLAS
-        calls could round differently batched.  Valid until an atom moves."""
+        """xs -> [row i of ``parts`` with atom i moved to abscissa x for x in
+        xs], bit for bit, from one ``_boundary_data`` call for all xs: the
+        sums run on from the other atoms' cached prefix and suffix arrays, and
+        the singular sums of all xs in one array; each x keeps its own
+        corrector solve, displacement and dot products, whose BLAS calls could
+        round differently batched.  Valid until an atom moves."""
         pts, y, mat = self.pts, self.pts[i, 1], self.ctx.mat
         others = np.delete(pts, i, 0)
         prefix = np.add.reduce(self.atoms[:i + 1], axis=0)
@@ -321,11 +307,7 @@ class _BoundaryState:
                     self.solver.solve_traction(tot[0][:, :2], trial))
                 parts.append(self._row(d, s, tot, ab, u))
             return parts
-
-        def at(x):
-            return block([x])[0]
-        at.block = block
-        return at
+        return block
 
 
 @dataclass(frozen=True)
@@ -337,14 +319,15 @@ class ForceRecord:
 
 def _forces_at(pts: np.ndarray, t: float, load: LoadingProgram,
                ctx: EnergyContext) -> np.ndarray:
-    inter, corr = ctx._force_parts(pts, range(len(pts)))
-    return inter + corr + load.horizontal_gradient(t, pts)
+    return _StepTable(pts, t, load, ctx).forces()
 
 
 def _force_single(pts: np.ndarray, i: int, t: float, load: LoadingProgram,
                   ctx: EnergyContext) -> float:
-    inter, corr = ctx._force_parts(pts, [i])
-    return (float(inter[0]) + float(corr[0])
+    """Row i of the all-rows parts plus the load's gradient at pts[i] alone,
+    as a probe adds it."""
+    inter, corr = ctx._force_parts(pts)
+    return (float(inter[i]) + float(corr[i])
             + float(load.horizontal_gradient(t, pts[i:i + 1])[0]))
 
 
@@ -446,23 +429,30 @@ def stability_excess(cfg: DislocationConfig, record: ForceRecord) -> float:
 
 
 class _StepTable:
-    """The one force source of a step's sweep at its fixed time t: the live
-    points' all-rows force vector (``forces()``, the bits of ``_forces_at``),
-    computed at most once per placement, from the context's kept pass at the
-    step's start and invalidated by ``moved(i)``, which follows a landing of
-    dislocation i; ``hand_back()`` gives the context the last pass.  In free
-    space the vector is ``_log_forces`` of the step's ``_pair_table`` (only
-    abscissae move within a step), as in ``_force_parts``; bounded,
-    ``_BoundaryState.parts`` of all rows, from the points' ``_BoundaryState``,
-    built when first needed.  Landings probe both (``_force_probe``).
-    ``shear`` is sigma(t) of a uniform shear, else None.
+    """The only source of all-rows force parts, and a step's sweep's one
+    force source at its fixed time t: ``parts()``, the live points'
+    (interaction, corrector) parts, from the context's kept pass at the start
+    points, else computed at most once per placement, in free space by
+    ``_log_forces`` of the ``pairs`` table (only abscissae move within a
+    step), bounded by ``_BoundaryState.parts`` of ``state()``; both are built
+    when first needed, so a kept pass's parts build neither.  ``forces()``
+    adds the load (the bits of ``_forces_at``).  ``moved(i)`` follows a
+    landing of dislocation i, and ``hand_back()`` gives the context the last
+    pass.  Landings probe the same table (``_force_probe``); ``shear`` is
+    sigma(t) of a uniform shear, else None.
     """
 
     def __init__(self, pts, t, load, ctx):
         self.pts, self.t, self.load, self.ctx = pts, t, load, ctx
-        self.shear = float(load.sigma(t)) if load.kind == "uniform_shear" else None
-        self.pairs = None if ctx.mode == "bounded" else _pair_table(pts, range(len(pts)))
         self._state = self._pass = self._forces = None
+
+    @cached_property
+    def shear(self):
+        return float(self.load.sigma(self.t)) if self.load.kind == "uniform_shear" else None
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        return _pair_table(self.pts)
 
     def state(self) -> _BoundaryState:
         if self._state is None:
@@ -474,20 +464,23 @@ class _StepTable:
         if self._state is not None:
             self._state.moved(i)
 
+    def parts(self):
+        """The (interaction, corrector) parts of every row at the live points."""
+        if self._pass is None:                          # the start points
+            self._pass = self.ctx._pass_at(self.pts)
+        kept = self._pass
+        if kept.forces is None and self.ctx.mode == "bounded":
+            kept.forces = self.state().parts(kept)
+        elif kept.forces is None:
+            kept.forces = (_log_forces(self.pts[:, :1], self.pts[:, 0], self.pairs,
+                                       self.ctx.mat.log_coef), np.zeros(len(self.pts)))
+        return kept.forces
+
     def forces(self) -> np.ndarray:
         """``_forces_at`` of the live points, bit for bit."""
         if self._forces is None:
-            pts, n = self.pts, len(self.pts)
-            if self._pass is None:                      # the step's start points
-                self._pass = self.ctx._pass_at(pts)
-            kept = self._pass
-            if kept.forces is None and self.ctx.mode == "bounded":
-                kept.forces = self.state().parts(np.arange(n), kept)
-            elif kept.forces is None:
-                kept.forces = (_log_forces(pts[:, :1], pts[:, 0], self.pairs,
-                                           self.ctx.mat.log_coef), np.zeros(n))
-            inter, corr = kept.forces
-            self._forces = inter + corr + self.load.horizontal_gradient(self.t, pts)
+            inter, corr = self.parts()
+            self._forces = inter + corr + self.load.horizontal_gradient(self.t, self.pts)
         return self._forces
 
     def hand_back(self):
@@ -495,27 +488,22 @@ class _StepTable:
             self.ctx._pass_at(self.pts, self._pass)
 
 
-def _force_probe(pts, i, t, load, ctx, table=None):
-    """``x -> _force_single`` of ``pts`` with dislocation i moved to abscissa x.
-
-    The sweep builds one for each landing; every probe equals
-    ``_force_single`` of the moved configuration bit for bit.  ``table`` is
-    the step's ``_StepTable`` of ``pts``, t and load; when None a new one is
-    built, at the cost of a whole table (the n x n pair table in free space,
-    every atom's boundary data bounded).
-    In free space a probe is ``_log_forces`` of row i of its pair table
+def _force_probe(pts, i, t, load, ctx, table):
+    """``x -> _force_single`` of ``pts`` with dislocation i moved to abscissa
+    x, bit for bit, from ``table``, the step's ``_StepTable`` of ``pts``, t
+    and load; the sweep builds one for each landing.
+    In free space a probe is ``_log_forces`` of row i of the table's pairs
     against the live view ``pts[:, 0]``, so it copies nothing, plus the
     corrector's 0.0 and the load, as ``_force_single`` adds them.  Bounded,
     it evaluates only dislocation i's row, column and derivative row at x,
     the singular terms against the others and one corrector solve
-    (``_BoundaryState.probe``); no source of the others is evaluated again.
-    Its ``block(xs)`` is ``[probe(x) for x in xs]`` bit for bit, with one
-    boundary evaluation for all xs; ``_land_position`` marches on it.
+    (``_BoundaryState.probe`` of the table's state).  Its ``block(xs)`` is
+    ``[probe(x) for x in xs]`` bit for bit, with one boundary evaluation for
+    all xs; ``_land_position`` marches on it.
     """
-    table = _StepTable(pts, t, load, ctx) if table is None else table
     shear = table.shear
     if ctx.mode == "bounded":
-        parts, y = table.state().probe(i).block, pts[i, 1]
+        parts, y = table.state().probe(i), pts[i, 1]
 
         def block(xs):
             return [float(inter) + float(corr) + (
@@ -610,12 +598,12 @@ def _land_position(probe, x0, f0, direction, barrier, line_grid):
 
 
 def _sweep_to_stability(pts, t, load, ctx, solver_cfg, box, r_n, orders):
-    """Cyclic per-dislocation relaxation; mutates pts, returns the final residual.
+    """Cyclic per-dislocation relaxation; mutates pts, returns the final
+    residual and whether the last sweep still moved.
 
     Each sweep visits the planes' left-to-right ``orders`` (``left_to_right``
     of pts) in turn, and checks each dislocation against its row of the step's
-    ``_StepTable`` vector (the bits of ``_forces_at``, which
-    ``test_single_force_equals_all_rows`` pins to the single-row forces).  A
+    ``_StepTable`` vector (the bits of ``_forces_at``).  A
     dislocation whose force exceeds the threshold lands toward its barrier
     on that side (``_barriers``) unless it stands there, on a
     ``_force_probe`` of the same table built for that landing alone, and the
@@ -649,7 +637,7 @@ def _sweep_to_stability(pts, t, load, ctx, solver_cfg, box, r_n, orders):
             break
     forces = table.forces()
     table.hand_back()
-    return _residual_from_forces(pts[:, 0], forces, orders, box, r_n)
+    return _residual_from_forces(pts[:, 0], forces, orders, box, r_n), moved
 
 
 def incremental_step(prev: DislocationConfig, t: float, load: LoadingProgram,
@@ -668,13 +656,15 @@ def incremental_step(prev: DislocationConfig, t: float, load: LoadingProgram,
 
     def relax(start_pts, orders):
         pts = start_pts.copy()
-        resid = _sweep_to_stability(pts, t, load, ctx, solver_cfg, box, r_n, orders)
-        return pts, resid
+        return (pts,) + _sweep_to_stability(pts, t, load, ctx, solver_cfg, box, r_n, orders)
 
-    pts, resid = relax(prev.points, prev.plane_orders())
+    pts, resid, moving = relax(prev.points, prev.plane_orders())
     if not resid <= solver_cfg.sweep_tol:
+        cause = (f"max_sweeps = {solver_cfg.max_sweeps} ran out, the last sweep still moved"
+                 if moving else "no single dislocation can move while the residual exceeds "
+                 "sweep_tol, so a run in contact must move together")
         raise RuntimeError(
-            f"incremental step failed to reach stability (residual {resid:.3e})")
+            f"incremental step failed to reach stability (residual {resid:.3e}): {cause}")
     best = DislocationConfig(pts, prev.schedule, box, prev.plane_tol)
     if solver_cfg.restarts > 0:
         rng = rng or np.random.default_rng(0)
@@ -692,7 +682,7 @@ def incremental_step(prev: DislocationConfig, t: float, load: LoadingProgram,
                     xs[k] = max(xs[k], xs[k - 1] + r_n)
                 trial[idx, 0] = np.clip(xs, box.x0, box.x1)
             try:
-                cand_pts, cand_resid = relax(trial, left_to_right(trial, planes))
+                cand_pts, cand_resid, _ = relax(trial, left_to_right(trial, planes))
                 if not cand_resid <= solver_cfg.sweep_tol:
                     continue
                 cand = DislocationConfig(cand_pts, prev.schedule, box,

@@ -61,12 +61,14 @@ class QuadratureConfig:
     density_gauss: int = 4         # per-axis points per cell in continuum energies
 
     def __post_init__(self):
-        if self.base_cells < 4 or self.singular_refine_depth < 0 or not self.tol > 0:
-            raise ValueError("invalid quadrature configuration")
         # a cell paired with itself averages over distinct nodes: density_gauss >= 2
-        for name, low in (("cell_gauss", 1), ("boundary_points", 1), ("density_gauss", 2)):
-            if getattr(self, name) < low:
-                raise ValueError(f"quadrature {name} must be an integer >= {low}")
+        for key, low in (("base_cells", 4), ("singular_refine_depth", 0), ("cell_gauss", 1),
+                         ("boundary_points", 1), ("density_gauss", 2)):
+            if getattr(self, key) < low:
+                raise ValueError(f"quadrature {key} must be an integer >= {low}, "
+                                 f"got {getattr(self, key)!r}")
+        if not self.tol > 0:                                   # NaN fails too
+            raise ValueError(f"quadrature tol must be > 0, got {self.tol!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -492,16 +494,16 @@ def _boundary_sums(grid, pts, weights, mat: Material):
     return total, selfs
 
 
-def _singular_sums(kernel, pts, rows, mat: Material) -> np.ndarray:
-    """sum_{j != i} kernel(z_i - z_j) for the atoms i of ``rows``: each a numpy
-    sum over the others in index order, the bits of ``np.delete``'s, taken
-    for blocks of ``BLOCK`` rows at once.  The offsets' two components are
-    stored as contiguous planes, so the kernel reads no strided array."""
-    rows, n = np.asarray(rows, dtype=int), len(pts)
+def _singular_sums(kernel, pts, mat: Material) -> np.ndarray:
+    """sum_{j != i} kernel(z_i - z_j) for every atom i: each a numpy sum over
+    the others in index order, the bits of ``np.delete``'s, taken for blocks
+    of ``BLOCK`` atoms at once.  The offsets' two components are stored as
+    contiguous planes, so the kernel reads no strided array."""
+    n = len(pts)
     x, y, j = pts[:, 0], pts[:, 1], np.arange(n - 1)
-    out = np.empty(len(rows))
-    for s in range(0, len(rows), BLOCK):
-        r = rows[s:s + BLOCK, None]
+    out = np.empty(n)
+    for s in range(0, n, BLOCK):
+        r = np.arange(s, min(s + BLOCK, n))[:, None]
         others = j + (j >= r)                   # column k of row i: the k-th j != i
         u = np.empty((2,) + others.shape)
         np.subtract(x[r], x[others], out=u[0])
@@ -516,7 +518,7 @@ def _pair_energy(pts, total, selfs, mat: Material) -> float:
     A . B - sum_i [(w a_i) . (w b_i) + w^2 sum_{j != i} psi(z_j - z_i)], added
     by fsum without a running total's drift (psi is even)."""
     w = 1.0 / len(pts)
-    singular = -w * w * _singular_sums(_stress_potential, pts, range(len(pts)), mat)
+    singular = -w * w * _singular_sums(_stress_potential, pts, mat)
     return math.fsum([np.vdot(total[0], total[1])] + [-s for s in selfs]
                      + list(singular)) / 2.0
 

@@ -29,8 +29,9 @@ class ScalingSchedule:
     r_exp: float = 1.5
 
     def __post_init__(self):
-        if not (self.eps_coef > 0 and self.r_coef > 0):
-            raise ValueError("schedule coefficients must be positive")
+        for key in ("eps_coef", "r_coef"):
+            if not getattr(self, key) > 0:                     # NaN fails too
+                raise ValueError(f"schedule {key} must be > 0, got {getattr(self, key)!r}")
         if not self.eps_exp > 3.0 * self.r_exp:
             raise ValueError("need eps_n / r_n^3 -> 0, i.e. eps_exp > 3 r_exp")
         if not self.r_exp > 1.0:

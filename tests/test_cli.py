@@ -244,19 +244,19 @@ def test_module_error_exits_nonzero(tmp_path):
     ("material", "mu", math.inf), ("schedule", "eps_coef", math.nan),
     ("schedule", "r_coef", math.nan), ("loading", "time_horizon", math.nan),
     ("loading", "time_horizon", math.inf), ("loading", "time_horizon", 0.0),
-    ("solver", "restarts", -1), ("solver", "max_sweeps", 0), ("solver", "line_grid", 3)])
+    ("solver", "restarts", -1), ("solver", "max_sweeps", 0), ("solver", "line_grid", 3),
+    ("quadrature", "base_cells", 3), ("quadrature", "singular_refine_depth", -1)])
 def test_nan_and_out_of_range_values_rejected(tmp_path, section, key, value):
     # JSON NaN and Infinity parse, and NaN passes any check written as
     # `x <= 0`; a NaN tolerance would switch off the check it sets, a NaN or
-    # infinite constant or horizon would write NaN tables; a bad solver value
-    # is named by its key
+    # infinite constant or horizon would write NaN tables; a bad value is
+    # named by its key
     payload = json.loads((CONFIG_DIR / "zero_load.json").read_text())
     payload.setdefault(section, {})[key] = value
     res = CliRunner().invoke(main, ["simulate", str(write_config(tmp_path, payload)),
                                     "--out", str(tmp_path / "o")])
     assert res.exit_code == 2, res.output
-    if section == "solver":
-        assert key in res.output, res.output
+    assert key in res.output, res.output
 
 
 def test_metadata_carries_config_hash(tmp_path):

@@ -202,7 +202,7 @@ def test_solve_independent_of_earlier_solves(geom, mat, quad, basis, monkeypatch
     for solver in (CorrectorSolver(geom, mat, basis, quad), used):
         monkeypatch.setattr(evolution, "get_solver", lambda *args: solver)
         ctx = EnergyContext("bounded", mat, geom, quad, basis)
-        forces.append(ctx._force_parts(a.points, [0, 2]))
+        forces.append(ctx._force_parts(a.points))
     assert np.array_equal(forces[0], forces[1])
 
 
@@ -327,8 +327,8 @@ def test_one_boundary_row_per_source(geom, mat, quad, basis, schedule, monkeypat
 def test_one_boundary_pass_per_force(geom, mat, quad, basis, monkeypatch):
     # an all-rows bounded force evaluates each atom's boundary row, column
     # and derivative row once, in one _boundary_data call per block, for the
-    # interaction and the corrector together; so does a single-row force,
-    # which the context always computes afresh
+    # interaction and the corrector together; a single-row force at the same
+    # points reads the all-rows vector the context keeps, and evaluates none
     import slipdyn.corrector as corrector
     import slipdyn.evolution as evolution
     import slipdyn.interaction as interaction
@@ -351,8 +351,7 @@ def test_one_boundary_pass_per_force(geom, mat, quad, basis, monkeypatch):
     assert sorted(seen[True]) == atoms
     seen[True].clear()
     evolution._force_single(pts, 3, 0.0, load, ctx)
-    assert seen[False] == []
-    assert sorted(seen[True]) == atoms
+    assert seen == {False: [], True: []}
 
 
 def test_density_margin_checked_on_the_shared_path(geom, mat, quad, basis):

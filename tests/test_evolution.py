@@ -47,19 +47,6 @@ def test_pair_force_magnitude(fctx, geom, small_schedule, mat):
     assert f.values == pytest.approx([-expected, expected], rel=1e-12)
 
 
-def test_single_force_equals_all_rows(fctx, geom, mat, quad, basis):
-    # the sweep decides moves with single forces and checks stability with all
-    # rows; the two must agree bit for bit
-    rng = np.random.default_rng(16)
-    pts = np.column_stack([rng.uniform(0.3, 0.7, 16),
-                           np.repeat([0.3, 0.45, 0.6, 0.75], 4)])
-    bctx = EnergyContext(mode="bounded", mat=mat, geom=geom, quad=quad, basis=basis)
-    for ctx in (fctx, bctx):
-        forces = ctx.interaction_forces(pts)
-        for i in range(16):
-            assert ctx.interaction_force_single(pts, i) == forces[i]
-
-
 def test_force_matches_energy_gradient(fctx, geom, small_schedule, mat):
     # oracle: central finite differences of n * (total energy with load)
     rng = np.random.default_rng(17)
@@ -173,12 +160,17 @@ def test_fused_forces_match_pair_route(n, domain, lam, mu, geom, wide_geom, quad
         if all(np.hypot(*(p - q)) >= 0.02 for q in pts):
             pts.append(p)
     pts = np.array(pts)
-    for got, ref in zip(ctx._force_parts(pts, range(n)), _pair_route_forces(pts, ctx)):
+    for got, ref in zip(ctx._force_parts(pts), _pair_route_forces(pts, ctx)):
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def _bits(value):
     return np.float64(value).tobytes()
+
+
+def _fresh_probe(pts, i, t, load, ctx):
+    """``_force_probe`` of dislocation i on a new step table of ``pts``."""
+    return evolution._force_probe(pts, i, t, load, ctx, evolution._StepTable(pts, t, load, ctx))
 
 
 @pytest.mark.parametrize("mode", ["freespace", "bounded"])
@@ -201,7 +193,7 @@ def test_probe_equals_moved_force_single(mode, fctx, geom, mat, quad, basis):
         rows = range(n) if mode == "freespace" or n < 16 else (0, 9)
         for load in loads:
             for i in rows:
-                probe = evolution._force_probe(pts, i, 0.7, load, ctx)
+                probe = _fresh_probe(pts, i, 0.7, load, ctx)
                 x0 = pts[i, 0]
                 for x in (x0, x0 - 1e-3, x0 + 0.02, rng.uniform(0.2, 0.8)):
                     trial = pts.copy()
@@ -256,7 +248,7 @@ def test_bounded_probe_evaluates_one_source(domain, lam, mu, geom, wide_geom, qu
             np.repeat(planes, 8)])
         for load in loads:
             for i in (0, n // 2 + 3, n - 1):
-                probe = evolution._force_probe(pts, i, 0.3, load, ctx)
+                probe = _fresh_probe(pts, i, 0.3, load, ctx)
                 for x in (pts[i, 0], pts[i, 0] + 1e-3, rng.uniform(box.x0, box.x1)):
                     sources[0] = 0
                     f = probe(x)
@@ -368,7 +360,7 @@ def test_probe_reads_the_live_table(fctx):
     for load in loads:
         pts = start.copy()
         table = evolution._StepTable(pts, 0.7, load, fctx)
-        assert np.array_equal(table.pairs[i], evolution._pair_table(pts, [i])[0])
+        assert np.array_equal(table.pairs[i], evolution._pair_table(pts)[i])
         probe = evolution._force_probe(pts, i, 0.7, load, fctx, table)
         pts[neighbour, 0] += 0.013
         pts[other, 0] -= 0.021
@@ -402,7 +394,7 @@ def test_landing_passes_its_own_threshold(fctx, geom):
                 continue
             trial = pts.copy()
             trial[i, 0] = _land_position(
-                evolution._force_probe(pts, i, 0.0, load, fctx), pts[i, 0], f,
+                _fresh_probe(pts, i, 0.0, load, fctx), pts[i, 0], f,
                 d, barrier, LINE_GRID)
             if trial[i, 0] == barrier:
                 continue
@@ -484,7 +476,7 @@ def test_landing_matches_bisection_oracle(fctx, geom):
     for pts, i, f, d, barrier, load in _landing_cases(fctx, geom):
         x, n = [], []
         for land in (_land_position, _bisection_landing):
-            probe = _Counted(evolution._force_probe(pts, i, 0.0, load, fctx))
+            probe = _Counted(_fresh_probe(pts, i, 0.0, load, fctx))
             x.append(land(probe, pts[i, 0], f, d, barrier, LINE_GRID))
             n.append(probe.calls)
         assert abs(x[0] - x[1]) <= 1e-12 * max(1.0, abs(x[1]))
@@ -589,7 +581,7 @@ def test_block_march_matches_one_point_march(domain, lam, mu, geom, quad, basis)
     for pts, i, f, d, barrier, load in itertools.islice(_landing_cases(ctx, g), 20):
         runs = []
         for block in (True, False):
-            probe = _Recorded(evolution._force_probe(pts, i, 0.0, load, ctx), block)
+            probe = _Recorded(_fresh_probe(pts, i, 0.0, load, ctx), block)
             x = _land_position(probe, pts[i, 0], f, d, barrier, LINE_GRID)
             runs.append((x, probe.seen))
         (x_block, seen_block), (x_point, seen_point) = runs
@@ -615,17 +607,17 @@ def test_probe_block_equals_points(fctx, geom, mat, quad, basis):
     planes = [0.3, 0.45, 0.6, 0.75]
     for n in (1, 2, 16):
         pts = np.column_stack([rng.uniform(0.3, 0.7, n), np.resize(planes, n)])
-        assert not hasattr(evolution._force_probe(pts, 0, 0.7, loads[0], fctx), "block")
+        assert not hasattr(_fresh_probe(pts, 0, 0.7, loads[0], fctx), "block")
         for load in loads:
             for i in sorted({0, n // 2, n - 1}):
-                probe = evolution._force_probe(pts, i, 0.7, load, ctx)
+                probe = _fresh_probe(pts, i, 0.7, load, ctx)
                 parts = evolution._StepTable(pts, 0.7, load, ctx).state().probe(i)
                 for m in (1, 5, 16):
                     xs = list(rng.uniform(0.2, 0.8, m))
                     assert [_bits(f) for f in probe.block(xs)] == \
                         [_bits(probe(x)) for x in xs]
-                    assert [[_bits(v) for v in p] for p in parts.block(xs)] == \
-                        [[_bits(v) for v in parts(x)] for x in xs]
+                    assert [[_bits(v) for v in p] for p in parts(xs)] == \
+                        [[_bits(v) for v in parts([x])[0]] for x in xs]
 
 
 def _checked_sweep(pts, t, load, ctx, solver_cfg, box, r_n, planes):
@@ -649,7 +641,7 @@ def _checked_sweep(pts, t, load, ctx, solver_cfg, box, r_n, planes):
                 if (barrier - pts[i, 0]) * direction <= 1e-15:
                     continue
                 pts[i, 0] = _land_position(
-                    evolution._force_probe(pts, i, t, load, ctx), pts[i, 0], f,
+                    _fresh_probe(pts, i, t, load, ctx), pts[i, 0], f,
                     direction, barrier, solver_cfg.line_grid)
                 moved = True
         resid = _group_residual_oracle(pts, evolution._forces_at(pts, t, load, ctx),
@@ -698,7 +690,7 @@ def _group_residual_oracle(pts, forces, planes, box, r_n):
     return float(worst)
 
 
-def _copy_probe(pts, i, t, load, ctx):
+def _copy_probe(pts, i, t, load, ctx, table):
     """Oracle probe: copy the points, move atom i and call ``_force_single``."""
     def probe(x):
         trial = pts.copy()
@@ -1034,7 +1026,7 @@ def test_push_on_a_free_neighbour(fctx, geom, small_schedule, push):
     # with force push - 6.002 > 1.  Only the pair can move, so it is stable
     # as long as its mean force is within 1 (push 7.5: 0.900), and otherwise
     # (push 10: 2.150) the residual is the mean's excess and the step fails,
-    # as the sweep moves one dislocation at a time
+    # as the sweep moves one dislocation at a time, and says so
     r_n = small_schedule.r(2)
     cfg = DislocationConfig([[0.45, 0.5], [0.45 + r_n, 0.5]], small_schedule, geom.r_box)
     load = LoadingProgram.custom(f=None, f_dot=None, time_horizon=1.0,
@@ -1049,10 +1041,52 @@ def test_push_on_a_free_neighbour(fctx, geom, small_schedule, push):
         assert np.array_equal(new.points, cfg.points)
     else:
         assert excess > 1.1
-        with pytest.raises(RuntimeError, match="failed to reach stability"):
+        with pytest.raises(RuntimeError, match="failed to reach stability .*: no single "
+                           "dislocation can move .* a run in contact must move together"):
             incremental_step(cfg, 0.5, load, SolverConfig(), fctx)
         with pytest.raises(ValueError, match="initial configuration unstable"):
             run_quasistatic(cfg, [0.5, 0.6], load, SolverConfig(), fctx)
+
+
+def _pile_up(n, schedule, box):
+    """n dislocations on the plane y = 0.5 from the box's left edge,
+    max(1.01 r_n, 0.25 / n) apart, and a constant shear sigma = 3 that piles
+    them up against its right edge: tau = sigma - 1 = 2 net of the threshold."""
+    gap = max(1.01 * schedule.r(n), 0.25 / n)
+    cfg = DislocationConfig(np.column_stack([box.x0 + gap * np.arange(n), np.full(n, 0.5)]),
+                            schedule, box)
+    return cfg, LoadingProgram.uniform_shear(lambda t: 3.0, 1.0, sigma_dot=lambda t: 0.0)
+
+
+def test_pile_up_matches_closed_form(geom):
+    # oracle: the free-space pile-up of n dislocations at an obstacle under
+    # tau (Eshelby, Frank & Nabarro 1951); the distances from the head are
+    # (c / (2 tau n)) xi_i, with xi_1 = 0 and the other xi_i the zeros of
+    # L_n', the derivative of the n-th Laguerre polynomial.  Each landing
+    # closes its bracket to 1e-13, so 1e-12 bounds the positions' error
+    from numpy.polynomial.laguerre import lagder, lagroots
+    mat, box = Material(1.0, 1.0), geom.r_box
+    ctx = EnergyContext("freespace", mat)
+    for n, r_coef in [(4, 0.05), (8, 0.05), (8, 0.01), (12, 0.01)]:
+        cfg, load = _pile_up(n, ScalingSchedule(r_coef=r_coef), box)
+        x = np.sort(incremental_step(cfg, 0.5, load, SolverConfig(max_sweeps=5000),
+                                     ctx).points[:, 0])
+        xi = np.concatenate([[0.0], np.sort(lagroots(lagder(np.eye(n + 1)[n])))])
+        assert x[-1] == box.x1
+        assert np.max(np.abs(x[-1] - x[::-1] - mat.log_coef / (2 * 2.0 * n) * xi)) <= 1e-12
+    # with the default schedule the closed form's gaps are below r_n: the
+    # head stands at the box edge and every other dislocation r_n behind the
+    # next, a run in contact pinned at the edge, which is stable.  With one
+    # sweep the step fails and says that its sweeps ran out
+    cfg, load = _pile_up(8, ScalingSchedule(), box)
+    new = incremental_step(cfg, 0.5, load, SolverConfig(), ctx)
+    x = np.sort(new.points[:, 0])
+    assert x[-1] == box.x1
+    assert np.all(np.abs(np.diff(x) - new.r_n) <= evolution.EDGE_TOL)
+    assert stability_residual(new, 0.5, load, ctx) <= SolverConfig().sweep_tol
+    with pytest.raises(RuntimeError, match="failed to reach stability .*: max_sweeps = 1 "
+                       "ran out, the last sweep still moved"):
+        incremental_step(cfg, 0.5, load, SolverConfig(max_sweeps=1), ctx)
 
 
 def test_rate_independence(fctx, geom, small_schedule):
