@@ -8,14 +8,15 @@ Sections:
 * blocks of 16, 64 and 256 sources through the same sum, per source;
 * one source's and one in-place block of 16 sources' rows, columns and
   derivative rows (``interaction._boundary_data`` with ``dy1``), per source;
-* one build of a sweep step's boundary state (``evolution._BoundaryState``:
-  every atom's weighted row and column and its derivative row) and, apart
-  from it, one bounded force probe (``evolution._force_probe``: the moved
-  dislocation's row, column and derivative row, the sums run on from the
-  state's arrays and one corrector solve) at n = 2, 16 and 64 dislocations;
-* one landing's update of that state and the step's next all-rows force
+* one build of a sweep step's bounded arrays
+  (``evolution._StepTable._bounded_arrays``: every atom's weighted row and
+  column and its derivative row) and, apart from it, one bounded force probe
+  (``evolution._StepTable.probe``: the moved dislocation's row, column and
+  derivative row, the sums run on from the table's arrays and one corrector
+  solve) at n = 2, 16 and 64 dislocations;
+* one landing's update of those arrays and the step's next all-rows force
   (``evolution._StepTable.moved(i)``, then its ``forces()``: one atom's
-  boundary data, the state's sums, one corrector solve and the kept
+  boundary data, the arrays' sums, one corrector solve and the kept
   derivative rows' dot products) at n = 2, 16 and 64;
 * one 48-point bounded march to the box edge (``evolution._land_position``
   at n = 2, under a shear that keeps the force above 1 all the way), on the
@@ -33,9 +34,10 @@ Sections:
   4 lattice abscissae from 0.4 to 0.6 each, sigma = t, the step to t = 0.8,
   ``sweep_tol`` 1e-6) on a fresh ``EnergyContext`` each time (a tenth of the
   repeats, at least 3), printed with its landings (``_StepTable.moved``
-  calls) and placements (all-rows vectors, ``_BoundaryState.parts`` calls);
-* one all-rows bounded force (``evolution._forces_at``: one state's build,
-  with every atom's derivative row, its sums and one corrector solve) at
+  calls) and placements (all-rows vectors, ``_StepTable.parts`` calls);
+* one all-rows bounded force (``evolution._forces_at``: one build of a step
+  table's arrays, with every atom's derivative row, their sums and one
+  corrector solve) at
   n = 2, 16 and 64, on a fresh ``EnergyContext`` each time, which has kept no
   pass;
 * one corrector build (``CorrectorSolver``: stiffness, factorization and the
@@ -72,10 +74,8 @@ import numpy as np
 
 from slipdyn.config import load_config
 from slipdyn.corrector import CorrectorSolver, RitzBasis, get_solver
-from slipdyn import evolution
-from slipdyn.evolution import (EnergyContext, LoadingProgram, SolverConfig, _BoundaryState,
-                               _StepTable, _force_probe, _forces_at, _land_position,
-                               _pair_table, incremental_step)
+from slipdyn.evolution import (EnergyContext, LoadingProgram, SolverConfig, _StepTable,
+                               _forces_at, _land_position, _pair_table, incremental_step)
 from slipdyn.geometry import Rect, unit_geometry
 from slipdyn import recovery
 from slipdyn.interaction import QuadratureConfig, _boundary_data, _boundary_grid, _boundary_sums
@@ -146,10 +146,10 @@ def main():
         t = _median_s(lambda: _boundary_data(grid, pts[:m], mat, dy1=True), args.repeat)
         _report(f"in-place data + dy1, {m} source(s)", t, m)
     for n in (2, 16, 64):
-        t = _median_s(lambda: _BoundaryState(ctx, pts[:n]), args.repeat)
-        _report(f"bounded step state, n = {n}", t, n)
-        fixed = pts[:n].copy()
-        probe = _force_probe(fixed, 0, 0.5, load, ctx, _StepTable(fixed, 0.5, load, ctx))
+        t = _median_s(lambda: _StepTable(pts[:n], 0.5, load, ctx)._bounded_arrays(),
+                      args.repeat)
+        _report(f"bounded step arrays, n = {n}", t, n)
+        probe = _StepTable(pts[:n].copy(), 0.5, load, ctx).probe(0)
         x = pts[0, 0] + 1e-3
         t = _median_s(lambda: probe(x), args.repeat)
         _report(f"bounded probe, n = {n}", t, n)
@@ -165,7 +165,7 @@ def main():
         _report(f"bounded landing update, n = {n}", t, n)
     pair = np.array([[0.4, 0.35], [0.6, 0.65]])
     shove = LoadingProgram.uniform_shear(lambda t: 10.0, 1.0, lambda t: 0.0)
-    probe = _force_probe(pair, 0, 0.5, shove, ctx, _StepTable(pair, 0.5, shove, ctx))
+    probe = _StepTable(pair, 0.5, shove, ctx).probe(0)
     f0, edge = probe(pair[0, 0]), geom.r_box.x1
     for label, march in (("block", probe), ("one-point", lambda x: probe(x))):
         t = _median_s(lambda: _land_position(march, pair[0, 0], f0, 1.0, edge,
@@ -175,7 +175,7 @@ def main():
     for n, planes in ((16, 4), (64, 8)):
         free = np.column_stack([pts[:n, 0], np.repeat(np.linspace(0.3, 0.7, planes),
                                                       n // planes)])
-        probe = _force_probe(free, 0, 0.5, load, fctx, _StepTable(free, 0.5, load, fctx))
+        probe = _StepTable(free, 0.5, load, fctx).probe(0)
         x = free[0, 0] + 1e-3
         t = _median_s(lambda: probe(x), args.repeat)
         _report(f"free-space probe, n = {n}", t, n)
@@ -184,10 +184,9 @@ def main():
         plane = np.arange(n // planes)
         i, right = plane[np.argsort(free[plane, 0])[:2]]
         still = LoadingProgram.uniform_shear(lambda t: 0.0, 1.0, lambda t: 0.0)
-        pull = _force_probe(free, i, 0.5, still, fctx,
-                            _StepTable(free, 0.5, still, fctx))(free[i, 0])
+        pull = _StepTable(free, 0.5, still, fctx).probe(i)(free[i, 0])
         push = LoadingProgram.uniform_shear(lambda t: 1.5 - pull, 1.0, lambda t: 0.0)
-        probe = _force_probe(free, i, 0.5, push, fctx, _StepTable(free, 0.5, push, fctx))
+        probe = _StepTable(free, 0.5, push, fctx).probe(i)
         f0, barrier = probe(free[i, 0]), free[right, 0] - 1e-3
         t = _median_s(lambda: _land_position(probe, free[i, 0], f0, 1.0, barrier,
                                              SolverConfig().line_grid), args.repeat)
@@ -196,25 +195,25 @@ def main():
                                               np.repeat(np.linspace(0.35, 0.65, 4), 4)]),
                              ScalingSchedule(), geom.r_box)
     unit_ramp = LoadingProgram.uniform_shear(lambda t: t, 1.0, lambda t: 1.0)
-    counts, moved, parts = [0, 0], _StepTable.moved, _BoundaryState.parts
+    counts, moved, parts = [0, 0], _StepTable.moved, _StepTable.parts
 
     def counted_moved(table, i):
         counts[0] += 1
         return moved(table, i)
 
-    def counted_parts(state, kept):
+    def counted_parts(table):
         counts[1] += 1
-        return parts(state, kept)
+        return parts(table)
 
     def sweep_step():
         counts[:] = [0, 0]
         incremental_step(ramp, 0.8, unit_ramp, SolverConfig(sweep_tol=1e-6, mode="bounded"),
                          EnergyContext("bounded", mat, geom, quad, basis))
-    evolution._StepTable.moved, evolution._BoundaryState.parts = counted_moved, counted_parts
+    _StepTable.moved, _StepTable.parts = counted_moved, counted_parts
     try:
         t = _median_s(sweep_step, max(3, args.repeat // 10))
     finally:
-        evolution._StepTable.moved, evolution._BoundaryState.parts = moved, parts
+        _StepTable.moved, _StepTable.parts = moved, parts
     _report("bounded sweep step, n = 16", t, 16)
     print(f"{'  its landings, placements':<34} {counts[0]:12d} {counts[1]:12d}")
     for n in (2, 16, 64):

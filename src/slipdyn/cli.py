@@ -24,7 +24,12 @@ def _run(kind: str, config_path: str, out, seed, threads):
         click.echo(f"error: config declares experiment '{cfg.experiment}', "
                    f"but the '{kind}' subcommand was invoked", err=True)
         sys.exit(2)
-    outdir = resolve_outdir(cfg, out)
+    try:
+        outdir = resolve_outdir(cfg, out)
+    except OSError as exc:
+        click.echo(f"error: cannot create output directory {exc.filename}: {exc.strerror}",
+                   err=True)
+        sys.exit(2)
     effective_seed = cfg.seed if seed is None else seed
     try:
         RUNNERS[kind](cfg, outdir, effective_seed, threads)

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre as _leg
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, lu_factor
 
 from .geometry import Geometry, Rect
 from .interaction import (QuadratureConfig, _boundary_data, _boundary_grid, _boundary_sums,
@@ -103,6 +103,9 @@ class CorrectorSolver:
         self._assemble_constraints()
         self._lu = lu_factor(np.block([[self.A, self.C.T],
                                        [self.C, np.zeros((3, 3))]]))
+        # LAPACK's getrs, called directly: lu_solve wraps the same call in
+        # batch dispatch that costs more than one solve at these sizes
+        self._getrs, = get_lapack_funcs(("getrs",), self._lu[:1])
         self._grid = _boundary_grid(geom.omega, q.boundary_points)
         self._vals = self._scalar_basis(self._grid["gauss_pts"])
         self._check_resolution()
@@ -223,7 +226,9 @@ class CorrectorSolver:
     def _solve(self, b) -> CorrectorSolution:
         rhs = np.zeros(self.n_dof + 3)
         rhs[:self.n_dof] = -np.asarray_chkfinite(b)
-        sol = lu_solve(self._lu, rhs, check_finite=False, overwrite_b=True)
+        sol, info = self._getrs(*self._lu, rhs, overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"getrs: illegal value in argument {-info}")
         u = sol[:self.n_dof]
         energy = 0.5 * float(b @ u)
         gauge = float(np.max(np.abs(self.C @ u)))

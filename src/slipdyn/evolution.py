@@ -231,85 +231,6 @@ class EnergyContext:
         return float(self._force_parts(pts)[1][i])
 
 
-class _BoundaryState:
-    """Each equal-weight atom's weighted boundary row and column and its
-    derivative row at the live points ``pts``, evaluated once per placement
-    (``_boundary_data`` with ``dy1``); ``moved(i)`` re-evaluates atom i after
-    it has moved.
-
-    ``atoms[0]`` is zero and ``atoms[j + 1]`` = w [a_j, b_j], w = 1/n; numpy
-    adds along a slow axis in order, so ``np.add.reduce(atoms, axis=0)`` is the
-    sum from zero in atom order: the bits of ``_boundary_sums``.  ``derivs[j]``
-    is atom j's derivative row d_j, unweighted.  With the summed rows A and
-    columns B and the displacement u of the corrector solve from the traction
-    A[:, :2], the interaction part of atom i's force is -d_i . (B - w b_i)
-    - w sum_{j != i} s(z_i - z_j), s = -d_1 psi, and the corrector part
-    -d_i[:, :2] . u.
-    """
-
-    def __init__(self, ctx: EnergyContext, pts: np.ndarray):
-        self.ctx, self.pts, self.w = ctx, pts, 1.0 / len(pts)
-        self.grid = _boundary_grid(ctx.geom.omega, ctx.quad.boundary_points)
-        self.solver = get_solver(ctx.geom, ctx.mat, ctx.basis, ctx.quad)
-        ng = len(self.grid["gauss_w"])
-        self.atoms = np.zeros((len(pts) + 1, 2, ng, 3))
-        self.derivs = np.empty((len(pts), ng, 3))
-        for s in range(0, len(pts), BLOCK):
-            self._put(s, _boundary_data(self.grid, pts[s:s + BLOCK], ctx.mat, dy1=True))
-
-    def _put(self, s, data):
-        """Keep the data of the atoms from s on, copied out of ``data``."""
-        np.multiply(self.w, data[:, :2], out=self.atoms[s + 1:s + 1 + len(data)])
-        self.derivs[s:s + len(data)] = data[:, 2]
-
-    def moved(self, i: int):
-        self._put(i, _boundary_data(self.grid, self.pts[i], self.ctx.mat, dy1=True))
-
-    def _row(self, d, singular, total, own, u):
-        return -np.vdot(d, total[1] - own[1]) - self.w * singular, -np.vdot(d[:, :2], u)
-
-    def parts(self, kept: _Pass):
-        """Every atom's force parts; the sums and the solution go into ``kept``."""
-        pts = self.pts
-        total = np.add.reduce(self.atoms, axis=0)
-        kept.sums = total, [np.vdot(a, b) for a, b in self.atoms[1:]]
-        kept.solution = self.solver.solve_traction(total[0][:, :2], pts)
-        u = self.solver.boundary_displacement(kept.solution)
-        singular = _singular_sums(_stress_potential_dy1, pts, self.ctx.mat)
-        parts = [self._row(d, s, total, own, u)
-                 for d, s, own in zip(self.derivs, singular, self.atoms[1:])]
-        return np.array([p[0] for p in parts]), np.array([p[1] for p in parts])
-
-    def probe(self, i: int):
-        """xs -> [row i of ``parts`` with atom i moved to abscissa x for x in
-        xs], bit for bit, from one ``_boundary_data`` call for all xs: the
-        sums run on from the other atoms' cached prefix and suffix arrays, and
-        the singular sums of all xs in one array; each x keeps its own
-        corrector solve, displacement and dot products, whose BLAS calls could
-        round differently batched.  Valid until an atom moves."""
-        pts, y, mat = self.pts, self.pts[i, 1], self.ctx.mat
-        others = np.delete(pts, i, 0)
-        prefix = np.add.reduce(self.atoms[:i + 1], axis=0)
-
-        def block(xs):
-            zs = np.column_stack([xs, np.full(len(xs), y)])
-            data = _boundary_data(self.grid, zs, mat, dy1=True)
-            own = self.w * data[:, :2]
-            total = prefix + own                # np.add.reduce's order: on in atom order
-            for atom in self.atoms[i + 2:]:
-                total += atom
-            singular = _stress_potential_dy1(zs[:, None, :] - others, mat).sum(axis=1)
-            parts = []
-            for z, d, s, tot, ab in zip(zs, data[:, 2], singular, total, own):
-                trial = pts.copy()
-                trial[i] = z
-                u = self.solver.boundary_displacement(
-                    self.solver.solve_traction(tot[0][:, :2], trial))
-                parts.append(self._row(d, s, tot, ab, u))
-            return parts
-        return block
-
-
 @dataclass(frozen=True)
 class ForceRecord:
     """Per-dislocation horizontal configurational forces, yield threshold 1."""
@@ -325,7 +246,7 @@ def _forces_at(pts: np.ndarray, t: float, load: LoadingProgram,
 def _force_single(pts: np.ndarray, i: int, t: float, load: LoadingProgram,
                   ctx: EnergyContext) -> float:
     """Row i of the all-rows parts plus the load's gradient at pts[i] alone,
-    as a probe adds it."""
+    as a probe (``_StepTable.probe``) adds it."""
     inter, corr = ctx._force_parts(pts)
     return (float(inter[i]) + float(corr[i])
             + float(load.horizontal_gradient(t, pts[i:i + 1])[0]))
@@ -429,22 +350,33 @@ def stability_excess(cfg: DislocationConfig, record: ForceRecord) -> float:
 
 
 class _StepTable:
-    """The only source of all-rows force parts, and a step's sweep's one
-    force source at its fixed time t: ``parts()``, the live points'
-    (interaction, corrector) parts, from the context's kept pass at the start
-    points, else computed at most once per placement, in free space by
-    ``_log_forces`` of the ``pairs`` table (only abscissae move within a
-    step), bounded by ``_BoundaryState.parts`` of ``state()``; both are built
-    when first needed, so a kept pass's parts build neither.  ``forces()``
-    adds the load (the bits of ``_forces_at``).  ``moved(i)`` follows a
-    landing of dislocation i, and ``hand_back()`` gives the context the last
-    pass.  Landings probe the same table (``_force_probe``); ``shear`` is
-    sigma(t) of a uniform shear, else None.
+    """One step of a sweep at its fixed time t, and the only source of
+    all-rows force parts: ``parts()``, the live points' (interaction,
+    corrector) parts, from the context's kept pass at the start points, else
+    computed at most once per placement; ``forces()`` adds the load (the bits
+    of ``_forces_at``); ``moved(i)`` follows a landing of dislocation i,
+    ``probe(i)`` is the force on dislocation i as it alone moves, and
+    ``hand_back()`` gives the context the last pass.
+
+    In free space the parts are ``_log_forces`` of the ``pairs`` table (only
+    abscissae move within a step).  Bounded, the table keeps each
+    equal-weight atom's weighted boundary row and column and its derivative
+    row (``_boundary_data`` with ``dy1``), evaluated once per placement:
+    ``atoms[0]`` is zero and ``atoms[j + 1]`` = w [a_j, b_j], w = 1/n; numpy
+    adds along a slow axis in order, so ``np.add.reduce(atoms, axis=0)`` is
+    the sum from zero in atom order, the bits of ``_boundary_sums``;
+    ``derivs[j]`` is atom j's derivative row d_j, unweighted.  With the summed
+    rows A and columns B and the displacement u of the corrector solve from
+    the traction A[:, :2], the interaction part of atom i's force is
+    -d_i . (B - w b_i) - w sum_{j != i} s(z_i - z_j), s = -d_1 psi, and the
+    corrector part -d_i[:, :2] . u.  The pair table and the bounded arrays
+    are built when first needed, so a kept pass's parts build neither;
+    ``shear`` is sigma(t) of a uniform shear, else None.
     """
 
     def __init__(self, pts, t, load, ctx):
         self.pts, self.t, self.load, self.ctx = pts, t, load, ctx
-        self._state = self._pass = self._forces = None
+        self.atoms = self._pass = self._forces = None
 
     @cached_property
     def shear(self):
@@ -454,26 +386,51 @@ class _StepTable:
     def pairs(self) -> np.ndarray:
         return _pair_table(self.pts)
 
-    def state(self) -> _BoundaryState:
-        if self._state is None:
-            self._state = _BoundaryState(self.ctx, self.pts)
-        return self._state
+    def _bounded_arrays(self):
+        """Build ``atoms``, ``derivs``, the grid and the solver, once."""
+        if self.atoms is not None:
+            return
+        ctx, pts, self.w = self.ctx, self.pts, 1.0 / len(self.pts)
+        self.grid = _boundary_grid(ctx.geom.omega, ctx.quad.boundary_points)
+        self.solver = get_solver(ctx.geom, ctx.mat, ctx.basis, ctx.quad)
+        ng = len(self.grid["gauss_w"])
+        self.atoms = np.zeros((len(pts) + 1, 2, ng, 3))
+        self.derivs = np.empty((len(pts), ng, 3))
+        for s in range(0, len(pts), BLOCK):
+            self._put(s, _boundary_data(self.grid, pts[s:s + BLOCK], ctx.mat, dy1=True))
+
+    def _put(self, s, data):
+        """Keep the data of the atoms from s on, copied out of ``data``."""
+        np.multiply(self.w, data[:, :2], out=self.atoms[s + 1:s + 1 + len(data)])
+        self.derivs[s:s + len(data)] = data[:, 2]
 
     def moved(self, i):
         self._pass, self._forces = _Pass(), None
-        if self._state is not None:
-            self._state.moved(i)
+        if self.atoms is not None:
+            self._put(i, _boundary_data(self.grid, self.pts[i], self.ctx.mat, dy1=True))
+
+    def _row(self, d, singular, total, own, u):
+        return -np.vdot(d, total[1] - own[1]) - self.w * singular, -np.vdot(d[:, :2], u)
 
     def parts(self):
-        """The (interaction, corrector) parts of every row at the live points."""
+        """The (interaction, corrector) parts of every row at the live points;
+        bounded, the sums and the corrector solution go into the pass too."""
         if self._pass is None:                          # the start points
             self._pass = self.ctx._pass_at(self.pts)
-        kept = self._pass
+        kept, pts = self._pass, self.pts
         if kept.forces is None and self.ctx.mode == "bounded":
-            kept.forces = self.state().parts(kept)
+            self._bounded_arrays()
+            total = np.add.reduce(self.atoms, axis=0)
+            kept.sums = total, [np.vdot(a, b) for a, b in self.atoms[1:]]
+            kept.solution = self.solver.solve_traction(total[0][:, :2], pts)
+            u = self.solver.boundary_displacement(kept.solution)
+            singular = _singular_sums(_stress_potential_dy1, pts, self.ctx.mat)
+            rows = [self._row(d, s, total, own, u)
+                    for d, s, own in zip(self.derivs, singular, self.atoms[1:])]
+            kept.forces = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
         elif kept.forces is None:
-            kept.forces = (_log_forces(self.pts[:, :1], self.pts[:, 0], self.pairs,
-                                       self.ctx.mat.log_coef), np.zeros(len(self.pts)))
+            kept.forces = (_log_forces(pts[:, :1], pts[:, 0], self.pairs,
+                                       self.ctx.mat.log_coef), np.zeros(len(pts)))
         return kept.forces
 
     def forces(self) -> np.ndarray:
@@ -483,43 +440,59 @@ class _StepTable:
             self._forces = inter + corr + self.load.horizontal_gradient(self.t, self.pts)
         return self._forces
 
-    def hand_back(self):
-        if self._pass is not None:
-            self.ctx._pass_at(self.pts, self._pass)
+    def probe(self, i):
+        """``x -> _force_single`` of the live points with dislocation i moved
+        to abscissa x, bit for bit; the sweep builds one for each landing.
 
-
-def _force_probe(pts, i, t, load, ctx, table):
-    """``x -> _force_single`` of ``pts`` with dislocation i moved to abscissa
-    x, bit for bit, from ``table``, the step's ``_StepTable`` of ``pts``, t
-    and load; the sweep builds one for each landing.
-    In free space a probe is ``_log_forces`` of row i of the table's pairs
-    against the live view ``pts[:, 0]``, so it copies nothing, plus the
-    corrector's 0.0 and the load, as ``_force_single`` adds them.  Bounded,
-    it evaluates only dislocation i's row, column and derivative row at x,
-    the singular terms against the others and one corrector solve
-    (``_BoundaryState.probe`` of the table's state).  Its ``block(xs)`` is
-    ``[probe(x) for x in xs]`` bit for bit, with one boundary evaluation for
-    all xs; ``_land_position`` marches on it.
-    """
-    shear = table.shear
-    if ctx.mode == "bounded":
-        parts, y = table.state().probe(i), pts[i, 1]
+        In free space it is ``_log_forces`` of row i of ``pairs`` against the
+        live view ``pts[:, 0]``, so it copies nothing, plus the corrector's
+        0.0 and the load, as ``_force_single`` adds them.  Bounded, its
+        ``block(xs)`` is ``[probe(x) for x in xs]`` bit for bit, from one
+        ``_boundary_data`` call for all xs: the sums run on from the other
+        atoms' kept prefix and suffix arrays, and the singular sums against
+        the others of all xs in one array; each x keeps its own corrector
+        solve, displacement and dot products, whose BLAS calls could round
+        differently batched, and the solve checks the margin of the moved
+        point alone, as the others are the live points, inside the box.
+        ``_land_position`` marches on it.  Valid until an atom moves.
+        """
+        pts, y, t, load, shear = self.pts, self.pts[i, 1], self.t, self.load, self.shear
+        if self.ctx.mode != "bounded":
+            dy2, xs, c = self.pairs[i], pts[:, 0], self.ctx.mat.log_coef
+            if shear is not None:
+                return lambda x: float(_log_forces(x, xs, dy2, c)) + 0.0 + shear
+            return lambda x: (float(_log_forces(x, xs, dy2, c)) + 0.0
+                              + float(load.horizontal_gradient(t, np.array([[x, y]]))[0]))
+        self._bounded_arrays()
+        atoms, solver, mat = self.atoms, self.solver, self.ctx.mat
+        others = np.delete(pts, i, 0)
+        prefix = np.add.reduce(atoms[:i + 1], axis=0)
 
         def block(xs):
-            return [float(inter) + float(corr) + (
-                shear if shear is not None
-                else float(load.horizontal_gradient(t, np.array([[x, y]]))[0]))
-                for x, (inter, corr) in zip(xs, parts(xs))]
+            zs = np.column_stack([xs, np.full(len(xs), y)])
+            data = _boundary_data(self.grid, zs, mat, dy1=True)
+            own = self.w * data[:, :2]
+            total = prefix + own                # np.add.reduce's order: on in atom order
+            for atom in atoms[i + 2:]:
+                total += atom
+            singular = _stress_potential_dy1(zs[:, None, :] - others, mat).sum(axis=1)
+            out = []
+            for x, z, d, s, tot, ab in zip(xs, zs, data[:, 2], singular, total, own):
+                u = solver.boundary_displacement(solver.solve_traction(tot[0][:, :2], z))
+                inter, corr = self._row(d, s, tot, ab, u)
+                out.append(float(inter) + float(corr) + (
+                    shear if shear is not None
+                    else float(load.horizontal_gradient(t, np.array([[x, y]]))[0])))
+            return out
 
         def probe(x):
             return block([x])[0]
         probe.block = block
         return probe
-    dy2, xs, y, c = table.pairs[i], pts[:, 0], pts[i, 1], ctx.mat.log_coef
-    if shear is not None:
-        return lambda x: float(_log_forces(x, xs, dy2, c)) + 0.0 + shear
-    return lambda x: (float(_log_forces(x, xs, dy2, c)) + 0.0
-                      + float(load.horizontal_gradient(t, np.array([[x, y]]))[0]))
+
+    def hand_back(self):
+        if self._pass is not None:
+            self.ctx._pass_at(self.pts, self._pass)
 
 
 def _march(probe, x0, barrier, line_grid):
@@ -605,11 +578,11 @@ def _sweep_to_stability(pts, t, load, ctx, solver_cfg, box, r_n, orders):
     of pts) in turn, and checks each dislocation against its row of the step's
     ``_StepTable`` vector (the bits of ``_forces_at``).  A
     dislocation whose force exceeds the threshold lands toward its barrier
-    on that side (``_barriers``) unless it stands there, on a
-    ``_force_probe`` of the same table built for that landing alone, and the
-    table follows the landing, so no atom's boundary data is evaluated twice
-    at one place.  The relaxation stops after a sweep that moves nothing,
-    since a repeat would move nothing either; the residual
+    on that side (``_barriers``) unless it stands there, on the table's
+    ``probe(i)``, built for that landing alone, and the table follows the
+    landing, so no atom's boundary data is evaluated twice at one place.
+    The relaxation stops after a sweep that moves nothing, since a repeat
+    would move nothing either; the residual
     (``_residual_from_forces``) comes from the last vector, and the table
     hands its pass to the context.  A landing stops at a neighbour -+ r_n, so
     no dislocation passes another on its plane and the orders hold for the
@@ -628,9 +601,8 @@ def _sweep_to_stability(pts, t, load, ctx, solver_cfg, box, r_n, orders):
                 barrier = upper if direction > 0 else lower
                 if (barrier - pts[i, 0]) * direction <= 1e-15:
                     continue
-                pts[i, 0] = _land_position(
-                    _force_probe(pts, i, t, load, ctx, table), pts[i, 0], f,
-                    direction, barrier, solver_cfg.line_grid)
+                pts[i, 0] = _land_position(table.probe(i), pts[i, 0], f, direction,
+                                           barrier, solver_cfg.line_grid)
                 table.moved(i)
                 moved = True
         if not moved:

@@ -20,9 +20,9 @@ Two evaluation routes are implemented:
   computation of the offsets, 1/r^2 and log r^2, in place in one workspace
   per block (``_Offsets``).  Pair matrices (``interaction_cross_matrix``),
   energies and the corrector's linear form (weighted rows and columns summed
-  first, ``_boundary_sums``) and the forces all read it; the forces keep each
-  atom's weighted row and column and its derivative row for the sweep
-  (``evolution._BoundaryState``), so a probe or a landing evaluates only the
+  first, ``_boundary_sums``) and the forces all read it; a sweep step keeps
+  each atom's weighted row and column and its derivative row
+  (``evolution._StepTable``), so a probe or a landing evaluates only the
   dislocation it moves.
 
 ``v_pair`` shares no code with the boundary reduction and is kept as the

@@ -529,6 +529,24 @@ def test_output_dir_rejected(tmp_path, value):
     assert "output_dir" in res.output
 
 
+@pytest.mark.parametrize("route", ["output_dir", "env"])
+def test_output_dir_that_is_a_file(tmp_path, route):
+    # an output directory that names a file used to escape as a
+    # FileExistsError (output_dir) or NotADirectoryError ($SLIPDYN_OUT, which
+    # gets the experiment's name appended) traceback
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    payload = json.loads((CONFIG_DIR / "kernel_check.json").read_text())
+    if route == "output_dir":
+        payload["output_dir"] = str(taken)
+    res = CliRunner().invoke(main, ["kernel-check", str(write_config(tmp_path, payload))],
+                             env={"SLIPDYN_OUT": str(taken)})
+    assert res.exit_code == 2, res.output
+    assert "error: cannot create output directory" in res.output
+    assert str(taken) in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
 @pytest.mark.parametrize("name, section, value", [
     ("kernel_check", "gamma", 5),
     ("kernel_check", "distance", {"mu": [], "nu": [[0.0, 0.0, 1.0]]}),

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_solve
 
 from slipdyn.corrector import (CorrectorSolver, RitzBasis, get_solver,
                                solve_corrector)
@@ -138,6 +139,20 @@ def test_gauge_rows_match_tensor_quadrature(deg, domain, lame, quad):
     solver = CorrectorSolver(geom, Material(*lame), RitzBasis(deg), quad)
     C = solver.C
     assert np.max(np.abs(C - gauge_rows(solver))) <= 1e-13 * np.max(np.abs(C))
+
+
+@pytest.mark.parametrize("deg", [4, 8])
+@pytest.mark.parametrize("domain", ["unit", "wide"])
+def test_solve_matches_lu_solve(deg, domain, geom, wide_geom, mat, quad):
+    # _solve calls LAPACK's getrs itself; scipy's lu_solve of the same
+    # factorization is the oracle, bit for bit, on random right-hand sides
+    solver = get_solver(geom if domain == "unit" else wide_geom, mat, RitzBasis(deg), quad)
+    rng = np.random.default_rng(deg)
+    for _ in range(20):
+        b = rng.standard_normal(solver.n_dof)
+        rhs = np.concatenate([-b, np.zeros(3)])
+        ref = lu_solve(solver._lu, rhs)[:solver.n_dof]
+        assert np.array_equal(solver._solve(b).coefficients, ref)
 
 
 def test_degree_28_build_memory():

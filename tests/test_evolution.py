@@ -169,8 +169,8 @@ def _bits(value):
 
 
 def _fresh_probe(pts, i, t, load, ctx):
-    """``_force_probe`` of dislocation i on a new step table of ``pts``."""
-    return evolution._force_probe(pts, i, t, load, ctx, evolution._StepTable(pts, t, load, ctx))
+    """The probe of dislocation i on a new step table of ``pts``."""
+    return evolution._StepTable(pts, t, load, ctx).probe(i)
 
 
 @pytest.mark.parametrize("mode", ["freespace", "bounded"])
@@ -361,7 +361,7 @@ def test_probe_reads_the_live_table(fctx):
         pts = start.copy()
         table = evolution._StepTable(pts, 0.7, load, fctx)
         assert np.array_equal(table.pairs[i], evolution._pair_table(pts)[i])
-        probe = evolution._force_probe(pts, i, 0.7, load, fctx, table)
+        probe = table.probe(i)
         pts[neighbour, 0] += 0.013
         pts[other, 0] -= 0.021
         for x in (pts[i, 0], pts[i, 0] + 0.004, rng.uniform(0.3, 0.7)):
@@ -611,13 +611,10 @@ def test_probe_block_equals_points(fctx, geom, mat, quad, basis):
         for load in loads:
             for i in sorted({0, n // 2, n - 1}):
                 probe = _fresh_probe(pts, i, 0.7, load, ctx)
-                parts = evolution._StepTable(pts, 0.7, load, ctx).state().probe(i)
                 for m in (1, 5, 16):
                     xs = list(rng.uniform(0.2, 0.8, m))
                     assert [_bits(f) for f in probe.block(xs)] == \
                         [_bits(probe(x)) for x in xs]
-                    assert [[_bits(v) for v in p] for p in parts(xs)] == \
-                        [[_bits(v) for v in parts([x])[0]] for x in xs]
 
 
 def _checked_sweep(pts, t, load, ctx, solver_cfg, box, r_n, planes):
@@ -690,12 +687,13 @@ def _group_residual_oracle(pts, forces, planes, box, r_n):
     return float(worst)
 
 
-def _copy_probe(pts, i, t, load, ctx, table):
-    """Oracle probe: copy the points, move atom i and call ``_force_single``."""
+def _copy_probe(table, i):
+    """Oracle probe: copy the table's points, move atom i and call
+    ``_force_single``."""
     def probe(x):
-        trial = pts.copy()
+        trial = table.pts.copy()
         trial[i, 0] = x
-        return evolution._force_single(trial, i, t, load, ctx)
+        return evolution._force_single(trial, i, table.t, table.load, table.ctx)
     return probe
 
 
@@ -709,10 +707,10 @@ def test_step_matches_checked_sweep(fctx, geom, mat, quad, basis, small_schedule
     # _force_single, and the step makes fewer single-dislocation force
     # evaluations: probe calls plus _force_single calls (free-space probes
     # make none, and the oracle's uncounted probes one each); bounded, it
-    # lands on fresh _force_probe probes, equal to _force_single bit for bit
+    # lands on fresh _StepTable.probe probes, equal to _force_single bit for bit
     calls = [0]
     single = evolution._force_single
-    build = evolution._force_probe
+    build = evolution._StepTable.probe
 
     def counted(*args):
         calls[0] += 1
@@ -732,7 +730,7 @@ def test_step_matches_checked_sweep(fctx, geom, mat, quad, basis, small_schedule
         return counted_probe
 
     monkeypatch.setattr(evolution, "_force_single", counted)
-    monkeypatch.setattr(evolution, "_force_probe", counted_build)
+    monkeypatch.setattr(evolution._StepTable, "probe", counted_build)
     load = ramp_load()
     solver_cfg = SolverConfig()
     bctx = EnergyContext("bounded", mat, geom, quad, basis)
@@ -756,7 +754,7 @@ def test_step_matches_checked_sweep(fctx, geom, mat, quad, basis, small_schedule
                 fresh = EnergyContext(ctx.mode, mat, ctx.geom, quad, ctx.basis)
                 calls[0] = 0
                 with monkeypatch.context() as m:
-                    m.setattr(evolution, "_force_probe",
+                    m.setattr(evolution._StepTable, "probe",
                               _copy_probe if ctx is fctx else build)
                     resid = _checked_sweep(pts, t, load, fresh, solver_cfg, prev.box,
                                            prev.r_n, prev.planes())
@@ -769,9 +767,9 @@ def test_step_matches_checked_sweep(fctx, geom, mat, quad, basis, small_schedule
 
 
 def test_every_probe_lands(fctx, geom, mat, quad, basis, small_schedule, monkeypatch):
-    # the sweep checks against its table's vector and builds a _force_probe
-    # only to land: as many builds as landings, in both modes
-    counts, build, land = [0, 0], evolution._force_probe, evolution._land_position
+    # the sweep checks against its table's vector and builds a probe
+    # (_StepTable.probe) only to land: as many builds as landings, in both modes
+    counts, build, land = [0, 0], evolution._StepTable.probe, evolution._land_position
 
     def counted_build(*args):
         counts[0] += 1
@@ -781,7 +779,7 @@ def test_every_probe_lands(fctx, geom, mat, quad, basis, small_schedule, monkeyp
         counts[1] += 1
         return land(*args)
 
-    monkeypatch.setattr(evolution, "_force_probe", counted_build)
+    monkeypatch.setattr(evolution._StepTable, "probe", counted_build)
     monkeypatch.setattr(evolution, "_land_position", counted_land)
     load = ramp_load()
     ctxs = (fctx, EnergyContext("bounded", mat, geom, quad, basis))
