@@ -29,6 +29,13 @@ Sections:
 * one landing search (``evolution._land_position``) on such a free-space
   probe: the leftmost dislocation of the lowest plane, under a shear set so
   that its force is 1.5 where it stands, toward its right neighbour;
+* the free-space lattice ramps of ROADMAP item 6, 4 x 4 and 8 x 8
+  dislocations (x and y in [0.3, 0.7], ``r_coef`` 0.05, sigma from 0.9 to
+  1.6 over 100 steps, ``pre_relax``, the default solver; a 25th of the
+  repeats, at least 1), each printed with its sweeps per step and landings
+  and with its Newton finishes (``evolution._newton_finish`` calls) and
+  iterations (its ``np.linalg.solve`` calls); the sweeps are counted as the
+  sweep's passes over its plane orders;
 * one bounded sweep step: the first moving ``evolution.incremental_step`` of
   the 16-dislocation ramp of ROADMAP item 2 (4 planes from y = 0.35 to 0.65,
   4 lattice abscissae from 0.4 to 0.6 each, sigma = t, the step to t = 0.8,
@@ -74,8 +81,10 @@ import numpy as np
 
 from slipdyn.config import load_config
 from slipdyn.corrector import CorrectorSolver, RitzBasis, get_solver
+from slipdyn import evolution
 from slipdyn.evolution import (EnergyContext, LoadingProgram, SolverConfig, _StepTable,
-                               _forces_at, _land_position, _pair_table, incremental_step)
+                               _forces_at, _land_position, _pair_table, incremental_step,
+                               run_quasistatic)
 from slipdyn.geometry import Rect, unit_geometry
 from slipdyn import recovery
 from slipdyn.interaction import QuadratureConfig, _boundary_data, _boundary_grid, _boundary_sums
@@ -116,6 +125,61 @@ def _traced_peak_mb(fn):
 def _report(label, seconds, per):
     print(f"{label:<34} {seconds * 1e6:12.1f} {seconds / per * 1e6:12.1f}"
           f" {_peak_rss_mb():10.1f}")
+
+
+def _lattice_ramp(planes, geom, ctx, repeat):
+    """Median time of one free-space lattice ramp of planes x planes
+    dislocations, and the counts of its last run: steps, sweeps, landings,
+    Newton finishes and their iterations, from wrappers of the evolution's
+    functions that this script installs and removes."""
+    xs = np.linspace(0.3, 0.7, planes)
+    init = DislocationConfig(np.column_stack([np.tile(xs, planes), np.repeat(xs, planes)]),
+                             ScalingSchedule(r_coef=0.05), geom.r_box)
+    load = LoadingProgram.uniform_shear(lambda t: 0.9 + 0.7 * t, 1.0, lambda t: 0.7)
+    counts = {}
+
+    class Orders(tuple):                # a sweep is one pass over the plane orders
+        def __iter__(self):
+            counts["sweeps"] += 1
+            return super().__iter__()
+
+    sweep, finish, residual = (evolution._sweep_to_stability, evolution._newton_finish,
+                               evolution._residual_from_forces)
+    land, solve = evolution._land_position, np.linalg.solve
+
+    def counted_sweep(pts, t, load, ctx, solver_cfg, box, r_n, orders):
+        counts["steps"] += 1
+        return sweep(pts, t, load, ctx, solver_cfg, box, r_n, Orders(orders))
+
+    def counted_land(*args):
+        counts["landings"] += 1
+        return land(*args)
+
+    def counted_solve(*args):
+        counts["iterations"] += 1
+        return solve(*args)
+
+    def counted_finish(table, movers, orders, box, r_n):
+        counts["finishes"] += 1
+        np.linalg.solve = counted_solve
+        try:
+            return finish(table, movers, orders[:], box, r_n)     # a slice is a plain tuple
+        finally:
+            np.linalg.solve = solve
+
+    def run():
+        counts.update(steps=0, sweeps=0, landings=0, finishes=0, iterations=0)
+        run_quasistatic(init, np.linspace(0.0, 1.0, 101), load, SolverConfig(), ctx,
+                        pre_relax=True)
+
+    evolution._sweep_to_stability, evolution._land_position = counted_sweep, counted_land
+    evolution._newton_finish = counted_finish
+    evolution._residual_from_forces = lambda x, f, orders, *rest: residual(x, f, orders[:], *rest)
+    try:
+        return _median_s(run, repeat), counts
+    finally:
+        evolution._sweep_to_stability, evolution._land_position = sweep, land
+        evolution._newton_finish, evolution._residual_from_forces = finish, residual
 
 
 def main():
@@ -191,6 +255,13 @@ def main():
         t = _median_s(lambda: _land_position(probe, free[i, 0], f0, 1.0, barrier,
                                              SolverConfig().line_grid), args.repeat)
         _report(f"free-space landing, n = {n}", t, 1)
+    for planes in (4, 8):
+        t, counts = _lattice_ramp(planes, geom, fctx, max(1, args.repeat // 25))
+        _report(f"free-space lattice ramp, {planes} x {planes}", t, planes * planes)
+        print(f"{'  its sweeps/step, landings':<34} {counts['sweeps'] / counts['steps']:12.2f}"
+              f" {counts['landings']:12d}")
+        print(f"{'  its Newton finishes, iterations':<34} {counts['finishes']:12d}"
+              f" {counts['iterations']:12d}")
     ramp = DislocationConfig(np.column_stack([np.tile(np.linspace(0.4, 0.6, 4), 4),
                                               np.repeat(np.linspace(0.35, 0.65, 4), 4)]),
                              ScalingSchedule(), geom.r_box)

@@ -9,8 +9,12 @@ edge.  Cyclic per-plane sweeps repeat until one moves nothing, checking every
 dislocation against one all-rows force vector per placement, and the step
 fails unless the stability residual (the largest mean force excess of a group
 that can move together, one-sided at the box edges and at neighbours in
-contact) is then within the solver tolerance; optional multi-start
-perturbations probe for deeper minima and warn when they find one.
+contact) is then within the solver tolerance.  In free space under a uniform
+shear, once two sweeps in a row have landed the same dislocations the same
+way, each at a force crossing, a Newton finish solves their threshold
+equations together; the sweeps still judge when the step ends.  Optional
+multi-start perturbations probe for deeper minima and warn when they find
+one.
 """
 from __future__ import annotations
 
@@ -37,6 +41,7 @@ __all__ = ["LoadingProgram", "SolverConfig", "EnergyContext", "ForceRecord",
            "energy_balance_residual", "flow_rule_steps", "flow_rule_residual"]
 
 EDGE_TOL = 1e-10
+NEWTON_TOL, NEWTON_STEPS, NEWTON_HALVINGS = 1e-13, 20, 30    # ``_newton``
 
 
 def _pair_table(pts: np.ndarray) -> np.ndarray:
@@ -54,6 +59,100 @@ def _log_forces(x, xs: np.ndarray, dy2: np.ndarray, log_coef: float):
     self term exactly 0, so a probe's row and all rows sum the same terms alike."""
     dx = x - xs
     return np.add.reduce(log_coef * dx / (dx * dx + dy2), axis=-1) / len(xs)
+
+
+def _newton_finish(table, movers: dict, orders, box, r_n: float) -> None:
+    """Solve f_i(x) = s_i for the ``movers`` {i: s_i} of a free-space,
+    uniform-shear sweep step by Newton's method on their abscissae
+    (``_newton``), the others held, in the step's ``_StepTable``: mutates its
+    points and tells it of every move.
+
+    The finish keeps Newton's end point only if Newton converged and every
+    mover has moved only in its own direction s_i.  Otherwise it puts the
+    movers back; if Newton converged but some movers moved back, those are
+    not movers of the limit the sweeps approach (their neighbours' moves
+    relieve them), so it holds them where they stand and solves again for
+    the others.  It never keeps an intermediate iterate: one that has
+    overshot a mover's crossing leaves the mover inside the stable set,
+    whence no landing brings it back.
+    """
+    pts = table.pts
+    while movers:
+        places = [(i, order, k) for order in orders for k, i in enumerate(order) if i in movers]
+        rows = np.array([i for i, _, _ in places])
+        s = np.array([movers[i] for i in rows])
+        start = pts[rows, 0].copy()
+        converged = _newton(table, places, rows, s, box, r_n)
+        back = (pts[rows, 0] - start) * s < 0.0
+        if converged and not back.any():
+            return
+        pts[rows, 0] = start
+        for i in rows:
+            table.moved(i)
+        if not converged:
+            return
+        movers = {i: movers[i] for i in rows[~back].tolist()}
+
+
+def _newton(table, places, rows, s, box, r_n: float) -> bool:
+    """Newton's method for f_i(x) = s_i on the abscissae of ``rows`` (the
+    dislocations of ``places`` [(i, order, k)], the k-th of its plane's
+    ``order``), in place; whether it converged.
+
+    The Jacobian is that of ``_log_forces``: for j != i, df_i/dx_j =
+    -(c/n)(dy^2 - dx^2)/(dx^2 + dy^2)^2, written (c/n)(1 - 2 dx^2/r^2)/r^2
+    with r^2 = dx^2 + dy^2 so that the ``pairs`` table's inf self offset
+    makes it 0; the diagonal is minus its row's sum over all the other
+    dislocations.  Each step is halved until every one of ``rows`` stands
+    more than EDGE_TOL inside its ``_barriers`` and max |f_i - s_i| (from
+    ``table.forces()``) falls.  It has converged once that maximum is at
+    most ``NEWTON_TOL``, or once a step moves no abscissa by more than
+    ``NEWTON_TOL`` max(1, |x_i|), a landing's bracket: below that, rounding
+    in the forces can keep the maximum from falling.  It fails after
+    ``NEWTON_STEPS``, on a singular Jacobian, or when no halving is
+    accepted, the last trial left in the points.
+    """
+    pts, c = table.pts, table.ctx.mat.log_coef
+    gap = np.max(np.abs(table.forces()[rows] - s))
+    for _ in range(NEWTON_STEPS):
+        if gap <= NEWTON_TOL:
+            return True
+        x = pts[:, 0]
+        dx = x[rows, None] - x
+        r2 = dx * dx + table.pairs[rows]
+        off = c / len(x) * (1.0 - 2.0 * dx * dx / r2) / r2
+        try:
+            step = np.linalg.solve(np.diag(off.sum(axis=1)) - off[:, rows],
+                                   s - table.forces()[rows])
+        except np.linalg.LinAlgError:
+            return False
+        base = x[rows].copy()
+        if np.all(np.abs(step) <= NEWTON_TOL * np.maximum(1.0, np.abs(base))):
+            return True
+        for h in range(NEWTON_HALVINGS):
+            pts[rows, 0] = base + 0.5 ** h * step
+            if _inside(pts[:, 0], places, box, r_n):
+                for i in rows:
+                    table.moved(i)
+                trial = np.max(np.abs(table.forces()[rows] - s))
+                if trial < gap:
+                    gap = trial
+                    break
+        else:
+            return False
+    return gap <= NEWTON_TOL
+
+
+def _inside(x: np.ndarray, places, box, r_n: float) -> bool:
+    """Whether each dislocation i of ``places`` [(i, order, k)], the k-th of
+    its plane's ``order``, stands more than EDGE_TOL inside its ``_barriers``
+    at the abscissae x."""
+    xs = x.tolist()
+    for i, order, k in places:
+        lower, upper = _barriers(xs, order, k, box, r_n)
+        if not (xs[i] - lower > EDGE_TOL and upper - xs[i] > EDGE_TOL):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -437,7 +536,9 @@ class _StepTable:
         """``_forces_at`` of the live points, bit for bit."""
         if self._forces is None:
             inter, corr = self.parts()
-            self._forces = inter + corr + self.load.horizontal_gradient(self.t, self.pts)
+            shear = self.shear
+            self._forces = inter + corr + (
+                shear if shear is not None else self.load.horizontal_gradient(self.t, self.pts))
         return self._forces
 
     def probe(self, i):
@@ -587,10 +688,23 @@ def _sweep_to_stability(pts, t, load, ctx, solver_cfg, box, r_n, orders):
     hands its pass to the context.  A landing stops at a neighbour -+ r_n, so
     no dislocation passes another on its plane and the orders hold for the
     whole step.
+
+    In free space under a uniform shear (whose sigma has no x-derivative), a
+    sweep that lands the same dislocations in the same directions as the
+    sweep before, every landing of both at a force crossing and none at a
+    barrier, hands them to ``_newton_finish``; the next finish needs two new
+    such sweeps.  The finish keeps its movers more than EDGE_TOL inside
+    their barriers, so it makes no contact, and a finish changes only where
+    the sweeps start from: the step still ends after a sweep that moves
+    nothing, with the same residual and ``sweep_tol``.  Bounded runs (no
+    closed-form Jacobian) and custom loads (no derivative of f_x1) take the
+    plain sweeps, as does any step whose sweeps land at barriers.
     """
     table = _StepTable(pts, t, load, ctx)
+    newton = ctx.mode == "freespace" and table.shear is not None
+    last = None
     for _ in range(solver_cfg.max_sweeps):
-        moved = False
+        landed, crossed = {}, True
         for ordered in orders:
             for k, i in enumerate(ordered):
                 f = table.forces()[i]
@@ -604,9 +718,16 @@ def _sweep_to_stability(pts, t, load, ctx, solver_cfg, box, r_n, orders):
                 pts[i, 0] = _land_position(table.probe(i), pts[i, 0], f, direction,
                                            barrier, solver_cfg.line_grid)
                 table.moved(i)
-                moved = True
+                landed[i] = direction
+                crossed = crossed and pts[i, 0] != barrier
+        moved = bool(landed)
         if not moved:
             break
+        if newton and crossed and landed == last:
+            _newton_finish(table, landed, orders, box, r_n)
+            last = None
+        else:
+            last = landed if crossed else None
     forces = table.forces()
     table.hand_back()
     return _residual_from_forces(pts[:, 0], forces, orders, box, r_n), moved

@@ -13,6 +13,8 @@ from .geometry import Rect
 
 #: default absolute tolerance for deciding that two slip-plane coordinates coincide
 PLANE_TOL = 1e-9
+#: ``min_distance`` takes the dense pairwise minimum below this many points
+DENSE_MIN_DISTANCE = 65
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,11 @@ def min_distance(points) -> float:
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) < 2:
         return math.inf
+    if len(pts) < DENSE_MIN_DISTANCE:
+        d = pts[:, None, :] - pts
+        d2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+        np.fill_diagonal(d2, np.inf)
+        return math.sqrt(d2.min())
     return float(cKDTree(pts).query(pts, k=2)[0][:, 1].min())
 
 

@@ -1,11 +1,15 @@
 import itertools
+import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import slipdyn.evolution as evolution
+from slipdyn.config import load_config
+from slipdyn.experiments import RUNNERS
 from slipdyn.kernels import Material
 from slipdyn.measures import DislocationConfig, ScalingSchedule, group_by_plane, left_to_right
 from slipdyn.evolution import (EnergyContext, LoadingProgram, SolverConfig,
@@ -16,6 +20,10 @@ from slipdyn.evolution import (EnergyContext, LoadingProgram, SolverConfig,
 
 
 LINE_GRID = SolverConfig().line_grid
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+#: the finish's largest per-step move off the plain sweep on the ramps of
+#: test_newton_finish_stays_in_the_stable_set, 1.7e-12, with a margin
+NEWTON_DRIFT = 1e-11
 
 
 @pytest.fixture(scope="module")
@@ -707,7 +715,9 @@ def test_step_matches_checked_sweep(fctx, geom, mat, quad, basis, small_schedule
     # _force_single, and the step makes fewer single-dislocation force
     # evaluations: probe calls plus _force_single calls (free-space probes
     # make none, and the oracle's uncounted probes one each); bounded, it
-    # lands on fresh _StepTable.probe probes, equal to _force_single bit for bit
+    # lands on fresh _StepTable.probe probes, equal to _force_single bit for bit.
+    # The free-space Newton finish is off, as the oracle has none; its own
+    # guard is test_newton_finish_stays_in_the_stable_set
     calls = [0]
     single = evolution._force_single
     build = evolution._StepTable.probe
@@ -731,6 +741,7 @@ def test_step_matches_checked_sweep(fctx, geom, mat, quad, basis, small_schedule
 
     monkeypatch.setattr(evolution, "_force_single", counted)
     monkeypatch.setattr(evolution._StepTable, "probe", counted_build)
+    monkeypatch.setattr(evolution, "_newton_finish", lambda *args: None)
     load = ramp_load()
     solver_cfg = SolverConfig()
     bctx = EnergyContext("bounded", mat, geom, quad, basis)
@@ -764,6 +775,64 @@ def test_step_matches_checked_sweep(fctx, geom, mat, quad, basis, small_schedule
                 moves += not np.array_equal(new.points, prev.points)
                 cfg = new
         assert moves >= (40 if ctx is fctx else 6)
+
+
+def test_newton_finish_stays_in_the_stable_set(fctx, geom, small_schedule, monkeypatch):
+    # the free-space ramps of test_step_matches_checked_sweep with the Newton
+    # finish on: from each step's start, the step ends stable (by the
+    # residual and by its group oracle) and within NEWTON_DRIFT of where the
+    # plain sweep (the finish off) ends; the finish engages, and the ramps
+    # take fewer landings than with the plain sweep
+    counts, land, finish = [0, 0], evolution._land_position, evolution._newton_finish
+
+    def counted_land(*args):
+        counts[0] += 1
+        return land(*args)
+
+    def counted_finish(*args):
+        counts[1] += 1
+        return finish(*args)
+
+    monkeypatch.setattr(evolution, "_land_position", counted_land)
+    monkeypatch.setattr(evolution, "_newton_finish", counted_finish)
+    load, solver_cfg = ramp_load(), SolverConfig()
+    ys = np.repeat([0.3, 0.4333, 0.5667, 0.7], 4)
+    landings, drift = [0, 0], 0.0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        xs = np.tile(np.linspace(0.3, 0.7, 4), 4) + rng.uniform(-0.02, 0.02, len(ys))
+        cfg = DislocationConfig(np.column_stack([xs, ys]), small_schedule, geom.r_box)
+        for t in (0.9, 1.15, 1.4):
+            counts[0] = 0
+            new = incremental_step(cfg, t, load, solver_cfg, fctx)
+            landings[0] += counts[0]
+            counts[0] = 0
+            with monkeypatch.context() as m:
+                m.setattr(evolution, "_newton_finish", lambda *args: None)
+                plain = incremental_step(cfg, t, load, solver_cfg, fctx)
+            landings[1] += counts[0]
+            forces = evolution._forces_at(new.points, t, load, fctx)
+            assert stability_residual(new, t, load, fctx) <= solver_cfg.sweep_tol
+            assert _group_residual_oracle(new.points, forces, new.planes(), new.box,
+                                          new.r_n) <= solver_cfg.sweep_tol
+            drift = max(drift, np.max(np.abs(new.points - plain.points)))
+            cfg = new
+    assert drift <= NEWTON_DRIFT
+    assert counts[1] > 0 and landings[0] < landings[1]
+
+
+def test_newton_finish_idle_on_shipped_configs(tmp_path, monkeypatch):
+    # every shipped simulate config runs as before: the finish never engages
+    def engaged(*args):
+        raise AssertionError("the Newton finish engaged")
+    monkeypatch.setattr(evolution, "_newton_finish", engaged)
+    paths = [p for p in sorted(CONFIGS.glob("*.json"))
+             if json.loads(p.read_text())["experiment"] == "simulate"]
+    assert len(paths) >= 4
+    for path in paths:
+        cfg, outdir = load_config(path), tmp_path / path.stem
+        outdir.mkdir()
+        RUNNERS["simulate"](cfg, outdir, cfg.seed, None)
 
 
 def test_every_probe_lands(fctx, geom, mat, quad, basis, small_schedule, monkeypatch):

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from oracles import group_by_plane_loop
 
 from slipdyn.geometry import Rect
-from slipdyn.measures import (CellMeasure, DiscreteMeasure, DislocationConfig,
-                              ScalingSchedule, group_by_plane, min_distance)
+from slipdyn.measures import (DENSE_MIN_DISTANCE, CellMeasure, DiscreteMeasure,
+                              DislocationConfig, ScalingSchedule, group_by_plane,
+                              min_distance)
 
 
 def test_geometry_invariants():
@@ -110,6 +112,24 @@ def test_min_distance_matches_dense(geom):
             assert not admitted
         else:
             assert admitted and cfg.min_separation() == dense
+
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_min_distance_matches_tree_at_the_switch(n):
+    # the dense path ends at 64 points and the tree takes over at 65
+    # (DENSE_MIN_DISTANCE): both give the tree query's bits, on random sets
+    # and on a coarse lattice (ties and duplicates)
+    rng = np.random.default_rng(n)
+    assert DENSE_MIN_DISTANCE == 65
+    for k in range(200):
+        if k % 2:
+            pts = 0.25 + 0.05 * rng.integers(0, 12, (n, 2))
+        else:
+            pts = rng.uniform(0.2, 0.8, (n, 2))
+        tree = float(cKDTree(pts).query(pts, k=2)[0][:, 1].min())
+        assert min_distance(pts) == tree
+        assert min_distance(pts.tolist()) == tree
 
 
 def test_group_by_plane_matches_loop():
