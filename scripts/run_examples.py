@@ -26,6 +26,7 @@ COMMANDS = {
     "spreading_pair.json": "simulate",
     "zero_load.json": "simulate",
     "bounded_pair.json": "simulate",
+    "bounded_ramp.json": "simulate",
     "gamma_uniform.json": "gamma",
     "distance_pair.json": "distance",
     "kernel_check.json": "kernel-check",

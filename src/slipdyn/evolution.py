@@ -12,13 +12,10 @@ that can move together, one-sided at the box edges and at neighbours in
 contact) is then within the solver tolerance.  In free space under a uniform
 shear, once two sweeps in a row have landed the same dislocations the same
 way, each at a force crossing, a Newton finish solves their threshold
-equations together; the sweeps still judge when the step ends.  Optional
-multi-start perturbations probe for deeper minima and warn when they find
-one.
+equations together; the sweeps still judge when the step ends.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -31,7 +28,7 @@ from .interaction import (BLOCK, QuadratureConfig, interaction_cross_matrix,  # 
                           _atom_energy, _boundary_data, _boundary_grid, _continuum_energy,
                           _singular_sums, _stress_potential_dy1, interaction_of_points)
 from .kernels import Material
-from .measures import CellMeasure, DiscreteMeasure, DislocationConfig, left_to_right
+from .measures import CellMeasure, DiscreteMeasure, DislocationConfig
 from .transport import slip_distance
 
 __all__ = ["LoadingProgram", "SolverConfig", "EnergyContext", "ForceRecord",
@@ -78,11 +75,10 @@ def _newton_finish(table, movers: dict, orders, box, r_n: float) -> None:
     """
     pts = table.pts
     while movers:
-        places = [(i, order, k) for order in orders for k, i in enumerate(order) if i in movers]
-        rows = np.array([i for i, _, _ in places])
+        rows = np.array([i for order in orders for i in order if i in movers])
         s = np.array([movers[i] for i in rows])
         start = pts[rows, 0].copy()
-        converged = _newton(table, places, rows, s, box, r_n)
+        converged = _newton(table, rows, s, orders, box, r_n)
         back = (pts[rows, 0] - start) * s < 0.0
         if converged and not back.any():
             return
@@ -94,23 +90,22 @@ def _newton_finish(table, movers: dict, orders, box, r_n: float) -> None:
         movers = {i: movers[i] for i in rows[~back].tolist()}
 
 
-def _newton(table, places, rows, s, box, r_n: float) -> bool:
-    """Newton's method for f_i(x) = s_i on the abscissae of ``rows`` (the
-    dislocations of ``places`` [(i, order, k)], the k-th of its plane's
-    ``order``), in place; whether it converged.
+def _newton(table, rows, s, orders, box, r_n: float) -> bool:
+    """Newton's method for f_i(x) = s_i on the abscissae of ``rows``, in
+    place; whether it converged.
 
     The Jacobian is that of ``_log_forces``: for j != i, df_i/dx_j =
     -(c/n)(dy^2 - dx^2)/(dx^2 + dy^2)^2, written (c/n)(1 - 2 dx^2/r^2)/r^2
     with r^2 = dx^2 + dy^2 so that the ``pairs`` table's inf self offset
     makes it 0; the diagonal is minus its row's sum over all the other
     dislocations.  Each step is halved until every one of ``rows`` stands
-    more than EDGE_TOL inside its ``_barriers`` and max |f_i - s_i| (from
-    ``table.forces()``) falls.  It has converged once that maximum is at
-    most ``NEWTON_TOL``, or once a step moves no abscissa by more than
-    ``NEWTON_TOL`` max(1, |x_i|), a landing's bracket: below that, rounding
-    in the forces can keep the maximum from falling.  It fails after
-    ``NEWTON_STEPS``, on a singular Jacobian, or when no halving is
-    accepted, the last trial left in the points.
+    more than EDGE_TOL inside its barriers (``_all_barriers`` of the planes'
+    ``orders``) and max |f_i - s_i| (from ``table.forces()``) falls.  It has
+    converged once that maximum is at most ``NEWTON_TOL``, or once a step
+    moves no abscissa by more than ``NEWTON_TOL`` max(1, |x_i|), a landing's
+    bracket: below that, rounding in the forces can keep the maximum from
+    falling.  It fails after ``NEWTON_STEPS``, on a singular Jacobian, or
+    when no halving is accepted, the last trial left in the points.
     """
     pts, c = table.pts, table.ctx.mat.log_coef
     gap = np.max(np.abs(table.forces()[rows] - s))
@@ -131,7 +126,9 @@ def _newton(table, places, rows, s, box, r_n: float) -> bool:
             return True
         for h in range(NEWTON_HALVINGS):
             pts[rows, 0] = base + 0.5 ** h * step
-            if _inside(pts[:, 0], places, box, r_n):
+            lower, upper = _all_barriers(pts[:, 0], orders, box, r_n)
+            at = pts[rows, 0]
+            if np.all(at - lower[rows] > EDGE_TOL) and np.all(upper[rows] - at > EDGE_TOL):
                 for i in rows:
                     table.moved(i)
                 trial = np.max(np.abs(table.forces()[rows] - s))
@@ -141,18 +138,6 @@ def _newton(table, places, rows, s, box, r_n: float) -> bool:
         else:
             return False
     return gap <= NEWTON_TOL
-
-
-def _inside(x: np.ndarray, places, box, r_n: float) -> bool:
-    """Whether each dislocation i of ``places`` [(i, order, k)], the k-th of
-    its plane's ``order``, stands more than EDGE_TOL inside its ``_barriers``
-    at the abscissae x."""
-    xs = x.tolist()
-    for i, order, k in places:
-        lower, upper = _barriers(xs, order, k, box, r_n)
-        if not (xs[i] - lower > EDGE_TOL and upper - xs[i] > EDGE_TOL):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -202,14 +187,12 @@ class LoadingProgram:
 class SolverConfig:
     sweep_tol: float = 1e-9
     max_sweeps: int = 80
-    restarts: int = 0
     line_grid: int = 48
     mode: str = "freespace"
 
     def __post_init__(self):
         for key, bound, ok in (("sweep_tol", "> 0", self.sweep_tol > 0),   # NaN fails too
                                ("max_sweeps", ">= 1", self.max_sweeps >= 1),
-                               ("restarts", ">= 0", self.restarts >= 0),
                                ("line_grid", ">= 4", self.line_grid >= 4)):
             if not ok:
                 raise ValueError(f"{key} must be {bound}, got {getattr(self, key)!r}")
@@ -297,12 +280,6 @@ class EnergyContext:
                 energy += kept.solution.energy
             kept.energy = energy
         return kept.energy
-
-    def total_with_load(self, cfg: DislocationConfig, t: float,
-                        load: LoadingProgram) -> float:
-        pts = cfg.points
-        return (self.renormalized_energy(cfg)
-                - float(np.mean(load.potential(t, pts))))
 
     # -- per-dislocation horizontal forces ----------------------------------
     def _force_parts(self, pts: np.ndarray):
@@ -734,8 +711,7 @@ def _sweep_to_stability(pts, t, load, ctx, solver_cfg, box, r_n, orders):
 
 
 def incremental_step(prev: DislocationConfig, t: float, load: LoadingProgram,
-                     solver_cfg: SolverConfig, ctx: EnergyContext,
-                     rng: np.random.Generator | None = None) -> DislocationConfig:
+                     solver_cfg: SolverConfig, ctx: EnergyContext) -> DislocationConfig:
     """One incremental minimization step of energy plus transport cost.
 
     The vertical marginal is preserved exactly (only horizontal coordinates
@@ -744,52 +720,16 @@ def incremental_step(prev: DislocationConfig, t: float, load: LoadingProgram,
     state holds along the whole sweep.
     """
     prev = prev.canonical_order()
-    box = prev.box
-    r_n = prev.r_n
-
-    def relax(start_pts, orders):
-        pts = start_pts.copy()
-        return (pts,) + _sweep_to_stability(pts, t, load, ctx, solver_cfg, box, r_n, orders)
-
-    pts, resid, moving = relax(prev.points, prev.plane_orders())
+    pts = prev.points.copy()
+    resid, moving = _sweep_to_stability(pts, t, load, ctx, solver_cfg, prev.box, prev.r_n,
+                                        prev.plane_orders())
     if not resid <= solver_cfg.sweep_tol:
         cause = (f"max_sweeps = {solver_cfg.max_sweeps} ran out, the last sweep still moved"
                  if moving else "no single dislocation can move while the residual exceeds "
                  "sweep_tol, so a run in contact must move together")
         raise RuntimeError(
             f"incremental step failed to reach stability (residual {resid:.3e}): {cause}")
-    best = DislocationConfig(pts, prev.schedule, box, prev.plane_tol)
-    if solver_cfg.restarts > 0:
-        rng = rng or np.random.default_rng(0)
-        prev_measure, planes = prev.measure(), prev.planes()
-        best_obj = (ctx.total_with_load(best, t, load)
-                    + slip_distance(best.measure(), prev_measure))
-        improved = False
-        for _ in range(solver_cfg.restarts):
-            jitter = rng.uniform(-0.05, 0.05, len(pts)) * box.width
-            trial = prev.points.copy()
-            trial[:, 0] = np.clip(trial[:, 0] + jitter, box.x0, box.x1)
-            for _, idx in planes:
-                xs = np.sort(trial[idx, 0])
-                for k in range(1, len(xs)):
-                    xs[k] = max(xs[k], xs[k - 1] + r_n)
-                trial[idx, 0] = np.clip(xs, box.x0, box.x1)
-            try:
-                cand_pts, cand_resid, _ = relax(trial, left_to_right(trial, planes))
-                if not cand_resid <= solver_cfg.sweep_tol:
-                    continue
-                cand = DislocationConfig(cand_pts, prev.schedule, box,
-                                         prev.plane_tol)
-            except ValueError:
-                continue
-            obj = (ctx.total_with_load(cand, t, load)
-                   + slip_distance(cand.measure(), prev_measure))
-            if obj < best_obj - 1e-12:
-                best, best_obj, improved = cand, obj, True
-        if improved:
-            warnings.warn("multi-start found a deeper minimum; the sweep solution "
-                          "was only locally stable", RuntimeWarning)
-    return best
+    return prev.with_points(pts)
 
 
 @dataclass
@@ -812,8 +752,7 @@ class EvolutionTrace:
 
 def run_quasistatic(init: DislocationConfig, times, load: LoadingProgram,
                     solver_cfg: SolverConfig, ctx: EnergyContext,
-                    pre_relax: bool = False,
-                    rng: np.random.Generator | None = None) -> EvolutionTrace:
+                    pre_relax: bool = False) -> EvolutionTrace:
     """Sequential incremental minimization over a time grid.
 
     The initial configuration must satisfy the stability condition at the
@@ -824,7 +763,7 @@ def run_quasistatic(init: DislocationConfig, times, load: LoadingProgram,
     init = init.canonical_order()
     t0 = float(times[0])
     if pre_relax:
-        init = incremental_step(init, t0, load, solver_cfg, ctx, rng)
+        init = incremental_step(init, t0, load, solver_cfg, ctx)
     forces = [driving_force(init, t0, load, ctx)]
     if not pre_relax:
         resid = stability_excess(init, forces[0])
@@ -836,7 +775,7 @@ def run_quasistatic(init: DislocationConfig, times, load: LoadingProgram,
     step_d = [0.0]
     energies = [ctx.renormalized_energy(init)]
     for t in times[1:]:
-        new = incremental_step(configs[-1], float(t), load, solver_cfg, ctx, rng)
+        new = incremental_step(configs[-1], float(t), load, solver_cfg, ctx)
         step_d.append(slip_distance(new.measure(), configs[-1].measure()))
         energies.append(ctx.renormalized_energy(new))
         forces.append(driving_force(new, float(t), load, ctx))

@@ -83,9 +83,8 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: Path, seed: int,
                         geom=cfg.geometry, quad=cfg.quadrature, basis=cfg.basis)
     init = DislocationConfig(sec["initial_points"], cfg.schedule, cfg.geometry.r_box)
     times = np.linspace(0.0, cfg.loading.time_horizon, sec["steps"] + 1)
-    rng = np.random.default_rng(seed)
     trace = run_quasistatic(init, times, cfg.loading, cfg.solver, ctx,
-                            pre_relax=sec["pre_relax"], rng=rng)
+                            pre_relax=sec["pre_relax"])
     balance = energy_balance_series(trace, cfg.loading)
     flow = flow_rule_steps(trace)
     diss = trace.dissipation

@@ -11,7 +11,7 @@ from scipy.spatial import cKDTree
 
 from .geometry import Rect
 
-#: default absolute tolerance for deciding that two slip-plane coordinates coincide
+#: absolute tolerance for deciding that two slip-plane coordinates coincide
 PLANE_TOL = 1e-9
 #: ``min_distance`` takes the dense pairwise minimum below this many points
 DENSE_MIN_DISTANCE = 65
@@ -133,8 +133,8 @@ class DiscreteMeasure:
     def n_atoms(self) -> int:
         return len(self.points)
 
-    def planes(self, tol: float = PLANE_TOL):
-        return group_by_plane(self.points, tol)
+    def planes(self):
+        return group_by_plane(self.points)
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,6 @@ class DislocationConfig:
     points: np.ndarray
     schedule: ScalingSchedule
     box: Rect
-    plane_tol: float = PLANE_TOL
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=float).reshape(-1, 2))
@@ -234,7 +233,7 @@ class DislocationConfig:
         return self.schedule.r(self.n)
 
     def planes(self):
-        return group_by_plane(self.points, self.plane_tol)
+        return group_by_plane(self.points)
 
     def plane_orders(self) -> tuple:
         """Each slip plane's indices from left to right (``left_to_right``),
@@ -253,7 +252,7 @@ class DislocationConfig:
         return min_distance(self.points)
 
     def with_points(self, points: np.ndarray) -> "DislocationConfig":
-        return DislocationConfig(points, self.schedule, self.box, self.plane_tol)
+        return DislocationConfig(points, self.schedule, self.box)
 
     def canonical_order(self) -> "DislocationConfig":
         """Points sorted by (plane, horizontal coordinate); ``self`` if sorted."""

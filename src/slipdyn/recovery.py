@@ -357,7 +357,7 @@ def snap_modification(cfg: DislocationConfig, eta: float) -> DislocationConfig:
             assign = _monotone_assignment(xs, nodes)
         order = np.argsort(cfg.points[idx, 0], kind="stable")
         new_pts[idx[order], 0] = nodes[assign]
-    return DislocationConfig(new_pts, cfg.schedule, box, cfg.plane_tol)
+    return cfg.with_points(new_pts)
 
 
 def _nearest_assignment(xs: np.ndarray, nodes: np.ndarray):

@@ -101,15 +101,15 @@ def plane_w1(xs, wx, ys, wy) -> float:
     return float(np.cumsum(np.concatenate([[0.0], dq * np.abs(xs[i] - ys[j])]))[-1])
 
 
-def _match_planes(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float):
+def _match_planes(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """Pair up the slip planes of two measures; None if vertical marginals differ."""
-    pa = mu.planes(tol)
-    pb = nu.planes(tol)
+    pa = mu.planes()
+    pb = nu.planes()
     if len(pa) != len(pb):
         return None
     matched = []
     for (ya, ia), (yb, ib) in zip(pa, pb):
-        if abs(ya - yb) > tol:
+        if abs(ya - yb) > PLANE_TOL:
             return None
         if _masses_differ(mu.weights[ia].sum(), nu.weights[ib].sum()):
             return None
@@ -117,10 +117,9 @@ def _match_planes(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float):
     return matched
 
 
-def slip_distance(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                  tol: float = PLANE_TOL) -> float:
+def slip_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Slip-confined transport distance; +inf when vertical marginals differ."""
-    matched = _match_planes(mu, nu, tol)
+    matched = _match_planes(mu, nu)
     if matched is None:
         return math.inf
     total = 0.0
@@ -130,10 +129,9 @@ def slip_distance(mu: DiscreteMeasure, nu: DiscreteMeasure,
     return total
 
 
-def slip_plan(mu: DiscreteMeasure, nu: DiscreteMeasure,
-              tol: float = PLANE_TOL) -> TransportPlan:
+def slip_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
     """Optimal slip-confined coupling (quantile coupling per plane)."""
-    matched = _match_planes(mu, nu, tol)
+    matched = _match_planes(mu, nu)
     if matched is None:
         raise ValueError("vertical marginals differ; no finite plan exists")
     entries = []
@@ -197,8 +195,7 @@ def horizontal_marginal_w1(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     return plane_w1(mu.points[:, 0], mu.weights, nu.points[:, 0], nu.weights)
 
 
-def dual_lower_bound(mu: DiscreteMeasure, nu: DiscreteMeasure, phi,
-                     tol: float = PLANE_TOL) -> float:
+def dual_lower_bound(mu: DiscreteMeasure, nu: DiscreteMeasure, phi) -> float:
     """int phi d(mu - nu) for a test function 1-Lipschitz along each slip plane.
 
     phi is called once per atom.  The per-plane Lipschitz requirement is
@@ -207,7 +204,7 @@ def dual_lower_bound(mu: DiscreteMeasure, nu: DiscreteMeasure, phi,
     """
     pts = np.concatenate([mu.points, nu.points])
     vals = np.array([float(phi(p)) for p in pts])
-    for _, idx in group_by_plane(pts, tol):
+    for _, idx in group_by_plane(pts):
         v, x = vals[idx], pts[idx, 0]
         if np.any(np.abs(v[:, None] - v) > np.abs(x[:, None] - x) + 1e-9):
             raise ValueError("test function violates the per-plane Lipschitz bound")

@@ -200,7 +200,8 @@ def test_A7_rate_independence(geom, mat, small_schedule):
 def test_A8_trace_invariants_on_shipped_configs(tmp_path):
     import csv
     results = []
-    for name in ("ramp_single", "spreading_pair", "zero_load", "bounded_pair"):
+    for name in ("ramp_single", "spreading_pair", "zero_load", "bounded_pair",
+                 "bounded_ramp"):
         cfg = load_config(CONFIG_DIR / f"{name}.json")
         out = tmp_path / name
         out.mkdir()

@@ -1218,16 +1218,6 @@ def test_nan_force_is_never_stable(fctx, geom, small_schedule):
         incremental_step(cfg, 0.5, load, SolverConfig(), fctx)
 
 
-def test_multistart_restarts_keep_stability(fctx, geom, small_schedule):
-    # the restart path must keep returning a stable configuration
-    cfg = DislocationConfig([[0.35, 0.45], [0.65, 0.55]], small_schedule,
-                            geom.r_box)
-    new = incremental_step(cfg, 0.0, zero_load(),
-                           SolverConfig(restarts=3), fctx,
-                           rng=np.random.default_rng(0))
-    assert stability_residual(new, 0.0, zero_load(), fctx) <= 1e-9
-
-
 def test_loading_program_custom():
     load = LoadingProgram.custom(
         f=lambda t, pts: t * pts[:, 0] ** 2,

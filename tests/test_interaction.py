@@ -93,6 +93,19 @@ def test_log_asymptotics_structure(geom, mat, quad):
     assert dev3 < dev2  # the finer separation is closer to the leading term
 
 
+def test_log_coefficient_with_regular_part_cancelled(geom, mat, quad):
+    # V(s) = -c log s + R + o(1) for a pair at separation s about the centre;
+    # the difference over one decade cancels the domain's regular part R
+    # (about -0.088 here), which is what keeps A2's ratio V(s) / (-log s)
+    # off c at s = 1e-2 and 1e-3
+    c = np.array([0.5, 0.5])
+    for v, bound in ((lambda y, z: interaction_cross_matrix(y, z, geom, mat, quad)[0, 0], 1e-5),
+                     (lambda y, z: v_pair(y, z, geom, mat, quad), 1e-3)):
+        V = {s: v(c - [s / 2, 0.0], c + [s / 2, 0.0]) for s in (1e-3, 1e-4)}
+        coef = (V[1e-4] - V[1e-3]) / math.log(10.0)
+        assert abs(coef - mat.log_coef) <= bound * mat.log_coef
+
+
 def test_interaction_sum_small_cases(geom, mat, quad, small_schedule):
     box = geom.r_box
     cfg1 = DislocationConfig([[0.5, 0.5]], small_schedule, box)
