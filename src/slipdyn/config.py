@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -249,8 +249,7 @@ class ExperimentConfig:
     loading: LoadingProgram | None
     section: dict            # experiment-specific parameters
     output_dir: str | None
-    raw: dict = field(repr=False)
-    sha: str = ""
+    sha: str
 
 
 def load_config(path) -> ExperimentConfig:
@@ -285,4 +284,4 @@ def load_config(path) -> ExperimentConfig:
     sha = hashlib.sha256(
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     return ExperimentConfig(**{f.name: top[f.name] for f in fields(ExperimentConfig)
-                               if f.name in top}, section=section, raw=raw, sha=sha)
+                               if f.name in top}, section=section, sha=sha)

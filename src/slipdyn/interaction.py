@@ -512,42 +512,36 @@ def _singular_sums(kernel, pts, mat: Material) -> np.ndarray:
     return out
 
 
-def _pair_energy(pts, total, selfs, mat: Material) -> float:
-    """(1 / 2 n^2) sum_{i != j} V(z_i, z_j) of the equal-weight atoms pts from
-    their ``_boundary_sums``: with w = 1/n, w^2 sum_{i != j} V(z_i, z_j) =
-    A . B - sum_i [(w a_i) . (w b_i) + w^2 sum_{j != i} psi(z_j - z_i)], added
-    by fsum without a running total's drift (psi is even)."""
+def _pair_energy(pts, kernel, mat: Material, total=None, selfs=()) -> float:
+    """(1 / 2 n^2) sum_{i != j} V(z_i, z_j) of the equal-weight atoms pts in
+    either mode: with w = 1/n, w^2 sum_{i != j} V(z_i, z_j) = A . B - sum_i
+    [(w a_i) . (w b_i) + w^2 sum_{j != i} kernel(z_i - z_j)], added by fsum
+    without a running total's drift.  Bounded, kernel = psi (even) and the
+    atoms' ``_boundary_sums`` give [A, B] (``total``) and ``selfs``; in free
+    space, kernel = c log r and A = B = 0."""
     w = 1.0 / len(pts)
-    singular = -w * w * _singular_sums(_stress_potential, pts, mat)
-    return math.fsum([np.vdot(total[0], total[1])] + [-s for s in selfs]
-                     + list(singular)) / 2.0
+    singular = -w * w * _singular_sums(kernel, pts, mat)
+    head = [] if total is None else [np.vdot(total[0], total[1])]
+    return math.fsum(head + [-s for s in selfs] + list(singular)) / 2.0
 
 
 def _atom_energy(pts, mode: str, geom: Geometry | None, mat: Material,
                  q: QuadratureConfig, sums=None):
-    """``interaction_of_points`` of the equal-weight atoms and, bounded, their
-    ``_boundary_sums`` (None in free space), which ``sums`` supplies if given."""
+    """``interaction_of_points`` of the equal-weight atoms (``_pair_energy``) and,
+    bounded, their ``_boundary_sums`` (None in free space), which ``sums`` supplies."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-    n = len(pts)
     if min_distance(pts) < MIN_SEPARATION:
         raise ValueError("coincident dislocations in configuration")
     if mode == "freespace":
-        total = 0.0      # blocks of BLOCK rows: O(n) memory, one sum up to BLOCK atoms
-        for s in range(0, n, BLOCK):
-            with np.errstate(divide="ignore"):
-                K = _log_kernel(pts[s:s + BLOCK, None, :] - pts[None, :, :], mat)
-            K[np.arange(len(K)), np.arange(s, s + len(K))] = 0.0
-            total += float(K.sum())
-        # 0.0 - sum: a zero sum (n = 1) gives +0.0, not -0.0
-        return (0.0 - total) / (2.0 * n * n), None
+        return _pair_energy(pts, _log_kernel, mat), None
     if mode != "bounded":
         raise ValueError(f"unknown interaction mode {mode!r}")
     if geom is None:
         raise ValueError("bounded mode requires a geometry")
     if sums is None:
         grid = _boundary_grid(geom.omega, q.boundary_points)
-        sums = _boundary_sums(grid, pts, np.full(n, 1.0 / n), mat)
-    return _pair_energy(pts, *sums, mat), sums
+        sums = _boundary_sums(grid, pts, np.full(len(pts), 1.0 / len(pts)), mat)
+    return _pair_energy(pts, _stress_potential, mat, *sums), sums
 
 
 def interaction_of_points(pts, mode: str, geom: Geometry | None, mat: Material,

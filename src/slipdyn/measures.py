@@ -19,28 +19,17 @@ DENSE_MIN_DISTANCE = 65
 
 @dataclass(frozen=True)
 class ScalingSchedule:
-    """Power-law rules n -> eps_n (core radius) and n -> r_n (minimal separation).
+    """Power-law rule n -> r_n = r_coef n^-r_exp (minimal separation); the admissible
+    regime's n r_n -> 0 needs r_exp > 1.  The energy is renormalized: no core radius."""
 
-    The admissible-regime conditions eps_n/r_n^3 -> 0 and n r_n -> 0 translate to
-    eps_exp > 3 r_exp and r_exp > 1 for power laws.
-    """
-
-    eps_coef: float = 1.0
-    eps_exp: float = 6.0
     r_coef: float = 1.0
     r_exp: float = 1.5
 
     def __post_init__(self):
-        for key in ("eps_coef", "r_coef"):
-            if not getattr(self, key) > 0:                     # NaN fails too
-                raise ValueError(f"schedule {key} must be > 0, got {getattr(self, key)!r}")
-        if not self.eps_exp > 3.0 * self.r_exp:
-            raise ValueError("need eps_n / r_n^3 -> 0, i.e. eps_exp > 3 r_exp")
+        if not self.r_coef > 0:                                # NaN fails too
+            raise ValueError(f"schedule r_coef must be > 0, got {self.r_coef!r}")
         if not self.r_exp > 1.0:
             raise ValueError("need n r_n -> 0, i.e. r_exp > 1")
-
-    def eps(self, n: int) -> float:
-        return self.eps_coef * float(n) ** (-self.eps_exp)
 
     def r(self, n: int) -> float:
         return self.r_coef * float(n) ** (-self.r_exp)

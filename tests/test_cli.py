@@ -242,6 +242,7 @@ def test_module_error_exits_nonzero(tmp_path):
     ("quadrature", "tol", math.nan), ("solver", "sweep_tol", math.nan),
     ("material", "lam", math.nan), ("material", "lam", math.inf),
     ("material", "mu", math.inf), ("schedule", "eps_coef", math.nan),
+    ("schedule", "eps_exp", 6.0),
     ("schedule", "r_coef", math.nan), ("loading", "time_horizon", math.nan),
     ("loading", "time_horizon", math.inf), ("loading", "time_horizon", 0.0),
     ("solver", "restarts", -1), ("solver", "max_sweeps", 0), ("solver", "line_grid", 3),
@@ -250,7 +251,7 @@ def test_nan_and_out_of_range_values_rejected(tmp_path, section, key, value):
     # JSON NaN and Infinity parse, and NaN passes any check written as
     # `x <= 0`; a NaN tolerance would switch off the check it sets, a NaN or
     # infinite constant or horizon would write NaN tables; a bad value is
-    # named by its key
+    # named by its key, and so is a key that is gone (refused as unknown)
     payload = json.loads((CONFIG_DIR / "zero_load.json").read_text())
     payload.setdefault(section, {})[key] = value
     res = CliRunner().invoke(main, ["simulate", str(write_config(tmp_path, payload)),

@@ -26,15 +26,11 @@ def test_geometry_invariants():
 
 def test_schedule_validation():
     s = ScalingSchedule()
-    assert s.eps(10) == 10.0 ** -6
     assert s.r(10) == pytest.approx(10.0 ** -1.5)
-    ns = (10, 100, 1000, 10_000)       # both decay conditions on a sample of n
-    ratios = [s.eps(n) / s.r(n) ** 3 for n in ns]
+    ns = (10, 100, 1000, 10_000)       # the decay condition on a sample of n
     products = [n * s.r(n) for n in ns]
-    assert all(a > b for a, b in zip(ratios, ratios[1:]))
     assert all(a > b for a, b in zip(products, products[1:]))
-    with pytest.raises(ValueError):
-        ScalingSchedule(eps_exp=4.0, r_exp=1.5)   # eps/r^3 does not vanish
+    assert ScalingSchedule(r_exp=2.5).r(10) == pytest.approx(10.0 ** -2.5)
     with pytest.raises(ValueError):
         ScalingSchedule(r_exp=0.9)                # n r_n does not vanish
     with pytest.raises(ValueError):
