@@ -5,7 +5,9 @@ Lists the byte-identical files.  For each CSV table that differs, prints every
 changed column with its largest absolute and relative deviation (``positions``
 cells are JSON arrays and compare element by element); other differing files
 are only named.  Exits 1 when any file differs or exists on one side only,
-0 when the trees are byte-identical.
+0 when the trees are byte-identical, and 2 when either argument is not a
+directory or neither tree holds a file, so that a mistyped path never reads
+as an unchanged tree.
 
 Usage: python scripts/compare_outputs.py REF NEW
 """
@@ -70,8 +72,15 @@ def main():
     if len(sys.argv) != 3:
         sys.exit(__doc__.strip().splitlines()[-1])
     ref, new = Path(sys.argv[1]), Path(sys.argv[2])
+    for root in (ref, new):
+        if not root.is_dir():
+            print(f"error: {root} is not a directory", file=sys.stderr)
+            sys.exit(2)
     files = sorted({p.relative_to(root) for root in (ref, new)
                     for p in root.rglob("*") if p.is_file()})
+    if not files:
+        print(f"error: neither {ref} nor {new} holds a file", file=sys.stderr)
+        sys.exit(2)
     identical, differing = [], []
     for rel in files:
         a, b = ref / rel, new / rel

@@ -135,7 +135,7 @@ def _lattice_ramp(planes, geom, ctx, repeat):
     xs = np.linspace(0.3, 0.7, planes)
     init = DislocationConfig(np.column_stack([np.tile(xs, planes), np.repeat(xs, planes)]),
                              ScalingSchedule(r_coef=0.05), geom.r_box)
-    load = LoadingProgram.uniform_shear(lambda t: 0.9 + 0.7 * t, 1.0, lambda t: 0.7)
+    load = LoadingProgram(lambda t: 0.9 + 0.7 * t, 1.0, lambda t: 0.7)
     counts = {}
 
     class Orders(tuple):                # a sweep is one pass over the plane orders
@@ -147,9 +147,9 @@ def _lattice_ramp(planes, geom, ctx, repeat):
                                evolution._residual_from_forces)
     land, solve = evolution._land_position, np.linalg.solve
 
-    def counted_sweep(pts, t, load, ctx, solver_cfg, box, r_n, orders):
+    def counted_sweep(pts, shear, ctx, solver_cfg, box, r_n, orders):
         counts["steps"] += 1
-        return sweep(pts, t, load, ctx, solver_cfg, box, r_n, Orders(orders))
+        return sweep(pts, shear, ctx, solver_cfg, box, r_n, Orders(orders))
 
     def counted_land(*args):
         counts["landings"] += 1
@@ -191,7 +191,7 @@ def main():
     grid = _boundary_grid(geom.omega, quad.boundary_points)
     ctx = EnergyContext("bounded", mat, geom, quad, basis)
     get_solver(geom, mat, basis, quad)          # built once, outside the timings
-    load = LoadingProgram.uniform_shear(lambda t: 0.1 * t, 1.0, lambda t: 0.1)
+    shear = 0.05                                # sigma(t) of the step tables below
     rng = np.random.default_rng(1)
     pts = rng.uniform(0.3, 0.7, (256, 2))
 
@@ -210,15 +210,15 @@ def main():
         t = _median_s(lambda: _boundary_data(grid, pts[:m], mat, dy1=True), args.repeat)
         _report(f"in-place data + dy1, {m} source(s)", t, m)
     for n in (2, 16, 64):
-        t = _median_s(lambda: _StepTable(pts[:n], 0.5, load, ctx)._bounded_arrays(),
+        t = _median_s(lambda: _StepTable(pts[:n], shear, ctx)._bounded_arrays(),
                       args.repeat)
         _report(f"bounded step arrays, n = {n}", t, n)
-        probe = _StepTable(pts[:n].copy(), 0.5, load, ctx).probe(0)
+        probe = _StepTable(pts[:n].copy(), shear, ctx).probe(0)
         x = pts[0, 0] + 1e-3
         t = _median_s(lambda: probe(x), args.repeat)
         _report(f"bounded probe, n = {n}", t, n)
         live = pts[:n].copy()
-        table, spots = _StepTable(live, 0.5, load, ctx), (live[0, 0], live[0, 0] + 1e-3)
+        table, spots = _StepTable(live, shear, ctx), (live[0, 0], live[0, 0] + 1e-3)
         table.forces()
 
         def landing():               # alternate spots: the kept pass never serves it
@@ -228,8 +228,7 @@ def main():
         t = _median_s(landing, args.repeat)
         _report(f"bounded landing update, n = {n}", t, n)
     pair = np.array([[0.4, 0.35], [0.6, 0.65]])
-    shove = LoadingProgram.uniform_shear(lambda t: 10.0, 1.0, lambda t: 0.0)
-    probe = _StepTable(pair, 0.5, shove, ctx).probe(0)
+    probe = _StepTable(pair, 10.0, ctx).probe(0)
     f0, edge = probe(pair[0, 0]), geom.r_box.x1
     for label, march in (("block", probe), ("one-point", lambda x: probe(x))):
         t = _median_s(lambda: _land_position(march, pair[0, 0], f0, 1.0, edge,
@@ -239,7 +238,7 @@ def main():
     for n, planes in ((16, 4), (64, 8)):
         free = np.column_stack([pts[:n, 0], np.repeat(np.linspace(0.3, 0.7, planes),
                                                       n // planes)])
-        probe = _StepTable(free, 0.5, load, fctx).probe(0)
+        probe = _StepTable(free, shear, fctx).probe(0)
         x = free[0, 0] + 1e-3
         t = _median_s(lambda: probe(x), args.repeat)
         _report(f"free-space probe, n = {n}", t, n)
@@ -247,10 +246,8 @@ def main():
         _report(f"free-space pair table, n = {n}", t, n)
         plane = np.arange(n // planes)
         i, right = plane[np.argsort(free[plane, 0])[:2]]
-        still = LoadingProgram.uniform_shear(lambda t: 0.0, 1.0, lambda t: 0.0)
-        pull = _StepTable(free, 0.5, still, fctx).probe(i)(free[i, 0])
-        push = LoadingProgram.uniform_shear(lambda t: 1.5 - pull, 1.0, lambda t: 0.0)
-        probe = _StepTable(free, 0.5, push, fctx).probe(i)
+        pull = _StepTable(free, 0.0, fctx).probe(i)(free[i, 0])
+        probe = _StepTable(free, 1.5 - pull, fctx).probe(i)
         f0, barrier = probe(free[i, 0]), free[right, 0] - 1e-3
         t = _median_s(lambda: _land_position(probe, free[i, 0], f0, 1.0, barrier,
                                              SolverConfig().line_grid), args.repeat)
@@ -265,7 +262,7 @@ def main():
     ramp = DislocationConfig(np.column_stack([np.tile(np.linspace(0.4, 0.6, 4), 4),
                                               np.repeat(np.linspace(0.35, 0.65, 4), 4)]),
                              ScalingSchedule(), geom.r_box)
-    unit_ramp = LoadingProgram.uniform_shear(lambda t: t, 1.0, lambda t: 1.0)
+    unit_ramp = LoadingProgram(lambda t: t, 1.0, lambda t: 1.0)
     counts, moved, parts = [0, 0], _StepTable.moved, _StepTable.parts
 
     def counted_moved(table, i):
@@ -288,7 +285,7 @@ def main():
     _report("bounded sweep step, n = 16", t, 16)
     print(f"{'  its landings, placements':<34} {counts[0]:12d} {counts[1]:12d}")
     for n in (2, 16, 64):
-        t = _median_s(lambda: _forces_at(pts[:n], 0.5, load, EnergyContext(
+        t = _median_s(lambda: _forces_at(pts[:n], 0.5, unit_ramp, EnergyContext(
             "bounded", mat, geom, quad, basis)), args.repeat)
         _report(f"all-rows bounded force, n = {n}", t, n)
     measure = DiscreteMeasure.equal_weights(pts[:16])

@@ -202,7 +202,7 @@ def _loading(value, key: str) -> LoadingProgram:
     ld = _take(value, key, {"kind": ("uniform_shear", _choice("uniform_shear")),
                             "sigma": (_REQUIRED, _raw), "time_horizon": (_REQUIRED, _POSITIVE)})
     sigma, sigma_dot = _sigma_callable(ld["sigma"], ld["time_horizon"])
-    return LoadingProgram.uniform_shear(sigma, ld["time_horizon"], sigma_dot)
+    return LoadingProgram(sigma, ld["time_horizon"], sigma_dot)
 
 
 def _measure(value, key: str) -> DiscreteMeasure:

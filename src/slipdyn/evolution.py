@@ -9,10 +9,10 @@ edge.  Cyclic per-plane sweeps repeat until one moves nothing, checking every
 dislocation against one all-rows force vector per placement, and the step
 fails unless the stability residual (the largest mean force excess of a group
 that can move together, one-sided at the box edges and at neighbours in
-contact) is then within the solver tolerance.  In free space under a uniform
-shear, once two sweeps in a row have landed the same dislocations the same
-way, each at a force crossing, a Newton finish solves their threshold
-equations together; the sweeps still judge when the step ends.
+contact) is then within the solver tolerance.  The uniform shear adds sigma(t)
+to every force.  In free space, once two sweeps in a row have landed the same
+dislocations the same way, each at a force crossing, a Newton finish solves
+their threshold equations together; the sweeps still judge when the step ends.
 """
 from __future__ import annotations
 
@@ -59,10 +59,10 @@ def _log_forces(x, xs: np.ndarray, dy2: np.ndarray, log_coef: float):
 
 
 def _newton_finish(table, movers: dict, orders, box, r_n: float) -> None:
-    """Solve f_i(x) = s_i for the ``movers`` {i: s_i} of a free-space,
-    uniform-shear sweep step by Newton's method on their abscissae
-    (``_newton``), the others held, in the step's ``_StepTable``: mutates its
-    points and tells it of every move.
+    """Solve f_i(x) = s_i for the ``movers`` {i: s_i} of a free-space sweep
+    step by Newton's method on their abscissae (``_newton``), the others
+    held, in the step's ``_StepTable``: mutates its points and tells it of
+    every move.
 
     The finish keeps Newton's end point only if Newton converged and every
     mover has moved only in its own direction s_i.  Otherwise it puts the
@@ -142,45 +142,18 @@ def _newton(table, rows, s, orders, box, r_n: float) -> bool:
 
 @dataclass(frozen=True)
 class LoadingProgram:
-    """Time-dependent loading potential.
+    """The uniform shear f(t, x) = sigma(t) x1 on [0, ``time_horizon``]; sigma
+    and its time derivative sigma_dot are scalar in t, points (N, 2) arrays."""
 
-    ``uniform_shear`` realizes f(t, x) = sigma(t) x1; ``custom`` takes the
-    potential and its derivatives directly.  All callables are scalar in t;
-    spatial arguments are (N, 2) arrays.
-    """
-
-    kind: str
+    sigma: object                 # t -> scalar
     time_horizon: float
-    sigma: object = None          # t -> scalar           (uniform_shear)
-    sigma_dot: object = None      # t -> scalar           (uniform_shear)
-    f: object = None              # (t, pts) -> (N,)      (custom)
-    f_dot: object = None
-    f_x1: object = None
-
-    @classmethod
-    def uniform_shear(cls, sigma, time_horizon, sigma_dot):
-        return cls(kind="uniform_shear", time_horizon=time_horizon,
-                   sigma=sigma, sigma_dot=sigma_dot)
-
-    @classmethod
-    def custom(cls, f, f_dot, f_x1, time_horizon):
-        return cls(kind="custom", time_horizon=time_horizon,
-                   f=f, f_dot=f_dot, f_x1=f_x1)
+    sigma_dot: object             # t -> scalar
 
     def potential(self, t: float, pts: np.ndarray) -> np.ndarray:
-        if self.kind == "uniform_shear":
-            return self.sigma(t) * pts[:, 0]
-        return np.asarray(self.f(t, pts), dtype=float)
+        return self.sigma(t) * pts[:, 0]
 
     def potential_dot(self, t: float, pts: np.ndarray) -> np.ndarray:
-        if self.kind == "uniform_shear":
-            return self.sigma_dot(t) * pts[:, 0]
-        return np.asarray(self.f_dot(t, pts), dtype=float)
-
-    def horizontal_gradient(self, t: float, pts: np.ndarray) -> np.ndarray:
-        if self.kind == "uniform_shear":
-            return np.full(len(pts), float(self.sigma(t)))
-        return np.asarray(self.f_x1(t, pts), dtype=float)
+        return self.sigma_dot(t) * pts[:, 0]
 
 
 @dataclass(frozen=True)
@@ -216,6 +189,10 @@ class _Pass:
 @dataclass
 class EnergyContext:
     """Bundle of everything the energy and force evaluations need.
+
+    Free space pairs dislocations by c log|u|, the leading term of the bounded
+    kernel, not by the whole-plane edge interaction ``_stress_potential`` psi:
+    the two agree on one slip plane (u_2 = 0) and differ across planes.
 
     It keeps the ``_Pass`` of the last points it evaluated, keyed by the
     points' exact bytes and by its own fields, so forces (all rows or one)
@@ -286,7 +263,7 @@ class EnergyContext:
         """Interaction and corrector parts of -n dE/dz_i1 on every dislocation,
         as copies of the kept pass's, which a ``_StepTable`` of the points
         (``_StepTable.parts``) computes into it when it has none."""
-        inter, corr = _StepTable(pts, None, None, self).parts()
+        inter, corr = _StepTable(pts, None, self).parts()
         return inter.copy(), corr.copy()                # the kept pass stays intact
 
     def interaction_forces(self, pts: np.ndarray) -> np.ndarray:
@@ -316,16 +293,14 @@ class ForceRecord:
 
 def _forces_at(pts: np.ndarray, t: float, load: LoadingProgram,
                ctx: EnergyContext) -> np.ndarray:
-    return _StepTable(pts, t, load, ctx).forces()
+    return _StepTable(pts, float(load.sigma(t)), ctx).forces()
 
 
 def _force_single(pts: np.ndarray, i: int, t: float, load: LoadingProgram,
                   ctx: EnergyContext) -> float:
-    """Row i of the all-rows parts plus the load's gradient at pts[i] alone,
-    as a probe (``_StepTable.probe``) adds it."""
+    """Row i of the all-rows parts plus sigma(t), as a probe adds them."""
     inter, corr = ctx._force_parts(pts)
-    return (float(inter[i]) + float(corr[i])
-            + float(load.horizontal_gradient(t, pts[i:i + 1])[0]))
+    return float(inter[i]) + float(corr[i]) + float(load.sigma(t))
 
 
 def driving_force(cfg: DislocationConfig, t: float, load: LoadingProgram,
@@ -426,11 +401,11 @@ def stability_excess(cfg: DislocationConfig, record: ForceRecord) -> float:
 
 
 class _StepTable:
-    """One step of a sweep at its fixed time t, and the only source of
+    """One step of a sweep under its shear sigma(t), and the only source of
     all-rows force parts: ``parts()``, the live points' (interaction,
     corrector) parts, from the context's kept pass at the start points, else
-    computed at most once per placement; ``forces()`` adds the load (the bits
-    of ``_forces_at``); ``moved(i)`` follows a landing of dislocation i,
+    computed at most once per placement; ``forces()`` adds ``shear`` (the
+    bits of ``_forces_at``); ``moved(i)`` follows a landing of dislocation i,
     ``probe(i)`` is the force on dislocation i as it alone moves, and
     ``hand_back()`` gives the context the last pass.
 
@@ -446,17 +421,13 @@ class _StepTable:
     the traction A[:, :2], the interaction part of atom i's force is
     -d_i . (B - w b_i) - w sum_{j != i} s(z_i - z_j), s = -d_1 psi, and the
     corrector part -d_i[:, :2] . u.  The pair table and the bounded arrays
-    are built when first needed, so a kept pass's parts build neither;
-    ``shear`` is sigma(t) of a uniform shear, else None.
+    are built when first needed, so a kept pass's parts build neither.
+    ``shear`` is None where only ``parts()`` is read.
     """
 
-    def __init__(self, pts, t, load, ctx):
-        self.pts, self.t, self.load, self.ctx = pts, t, load, ctx
+    def __init__(self, pts, shear, ctx):
+        self.pts, self.shear, self.ctx = pts, shear, ctx
         self.atoms = self._pass = self._forces = None
-
-    @cached_property
-    def shear(self):
-        return float(self.load.sigma(self.t)) if self.load.kind == "uniform_shear" else None
 
     @cached_property
     def pairs(self) -> np.ndarray:
@@ -513,9 +484,7 @@ class _StepTable:
         """``_forces_at`` of the live points, bit for bit."""
         if self._forces is None:
             inter, corr = self.parts()
-            shear = self.shear
-            self._forces = inter + corr + (
-                shear if shear is not None else self.load.horizontal_gradient(self.t, self.pts))
+            self._forces = inter + corr + self.shear
         return self._forces
 
     def probe(self, i):
@@ -524,7 +493,7 @@ class _StepTable:
 
         In free space it is ``_log_forces`` of row i of ``pairs`` against the
         live view ``pts[:, 0]``, so it copies nothing, plus the corrector's
-        0.0 and the load, as ``_force_single`` adds them.  Bounded, its
+        0.0 and the shear, as ``_force_single`` adds them.  Bounded, its
         ``block(xs)`` is ``[probe(x) for x in xs]`` bit for bit, from one
         ``_boundary_data`` call for all xs: the sums run on from the other
         atoms' kept prefix and suffix arrays, and the singular sums against
@@ -534,13 +503,10 @@ class _StepTable:
         point alone, as the others are the live points, inside the box.
         ``_land_position`` marches on it.  Valid until an atom moves.
         """
-        pts, y, t, load, shear = self.pts, self.pts[i, 1], self.t, self.load, self.shear
+        pts, y, shear = self.pts, self.pts[i, 1], self.shear
         if self.ctx.mode != "bounded":
             dy2, xs, c = self.pairs[i], pts[:, 0], self.ctx.mat.log_coef
-            if shear is not None:
-                return lambda x: float(_log_forces(x, xs, dy2, c)) + 0.0 + shear
-            return lambda x: (float(_log_forces(x, xs, dy2, c)) + 0.0
-                              + float(load.horizontal_gradient(t, np.array([[x, y]]))[0]))
+            return lambda x: float(_log_forces(x, xs, dy2, c)) + 0.0 + shear
         self._bounded_arrays()
         atoms, solver, mat = self.atoms, self.solver, self.ctx.mat
         others = np.delete(pts, i, 0)
@@ -555,12 +521,10 @@ class _StepTable:
                 total += atom
             singular = _stress_potential_dy1(zs[:, None, :] - others, mat).sum(axis=1)
             out = []
-            for x, z, d, s, tot, ab in zip(xs, zs, data[:, 2], singular, total, own):
+            for z, d, s, tot, ab in zip(zs, data[:, 2], singular, total, own):
                 u = solver.boundary_displacement(solver.solve_traction(tot[0][:, :2], z))
                 inter, corr = self._row(d, s, tot, ab, u)
-                out.append(float(inter) + float(corr) + (
-                    shear if shear is not None
-                    else float(load.horizontal_gradient(t, np.array([[x, y]]))[0])))
+                out.append(float(inter) + float(corr) + shear)
             return out
 
         def probe(x):
@@ -648,13 +612,13 @@ def _land_position(probe, x0, f0, direction, barrier, line_grid):
     return hi
 
 
-def _sweep_to_stability(pts, t, load, ctx, solver_cfg, box, r_n, orders):
+def _sweep_to_stability(pts, shear, ctx, solver_cfg, box, r_n, orders):
     """Cyclic per-dislocation relaxation; mutates pts, returns the final
     residual and whether the last sweep still moved.
 
     Each sweep visits the planes' left-to-right ``orders`` (``left_to_right``
     of pts) in turn, and checks each dislocation against its row of the step's
-    ``_StepTable`` vector (the bits of ``_forces_at``).  A
+    ``_StepTable`` vector under the ``shear`` (the bits of ``_forces_at``).  A
     dislocation whose force exceeds the threshold lands toward its barrier
     on that side (``_barriers``) unless it stands there, on the table's
     ``probe(i)``, built for that landing alone, and the table follows the
@@ -666,19 +630,18 @@ def _sweep_to_stability(pts, t, load, ctx, solver_cfg, box, r_n, orders):
     no dislocation passes another on its plane and the orders hold for the
     whole step.
 
-    In free space under a uniform shear (whose sigma has no x-derivative), a
-    sweep that lands the same dislocations in the same directions as the
-    sweep before, every landing of both at a force crossing and none at a
-    barrier, hands them to ``_newton_finish``; the next finish needs two new
-    such sweeps.  The finish keeps its movers more than EDGE_TOL inside
-    their barriers, so it makes no contact, and a finish changes only where
-    the sweeps start from: the step still ends after a sweep that moves
-    nothing, with the same residual and ``sweep_tol``.  Bounded runs (no
-    closed-form Jacobian) and custom loads (no derivative of f_x1) take the
-    plain sweeps, as does any step whose sweeps land at barriers.
+    In free space, a sweep that lands the same dislocations in the same
+    directions as the sweep before, every landing of both at a force
+    crossing and none at a barrier, hands them to ``_newton_finish``; the
+    next finish needs two new such sweeps.  The finish keeps its movers more
+    than EDGE_TOL inside their barriers, so it makes no contact, and a finish
+    changes only where the sweeps start from: the step still ends after a
+    sweep that moves nothing, with the same residual and ``sweep_tol``.
+    Bounded runs (no closed-form Jacobian) take the plain sweeps, as does any
+    step whose sweeps land at barriers.
     """
-    table = _StepTable(pts, t, load, ctx)
-    newton = ctx.mode == "freespace" and table.shear is not None
+    table = _StepTable(pts, shear, ctx)
+    newton = ctx.mode == "freespace"
     last = None
     for _ in range(solver_cfg.max_sweeps):
         landed, crossed = {}, True
@@ -721,15 +684,24 @@ def incremental_step(prev: DislocationConfig, t: float, load: LoadingProgram,
     """
     prev = prev.canonical_order()
     pts = prev.points.copy()
-    resid, moving = _sweep_to_stability(pts, t, load, ctx, solver_cfg, prev.box, prev.r_n,
-                                        prev.plane_orders())
+    resid, moving = _sweep_to_stability(pts, float(load.sigma(t)), ctx, solver_cfg, prev.box,
+                                        prev.r_n, prev.plane_orders())
     if not resid <= solver_cfg.sweep_tol:
         cause = (f"max_sweeps = {solver_cfg.max_sweeps} ran out, the last sweep still moved"
                  if moving else "no single dislocation can move while the residual exceeds "
                  "sweep_tol, so a run in contact must move together")
         raise RuntimeError(
             f"incremental step failed to reach stability (residual {resid:.3e}): {cause}")
-    return prev.with_points(pts)
+    try:
+        return prev.with_points(pts)
+    except ValueError:                  # the barriers keep r_n on each plane alone
+        i = min(range(1, len(pts)), key=lambda i: np.hypot(*(pts[:i] - pts[i]).T).min())
+        j = int(np.argmin(np.hypot(*(pts[:i] - pts[i]).T)))
+        raise RuntimeError(
+            f"incremental step broke r_n = {prev.r_n:.3e} across the planes y = {pts[j, 1]:.6g} "
+            f"and {pts[i, 1]:.6g}: the dislocations at x = {pts[j, 0]:.6g} and {pts[i, 0]:.6g} "
+            f"end {np.hypot(*(pts[i] - pts[j])):.3e} apart; the sweep keeps r_n only between "
+            "neighbours on one plane") from None
 
 
 @dataclass

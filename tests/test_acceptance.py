@@ -144,7 +144,7 @@ def test_A4_distance_suite():
 def test_A5_single_dislocation_ramp(geom, mat, small_schedule):
     t0 = time.perf_counter()
     ctx = EnergyContext(mode="freespace", mat=mat)
-    load = LoadingProgram.uniform_shear(lambda t: t, 2.0, sigma_dot=lambda t: 1.0)
+    load = LoadingProgram(lambda t: t, 2.0, sigma_dot=lambda t: 1.0)
     cfg = DislocationConfig([[0.5, 0.5]], small_schedule, geom.r_box)
     times = np.linspace(0, 2, 201)
     trace = run_quasistatic(cfg, times, load, SolverConfig(), ctx)
@@ -165,7 +165,7 @@ def test_A5_single_dislocation_ramp(geom, mat, small_schedule):
 def test_A6_two_dislocation_spreading(geom, mat, small_schedule):
     t0 = time.perf_counter()
     ctx = EnergyContext(mode="freespace", mat=mat)
-    load = LoadingProgram.uniform_shear(lambda t: 0.0, 1.0, sigma_dot=lambda t: 0.0)
+    load = LoadingProgram(lambda t: 0.0, 1.0, sigma_dot=lambda t: 0.0)
     cfg = DislocationConfig([[0.475, 0.5], [0.525, 0.5]], small_schedule,
                             geom.r_box)
     new = incremental_step(cfg, 0.0, load, SolverConfig(), ctx)
@@ -183,12 +183,10 @@ def test_A7_rate_independence(geom, mat, small_schedule):
     ctx = EnergyContext(mode="freespace", mat=mat)
     cfg = DislocationConfig([[0.5, 0.5]], small_schedule, geom.r_box)
     a = run_quasistatic(cfg, np.linspace(0, 2, 201),
-                        LoadingProgram.uniform_shear(lambda t: t, 2.0,
-                                                     sigma_dot=lambda t: 1.0),
+                        LoadingProgram(lambda t: t, 2.0, sigma_dot=lambda t: 1.0),
                         SolverConfig(), ctx)
     b = run_quasistatic(cfg, np.linspace(0, 1, 201),
-                        LoadingProgram.uniform_shear(lambda t: 2 * t, 1.0,
-                                                     sigma_dot=lambda t: 2.0),
+                        LoadingProgram(lambda t: 2 * t, 1.0, sigma_dot=lambda t: 2.0),
                         SolverConfig(), ctx)
     diff = float(np.max(np.abs(a.positions() - b.positions())))
     ok = diff <= 1e-12

@@ -611,7 +611,9 @@ def test_shipped_outputs_pinned(tmp_path, command, name):
 #: tolerance of each: the gamma_uniform ladder is pinned to 1e-13 relative; the
 #: bounded_pair positions move by up to the landing tolerance 1e-13 with the
 #: thread count (5e-14 seen at two threads), so its energies are pinned to 1e-13
-#: absolute (1e-14 seen)
+#: absolute (1e-14 seen); bounded_ramp, the one golden with many dislocations
+#: and contacts, has its energy and cumulative_d pinned to 1e-13 absolute (they
+#: moved by 3.6e-16 and 1.7e-15 between one and two threads)
 BLAS_PINNED = {
     ("simulate", "bounded_pair", "trace.csv"): ({"energy": [
         0.025623686747426613, 0.02328878062782211, 0.020852252467352186,
@@ -620,6 +622,11 @@ BLAS_PINNED = {
         0.0002613431089457108, -0.0034035272027360813, -0.007377887782794204,
         -0.01179981417785346, -0.017008454451636894, -0.024405396686532937]
         + [-0.03238668380294921] * 6}, False),
+    ("simulate", "bounded_ramp", "trace.csv"): ({
+        "energy": [0.0199993723511495, 0.0199993723511495, 0.016219313217949796,
+                   0.019402713349133127, 0.02672369019788058, 0.029236745205246897],
+        "cumulative_d": [0.0, 0.0, 0.01666804794128527, 0.2496801832561954,
+                         0.2722108824374509, 0.2755362353149714]}, False),
     ("gamma", "gamma_uniform", "gamma.csv"): ({
         "f_n": [0.03797697228520551, 0.04211821992152502, 0.04336830042533811],
         "f_limit": [0.04389528075278701] * 3}, True),

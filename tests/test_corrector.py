@@ -358,7 +358,7 @@ def test_one_boundary_pass_per_force(geom, mat, quad, basis, monkeypatch):
     for mod in (interaction, corrector, evolution):
         monkeypatch.setattr(mod, "_boundary_data", counted, raising=False)
     pts = np.column_stack([np.linspace(0.3, 0.7, 20), np.tile([0.4, 0.6], 10)])
-    load = evolution.LoadingProgram.uniform_shear(lambda t: 0.0, 1.0, lambda t: 0.0)
+    load = evolution.LoadingProgram(lambda t: 0.0, 1.0, lambda t: 0.0)
     ctx = EnergyContext("bounded", mat, geom, quad, basis)
     evolution._forces_at(pts, 0.0, load, ctx)
     atoms = sorted(map(tuple, pts))
